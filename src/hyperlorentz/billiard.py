@@ -36,7 +36,8 @@ from .geometry import (
     mobius_xy,
     normalizing_coeffs,
 )
-from .obstacles import ObstacleField, sample_annulus
+# sample_annulus is unused here but stays importable: perfbench/tracing.py patches it.
+from .obstacles import ObstacleField, sample_annulus  # noqa: F401
 
 __all__ = [
     "Obstacle",
@@ -51,6 +52,7 @@ __all__ = [
     "position_at",
     "recollision_count",
     "sample_first_collision",
+    "sample_first_collisions",
 ]
 
 #: Quadratic discriminants below this are treated as tangencies, i.e. no hit.
@@ -325,6 +327,43 @@ class FirstCollision:
     censored: bool
 
 
+def _tube_hit(x0, y0, alpha0, t, psi, r):
+    """(ix, iy, pre_alpha, cx, cy) of a hit at time t: the obstacle center lies
+    at distance r from the impact point, at angle psi to the incoming direction."""
+    ix, iy = flow_xy(x0, y0, alpha0, t)
+    pre_alpha = flow_angle(alpha0, t)
+    return (ix, iy, pre_alpha, *flow_xy(ix, iy, pre_alpha + psi, r))
+
+
+def sample_first_collisions(
+    lam: float,
+    radius: float,
+    horizon: float,
+    rng: np.random.Generator,
+    size: int,
+    start: State | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First collisions of ``size`` particles, each in its own fresh field.
+
+    Returns (time, deflection, censored) arrays.  Conditioned on an empty
+    ball of radius r around the start, the tube swept up to time t adds area
+    2 t sinh r, so the free path is exactly Exp(2 lam sinh r).  The hit
+    center crosses the tube front with flux cosh v dv in Fermi coordinates
+    (s, v), so sinh v is uniform on [-sinh r, sinh r]; with sinh v =
+    sinh r sin psi, psi being the angle at the impact point between the
+    incoming direction and the center, sin psi is uniform on [-1, 1].  Free
+    paths beyond ``horizon`` are censored at the horizon, deflection nan.
+    """
+    if start is None:
+        start = State(Point(0.0, 1.0), Direction(0.5 * math.pi))
+    free = rng.exponential(1.0 / (2.0 * lam * math.sinh(radius)), size)
+    psi = np.arcsin(rng.uniform(-1.0, 1.0, size))
+    time, censored = np.minimum(free, horizon), free > horizon
+    ix, iy, pre, cx, cy = _tube_hit(start.point.x, start.point.y, start.dir.alpha, time, psi, radius)
+    beta = (_reflect_angle(ix, iy, pre, cx, cy, radius) - pre) % TWO_PI
+    return time, np.where(censored, np.nan, beta), censored
+
+
 def sample_first_collision(
     lam: float,
     radius: float,
@@ -332,41 +371,7 @@ def sample_first_collision(
     rng: np.random.Generator,
     start: State | None = None,
 ) -> FirstCollision:
-    """First collision against a fresh Poisson field, sampled lazily.
-
-    The enclosing ball of the trajectory is grown annulus by annulus and
-    obstacle centers are drawn only as needed: a candidate hit at time t is
-    final once every center within t + r of the start has been sampled.
-    By Poisson independence over disjoint annuli this is distributed
-    exactly as sampling the full ball of radius horizon + r up front, at a
-    cost that tracks the free path instead of the horizon.
-    """
-    if start is None:
-        start = State(Point(0.0, 1.0), Direction(0.5 * math.pi))
-    x0, y0, alpha0 = start.point.x, start.point.y, start.dir.alpha
-    cosh_r = math.cosh(radius)
-    step = min(2.0, max(0.25, 1.0 / (2.0 * lam * math.sinh(radius))))
-
-    best_t = math.inf
-    best_cx = best_cy = 0.0
-    r_prev = radius  # exclusion ball: no center within r of the start
-    while True:
-        r_next = min(r_prev + step, horizon + radius)
-        n = int(rng.poisson(lam * (ball_area(r_next) - ball_area(r_prev))))
-        if n:
-            pts = sample_annulus(start.point, r_prev, r_next, rng, n)
-            th = _hit_times(x0, y0, alpha0, pts[:, 0], pts[:, 1], cosh_r)
-            k = int(np.argmin(th))
-            if th[k] < best_t:
-                best_t = float(th[k])
-                best_cx, best_cy = float(pts[k, 0]), float(pts[k, 1])
-        if best_t <= r_next - radius or r_next >= horizon + radius:
-            break
-        r_prev = r_next
-
-    if best_t > horizon:
-        return FirstCollision(horizon, math.nan, True)
-    ix, iy = flow_xy(x0, y0, alpha0, best_t)
-    pre_alpha = float(flow_angle(alpha0, best_t))
-    post_alpha = float(_reflect_angle(ix, iy, pre_alpha, best_cx, best_cy, radius))
-    return FirstCollision(best_t, (post_alpha - pre_alpha) % TWO_PI, False)
+    """First collision against a fresh Poisson field: one particle of
+    :func:`sample_first_collisions`."""
+    time, deflection, censored = sample_first_collisions(lam, radius, horizon, rng, 1, start)
+    return FirstCollision(float(time[0]), float(deflection[0]), bool(censored[0]))

@@ -13,6 +13,7 @@ variable; everything else is flags only.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -84,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_export(args: argparse.Namespace) -> None:
-    if args.r <= 0.0 or args.sigma <= 0.0 or args.t <= 0.0:
-        raise ValidationError("sigma, r and t must all be positive")
+    if not all(0.0 < v < math.inf for v in (args.sigma, args.r, args.t)):
+        raise ValidationError("sigma, r and t must all be positive and finite")
     lam = lambda_for(args.sigma, args.r)
     rng = _derive_rng(args.seed, _TAG_EXPORT, 0, 0)
     field = sample_field(lam, _START.point, args.t + args.r, args.r, rng)

@@ -4,6 +4,9 @@ Every experiment runs ``samples`` independent replicas.  Replica i of
 level L draws all of its randomness from a dedicated counter-based stream
 (Philox keyed by the tuple (seed, tag, L, i)), so results depend only on
 the configuration seed and the replica index, never on scheduling.
+free-path and deflection instead advance fixed-size blocks of B replicas
+together: block k of level L covers replicas [kB, (k+1)B) and draws from
+one stream keyed (seed, tag, L, k); B never depends on the worker count.
 Aggregation reduces per-replica arrays in index order, which makes reports
 byte-identical for any worker count.
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,9 +33,11 @@ import numpy as np
 from scipy import stats as sps
 
 from .billiard import (
+    Trajectory,
     position_at,
     recollision_count,
-    sample_first_collision,
+    sample_first_collision,  # noqa: F401  unused; perfbench/tracing.py patches it here
+    sample_first_collisions,
     simulate,
     tube_area,
 )
@@ -48,7 +54,6 @@ from .geometry import (
     distance_xy,
     hyp_distance,
 )
-from .billiard import Trajectory
 from .obstacles import expected_T1, nearest_neighbor_tail, sample_annulus, sample_field
 from .stats import bootstrap_half_width_w1, ks_statistic, wasserstein1
 
@@ -84,6 +89,7 @@ _TAG_EXPORT = 9
 _START = State(Point(0.0, 1.0), Direction(0.5 * math.pi))
 
 _TUBE_BLOCK = 200_000  # rejection draws per deterministic block
+_FC_BLOCK = 8192  # first-collision replicas per deterministic block
 
 
 def lambda_for(sigma: float, r: float) -> float:
@@ -130,10 +136,11 @@ class ExperimentConfig:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        if not (self.sigma > 0.0):
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if not (self.t > 0.0):
-            raise ValidationError(f"t must be positive, got {self.t}")
+        for name, value in (("sigma", self.sigma), ("t", self.t)):
+            if not (0.0 < value < math.inf):
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
+        if not all(math.isfinite(r) for r in self.r_levels):
+            raise ValidationError("r levels must be finite")
         if self.experiment != "flight-baseline":
             if not self.r_levels:
                 raise ValidationError(f"{self.experiment} needs at least one r level")
@@ -200,30 +207,18 @@ def _derive_rng(seed: int, tag: int, level: int, index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
 
 
-def _chunk_free_path(seed, level, lo, hi, lam, r, horizon):
-    n = hi - lo
-    out_t = np.empty(n)
-    out_c = np.zeros(n, dtype=bool)
-    for j in range(n):
-        rng = _derive_rng(seed, _TAG_REPLICA, level, lo + j)
-        fc = sample_first_collision(lam, r, horizon, rng)
-        out_t[j] = fc.time
-        out_c[j] = fc.censored
-    return {"time": out_t, "censored": out_c}
+def _blocks(seed, level, lo, hi, total, size):
+    """(replica count, stream) of blocks lo..hi-1; block k covers replicas
+    [k*size, min((k+1)*size, total)) and draws from one stream."""
+    for k in range(lo, hi):
+        yield min(size, total - k * size), _derive_rng(seed, _TAG_REPLICA, level, k)
 
 
-def _chunk_first_collision(seed, level, lo, hi, lam, r, horizon):
-    n = hi - lo
-    out_t = np.empty(n)
-    out_b = np.empty(n)
-    out_c = np.zeros(n, dtype=bool)
-    for j in range(n):
-        rng = _derive_rng(seed, _TAG_REPLICA, level, lo + j)
-        fc = sample_first_collision(lam, r, horizon, rng)
-        out_t[j] = fc.time
-        out_b[j] = fc.deflection
-        out_c[j] = fc.censored
-    return {"time": out_t, "deflection": out_b, "censored": out_c}
+def _chunk_first_collision(seed, level, lo, hi, lam, r, horizon, total, size):
+    blocks = _blocks(seed, level, lo, hi, total, size)
+    parts = [sample_first_collisions(lam, r, horizon, rng, m) for m, rng in blocks]
+    keys = ("time", "deflection", "censored")
+    return {key: np.concatenate(col) for key, col in zip(keys, zip(*parts))}
 
 
 def _chunk_nearest(seed, level, lo, hi, lam, R):
@@ -279,8 +274,8 @@ def _chunk_flight_counts(seed, level, lo, hi, sigma, t):
     return {"count": counts}
 
 
-def _chunk_tube(seed, level, lo, hi, r, t, total):
-    """Rejection blocks: block k covers draws [k*B, min((k+1)*B, total)).
+def _chunk_tube(seed, level, lo, hi, r, t, total, size):
+    """Rejection draws in blocks (see _blocks).
 
     The tube around the unit-speed vertical geodesic from (0, 1) is tested
     in closed form: the squared Euclidean norm fixes the nearest flow time
@@ -293,12 +288,7 @@ def _chunk_tube(seed, level, lo, hi, r, t, total):
     cosh_r = math.cosh(r)
     hits = np.zeros(hi - lo, dtype=np.int64)
     draws = np.zeros(hi - lo, dtype=np.int64)
-    for j in range(hi - lo):
-        k = lo + j
-        m = min(_TUBE_BLOCK, total - k * _TUBE_BLOCK)
-        if m <= 0:
-            continue
-        rng = _derive_rng(seed, _TAG_REPLICA, level, k)
+    for j, (m, rng) in enumerate(_blocks(seed, level, lo, hi, total, size)):
         pts = sample_annulus(center, 0.0, outer, rng, m)
         x, y = pts[:, 0], pts[:, 1]
         ssq = x * x + y * y
@@ -310,7 +300,6 @@ def _chunk_tube(seed, level, lo, hi, r, t, total):
 
 
 _CHUNK_FUNCS = {
-    "free_path": _chunk_free_path,
     "first_collision": _chunk_first_collision,
     "nearest": _chunk_nearest,
     "lorentz_disp": _chunk_lorentz_disp,
@@ -337,6 +326,12 @@ def _run_replicas(kind, seed, level, n, params, workers):
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
+def _run_blocks(kind, cfg, level, size, params):
+    """Run the ceil(samples / size) blocks of a block chunk kind."""
+    n_blocks = -(-cfg.samples // size)
+    return _run_replicas(kind, cfg.seed, level, n_blocks, (*params, cfg.samples, size), cfg.workers)
+
+
 def _mean_hw(x) -> tuple[float, float]:
     """Sample mean and 95% normal half-width."""
     x = np.asarray(x, dtype=float)
@@ -351,7 +346,7 @@ def _drive_free_path(cfg: ExperimentConfig) -> list[LevelStat]:
     levels = []
     for li, r in enumerate(cfg.r_levels):
         lam = lambda_for(cfg.sigma, r)
-        res = _run_replicas("free_path", cfg.seed, li, cfg.samples, (lam, r, cfg.t), cfg.workers)
+        res = _run_blocks("first_collision", cfg, li, _FC_BLOCK, (lam, r, cfg.t))
         n = cfg.samples
         ks = ks_statistic(res["time"], exp_cdf(cfg.sigma))
         mean, hw = _mean_hw(res["time"])
@@ -386,9 +381,7 @@ def _drive_deflection(cfg: ExperimentConfig) -> list[LevelStat]:
     levels = []
     for li, r in enumerate(cfg.r_levels):
         lam = lambda_for(cfg.sigma, r)
-        res = _run_replicas(
-            "first_collision", cfg.seed, li, cfg.samples, (lam, r, cfg.t), cfg.workers
-        )
+        res = _run_blocks("first_collision", cfg, li, _FC_BLOCK, (lam, r, cfg.t))
         keep = ~res["censored"]
         betas = res["deflection"][keep]
         n = int(keep.sum())
@@ -405,8 +398,7 @@ def _drive_deflection(cfg: ExperimentConfig) -> list[LevelStat]:
 def _drive_tube_mc(cfg: ExperimentConfig) -> list[LevelStat]:
     levels = []
     for li, r in enumerate(cfg.r_levels):
-        n_blocks = -(-cfg.samples // _TUBE_BLOCK)
-        res = _run_replicas("tube", cfg.seed, li, n_blocks, (r, cfg.t, cfg.samples), cfg.workers)
+        res = _run_blocks("tube", cfg, li, _TUBE_BLOCK, (r, cfg.t))
         draws = int(res["draws"].sum())
         p = res["hits"].sum() / draws
         area = ball_area(0.5 * cfg.t + r)
@@ -474,14 +466,27 @@ def _fmt(v) -> str:
 
 
 def _write_report(report: Report, out_dir: Path) -> None:
+    """Write both files to temporaries in out_dir, then rename them into place,
+    so a failed write leaves the previous pair untouched."""
     payload = report.to_json_dict(include_elapsed=False)
-    (out_dir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     lines = ["r,lambda,stat_name,value,half_width,n"]
     for s in report.levels:
         lines.append(
             ",".join([_fmt(s.r), _fmt(s.lam), s.stat_name, _fmt(s.value), _fmt(s.half_width), str(s.n)])
         )
-    (out_dir / "levels.csv").write_text("\n".join(lines) + "\n")
+    files = {
+        "report.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        "levels.csv": "\n".join(lines) + "\n",
+    }
+    temps = [out_dir / f".{name}.{os.getpid()}.tmp" for name in files]
+    try:
+        for tmp, text in zip(temps, files.values()):
+            tmp.write_text(text)
+        for tmp, name in zip(temps, files):
+            os.replace(tmp, out_dir / name)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:

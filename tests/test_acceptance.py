@@ -123,7 +123,7 @@ def test_criterion_3_nearest_neighbor_law(tmp_path):
         t=1.0,
         samples=100_000,
     )
-    target = expected_T1(1.0)  # quadrature oracle: e^{2 pi} K0(2 pi)
+    target = expected_T1(1.0)  # closed-form oracle: e^{2 pi} K0(2 pi)
     mean = rep.stat("mean_t1").value
     ks = rep.stat("ks_t1_tail").value
     rel = abs(mean - target) / target

@@ -29,6 +29,7 @@ from hyperlorentz import (
     simulate,
     tube_area,
 )
+from hyperlorentz.billiard import _tube_hit
 from hyperlorentz.experiments import _derive_rng, exp_cdf
 from hyperlorentz.obstacles import sample_annulus
 from util import angle_diff, random_mobius
@@ -433,8 +434,31 @@ def test_recollision_count():
 
 
 # ---------------------------------------------------------------------------
-# lazy first-collision sampling
+# closed-form first-collision sampling
 # ---------------------------------------------------------------------------
+
+def test_tube_hit_agrees_with_exact_hit_solver():
+    # the closed-form center lies at distance r from the impact point,
+    # outside the start's exclusion ball, and the exact quadratic solver
+    # finds the same hit time.  The second start's geodesic ends at the
+    # origin, so half-plane coordinates keep full relative precision as
+    # y -> 0; a geodesic ending at x_end != 0 resolves distances only to
+    # about eps * |x_end| / y, some 1e-11 at t = 12.
+    starts = (UP, State(Point(1.0, 1.0), Direction(math.pi)))
+    for s in starts:
+        for r in (0.5, 0.1, 0.02):
+            for t in np.linspace(0.0, 12.0, 49)[1:]:
+                for sin_psi in np.linspace(-1.0, 1.0, 21)[1:-1]:
+                    ix, iy, _, cx, cy = _tube_hit(
+                        s.point.x, s.point.y, s.dir.alpha, t, math.asin(sin_psi), r
+                    )
+                    center = Point(float(cx), float(cy))
+                    assert hyp_distance(Point(float(ix), float(iy)), center) == pytest.approx(
+                        r, abs=1e-12
+                    )
+                    assert hyp_distance(s.point, center) > r
+                    assert first_hit(s, Obstacle(center, r)) == pytest.approx(t, abs=1e-9)
+
 
 def test_sample_first_collision_deterministic():
     a = sample_first_collision(1.0, 0.5, 10.0, _derive_rng(5, 0, 0, 9))
@@ -443,7 +467,7 @@ def test_sample_first_collision_deterministic():
 
 
 def test_sample_first_collision_matches_full_field():
-    # the lazy annulus construction must agree in law with sampling the
+    # the closed-form construction must agree in law with sampling the
     # full enclosing ball up front and running the billiard
     lam, r, horizon = 1.0, 0.4, 6.0
     n = 3000

@@ -23,7 +23,7 @@ from hyperlorentz import (
 )
 from hyperlorentz import FlightConfig, ObstacleField, BallRegion, expected_T1
 from hyperlorentz.cli import main
-from hyperlorentz.experiments import _derive_rng
+from hyperlorentz.experiments import _FC_BLOCK, _derive_rng
 
 START = State(Point(0.0, 1.0), Direction(math.pi / 2))
 SIGMA_HALF = 2.0 * math.sinh(0.5)  # sigma matching (lam, r) = (1, 0.5)
@@ -85,6 +85,36 @@ def test_reports_identical_across_worker_counts(tmp_path):
         run_experiment(cfg_for(out, workers=w, samples=300))
         blobs.append(read_outputs(out))
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_block_reports_identical_across_worker_counts(tmp_path):
+    # several first-collision blocks and a ragged last one
+    samples = 2 * _FC_BLOCK + 7
+    for experiment in ("free-path", "deflection"):
+        blobs = []
+        for w in (1, 3):
+            out = tmp_path / f"{experiment}-w{w}"
+            run_experiment(cfg_for(out, experiment=experiment, workers=w, samples=samples))
+            blobs.append(read_outputs(out))
+        assert blobs[0] == blobs[1]
+
+
+def test_failed_report_write_keeps_previous_pair(tmp_path, monkeypatch):
+    run_experiment(cfg_for(tmp_path, samples=50))
+    before = read_outputs(tmp_path)
+    write_text = Path.write_text
+
+    def fail_on_levels(self, text, *args, **kwargs):
+        if self.name.startswith(".levels.csv"):
+            write_text(self, text[:10], *args, **kwargs)
+            raise OSError("disk full")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_on_levels)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg_for(tmp_path, samples=50, seed=12))
+    assert read_outputs(tmp_path) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.csv", "report.json"]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -311,6 +341,16 @@ def test_cli_export(tmp_path):
 def test_cli_validation_exit_code(tmp_path):
     assert main(["free-path", "--samples", "0", "--out", str(tmp_path)]) == 2
     assert main(["bg-convergence", "--r", "0.1,0.4", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag", ["--sigma", "--r", "--t"])
+@pytest.mark.parametrize("command", ["free-path", "flight-baseline", "export"])
+def test_cli_rejects_non_finite_parameters(tmp_path, capsys, command, flag, value):
+    out = tmp_path / ("traj.csv" if command == "export" else "out")
+    assert main([command, f"{flag}={value}", "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_unknown_experiment():
