@@ -58,10 +58,6 @@ __all__ = [
 #: Quadratic discriminants below this are treated as tangencies, i.e. no hit.
 DISC_TOL = 1e-12
 
-#: Default window after a reflection in which re-hits of the same obstacle
-#: are discarded as rounding artifacts.
-GRAZING_TOL = 1e-9
-
 DEFAULT_MAX_EVENTS = 10**6
 
 
@@ -204,69 +200,79 @@ def _check_field(s0: State, field: ObstacleField, t_max: float):
             raise ValueError("initial point lies inside (or on) an obstacle")
 
 
+def _run_events(s0: State, horizon: float, step, turn, max_events: int) -> Trajectory:
+    """The event loop shared by the billiard and the random flight.
+
+    ``step(x, y, alpha, t_left, last)`` gives the free flight time to the next
+    turn and the obstacle index it turns at (``last`` is the index of the
+    previous turn, -1 at the start); ``turn(ix, iy, pre_alpha, idx)`` gives
+    the direction after it.  The path flows between turns and stops at the
+    first turn at or beyond the horizon.
+    """
+    x, y, alpha = s0.point.x, s0.point.y, s0.dir.alpha
+    t_now = 0.0
+    idx = -1
+    events: list[CollisionEvent] = []
+    while True:
+        gap, idx = step(x, y, alpha, horizon - t_now, idx)
+        if t_now + gap >= horizon:
+            break
+        if len(events) >= max_events:
+            raise RunawayError(f"exceeded {max_events} events before the horizon")
+        ix, iy = flow_xy(x, y, alpha, gap)
+        pre = float(flow_angle(alpha, gap))
+        post = turn(ix, iy, pre, idx)
+        t_now += gap
+        events.append(
+            CollisionEvent(
+                time=t_now,
+                impact_point=Point(float(ix), float(iy)),
+                pre_dir=Direction(pre),
+                post_dir=Direction(post),
+                deflection=post - pre,
+                obstacle_index=idx,
+            )
+        )
+        x, y, alpha = float(ix), float(iy), post
+    return Trajectory(s0, horizon, tuple(events))
+
+
 def simulate(
     s0: State,
     field: ObstacleField,
     t_max: float,
-    grazing_tol: float = GRAZING_TOL,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> Trajectory:
     """Run the billiard among a fixed obstacle configuration up to t_max.
 
     Event-driven: repeatedly take the minimum positive exact hit time over
     the candidate obstacles, advance, reflect, and record.  Recollisions
-    with any obstacle are allowed; only re-hits of the obstacle just left
-    within ``grazing_tol`` are discarded, which removes rounding-induced
-    zero-length loops.  Obstacles are pruned by the necessary condition
+    with any obstacle are allowed.  The obstacle just left is excluded
+    exactly, with no tolerance window: a geodesic meets a convex hyperbolic
+    disk in one segment, so after an outward reflection it cannot hit that
+    disk again next, and any root the solver finds for it is rounding.
+    Obstacles are pruned by the necessary condition
     d(current, center) <= remaining + r before the exact solve.
     """
     _check_field(s0, field, t_max)
-    centers = field.centers
-    cx, cy = centers[:, 0], centers[:, 1]
-    cosh_r = math.cosh(field.radius)
+    cx, cy = field.centers[:, 0], field.centers[:, 1]
+    radius = field.radius
+    cosh_r = math.cosh(radius)
 
-    x, y, alpha = s0.point.x, s0.point.y, s0.dir.alpha
-    t_now = 0.0
-    last_idx = -1
-    events: list[CollisionEvent] = []
-    while len(centers):
-        if len(events) >= max_events:
-            raise RunawayError(f"exceeded {max_events} collision events before the horizon")
-        remaining = t_max - t_now
-        if remaining <= 0.0:
-            break
-        reach = math.cosh(remaining + field.radius)
+    def step(x, y, alpha, t_left, last):
         cosh_d = ((x - cx) ** 2 + y * y + cy * cy) / (2.0 * y * cy)
-        cand = np.flatnonzero(cosh_d <= reach)
+        cand = np.flatnonzero(cosh_d <= math.cosh(t_left + radius))
+        cand = cand[cand != last]
         if cand.size == 0:
-            break
+            return math.inf, -1
         th = _hit_times(x, y, alpha, cx[cand], cy[cand], cosh_r)
-        if last_idx >= 0:
-            pos = np.flatnonzero(cand == last_idx)
-            if pos.size and th[pos[0]] <= grazing_tol:
-                th[pos[0]] = np.inf
         k = int(np.argmin(th))
-        t_star = float(th[k])
-        if not math.isfinite(t_star) or t_now + t_star > t_max:
-            break
-        idx = int(cand[k])
-        ix, iy = flow_xy(x, y, alpha, t_star)
-        pre_alpha = float(flow_angle(alpha, t_star))
-        post_alpha = float(_reflect_angle(ix, iy, pre_alpha, cx[idx], cy[idx], field.radius))
-        events.append(
-            CollisionEvent(
-                time=t_now + t_star,
-                impact_point=Point(float(ix), float(iy)),
-                pre_dir=Direction(pre_alpha),
-                post_dir=Direction(post_alpha),
-                deflection=post_alpha - pre_alpha,
-                obstacle_index=idx,
-            )
-        )
-        x, y, alpha = float(ix), float(iy), post_alpha
-        t_now += t_star
-        last_idx = idx
-    return Trajectory(s0, t_max, tuple(events))
+        return float(th[k]), int(cand[k])
+
+    def turn(ix, iy, pre, idx):
+        return float(_reflect_angle(ix, iy, pre, cx[idx], cy[idx], radius))
+
+    return _run_events(s0, t_max, step, turn, max_events)
 
 
 def free_path(s0: State, field: ObstacleField, t_max: float) -> tuple[float, bool]:

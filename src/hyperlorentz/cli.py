@@ -13,21 +13,17 @@ variable; everything else is flags only.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
-from .billiard import simulate
 from .errors import ValidationError
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     export_trajectory,
-    lambda_for,
     run_experiment,
+    sample_trajectory,
 )
-from .experiments import _START, _TAG_EXPORT, _derive_rng
-from .obstacles import sample_field
 
 
 def _r_levels(text: str) -> tuple[float, ...]:
@@ -85,12 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_export(args: argparse.Namespace) -> None:
-    if not all(0.0 < v < math.inf for v in (args.sigma, args.r, args.t)):
-        raise ValidationError("sigma, r and t must all be positive and finite")
-    lam = lambda_for(args.sigma, args.r)
-    rng = _derive_rng(args.seed, _TAG_EXPORT, 0, 0)
-    field = sample_field(lam, _START.point, args.t + args.r, args.r, rng)
-    traj = simulate(_START, field, args.t)
+    traj = sample_trajectory(args.sigma, args.r, args.t, args.seed)
     dest = export_trajectory(traj, args.model, args.out)
     print(f"wrote {dest} ({len(traj.events)} collision events, model={args.model})")
 

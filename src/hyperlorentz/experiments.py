@@ -1,14 +1,14 @@
 """Experiment orchestration: Monte Carlo drivers, reports, file export.
 
-Every experiment runs ``samples`` independent replicas.  Replica i of
-level L draws all of its randomness from a dedicated counter-based stream
-(Philox keyed by the tuple (seed, tag, L, i)), so results depend only on
-the configuration seed and the replica index, never on scheduling.
-free-path and deflection instead advance fixed-size blocks of B replicas
-together: block k of level L covers replicas [kB, (k+1)B) and draws from
-one stream keyed (seed, tag, L, k); B never depends on the worker count.
-Aggregation reduces per-replica arrays in index order, which makes reports
-byte-identical for any worker count.
+Every experiment runs ``samples`` independent replicas through one runner,
+``_run_streams``: stream k of level L is a counter-based Philox stream
+keyed by the tuple (seed, tag, L, k) and covers replicas [kB, (k+1)B) for
+a fixed block size B.  Most experiments use B = 1, one stream per replica;
+free-path and deflection advance blocks of B = 8192 replicas together, and
+tube-mc counts blocks of 200 000 draws.  B never depends on the worker
+count, and the runner concatenates per-stream results in stream order, so
+reports depend only on the configuration and are byte-identical for any
+worker count.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -27,6 +27,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .billiard import (
     tube_area,
 )
 from .errors import ValidationError
-from .flight import FlightConfig, sample_deflection, simulate_flight
+from .flight import FlightConfig, flight_displacement, sample_deflection, simulate_flight
 from .geometry import (
     TWO_PI,
     Direction,
@@ -63,6 +64,7 @@ __all__ = [
     "LevelStat",
     "Report",
     "run_experiment",
+    "sample_trajectory",
     "export_trajectory",
     "exp_cdf",
     "deflection_cdf",
@@ -207,75 +209,68 @@ def _derive_rng(seed: int, tag: int, level: int, index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
 
 
-def _blocks(seed, level, lo, hi, total, size):
-    """(replica count, stream) of blocks lo..hi-1; block k covers replicas
-    [k*size, min((k+1)*size, total)) and draws from one stream."""
-    for k in range(lo, hi):
-        yield min(size, total - k * size), _derive_rng(seed, _TAG_REPLICA, level, k)
+def _run_range(kernel, params, seed, tag, level, total, size, lo, hi):
+    """Streams lo..hi-1 of a level, columns concatenated in stream order."""
+    parts = [
+        kernel(_derive_rng(seed, tag, level, k), min(size, total - k * size), *params)
+        for k in range(lo, hi)
+    ]
+    return [np.hstack(col) for col in zip(*parts)]
 
 
-def _chunk_first_collision(seed, level, lo, hi, lam, r, horizon, total, size):
-    blocks = _blocks(seed, level, lo, hi, total, size)
-    parts = [sample_first_collisions(lam, r, horizon, rng, m) for m, rng in blocks]
-    keys = ("time", "deflection", "censored")
-    return {key: np.concatenate(col) for key, col in zip(keys, zip(*parts))}
+def _run_streams(kernel, cfg, level, params, tag=_TAG_REPLICA, size=1):
+    """Run ``kernel(rng, m, *params)`` over the streams of one level.
+
+    Stream k draws from ``_derive_rng(cfg.seed, tag, level, k)`` and covers
+    replicas [k*size, k*size + m), m = min(size, samples - k*size).  The
+    kernel returns a tuple of per-stream columns (scalars or arrays); each
+    column comes back concatenated in stream order, whatever the workers.
+    """
+    n = -(-cfg.samples // size)
+    chunk = max(1, min(8192, -(-n // (cfg.workers * 4))))
+    los = range(0, n, chunk)
+    his = [min(lo + chunk, n) for lo in los]
+    run = partial(_run_range, kernel, params, cfg.seed, tag, level, cfg.samples, size)
+    if cfg.workers == 1 or len(los) == 1:
+        parts = list(map(run, los, his))
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            parts = list(pool.map(run, los, his))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _chunk_nearest(seed, level, lo, hi, lam, R):
-    n = hi - lo
-    out = np.empty(n)
-    out_c = np.zeros(n, dtype=bool)
-    origin = _START.point
-    for j in range(n):
-        rng = _derive_rng(seed, _TAG_REPLICA, level, lo + j)
-        field = sample_field(lam, origin, R, 0.0, rng, radius=R)
-        if len(field):
-            d = distance_xy(field.centers[:, 0], field.centers[:, 1], origin.x, origin.y)
-            out[j] = float(d.min())
-        else:
-            out[j] = R
-            out_c[j] = True
-    return {"t1": out, "censored": out_c}
+# Kernels: kernel(rng, m, *params) -> tuple of columns for one stream.  The
+# per-replica kernels run one replica per stream (m = 1).
+
+def _first_collisions(rng, m, lam, r, horizon):
+    return sample_first_collisions(lam, r, horizon, rng, m)
 
 
-def _chunk_lorentz_disp(seed, level, lo, hi, lam, r, t):
-    n = hi - lo
-    disp = np.empty(n)
-    reco = np.empty(n, dtype=np.int64)
-    nev = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        rng = _derive_rng(seed, _TAG_REPLICA, level, lo + j)
-        field = sample_field(lam, _START.point, t + r, r, rng)
-        traj = simulate(_START, field, t)
-        disp[j] = hyp_distance(_START.point, position_at(traj, t).point)
-        reco[j] = recollision_count(traj)
-        nev[j] = len(traj.events)
-    return {"disp": disp, "recollisions": reco, "events": nev}
+def _nearest(rng, m, lam, R):
+    field = sample_field(lam, _START.point, R, 0.0, rng, radius=R)
+    if len(field):
+        d = distance_xy(field.centers[:, 0], field.centers[:, 1], _START.point.x, _START.point.y)
+        return float(d.min()), False
+    return R, True
 
 
-def _chunk_flight_disp(seed, level, lo, hi, sigma, t):
-    n = hi - lo
-    disp = np.empty(n)
-    cfg = FlightConfig(sigma, t)
-    for j in range(n):
-        rng = _derive_rng(seed, _TAG_FLIGHT, level, lo + j)
-        traj = simulate_flight(_START, cfg, rng)
-        disp[j] = hyp_distance(_START.point, position_at(traj, t).point)
-    return {"disp": disp}
+def _lorentz_disp(rng, m, lam, r, t):
+    field = sample_field(lam, _START.point, t + r, r, rng)
+    traj = simulate(_START, field, t)
+    disp = hyp_distance(_START.point, position_at(traj, t).point)
+    return disp, recollision_count(traj), len(traj.events)
 
 
-def _chunk_flight_counts(seed, level, lo, hi, sigma, t):
-    n = hi - lo
-    counts = np.empty(n, dtype=np.int64)
-    cfg = FlightConfig(sigma, t)
-    for j in range(n):
-        rng = _derive_rng(seed, _TAG_REPLICA, level, lo + j)
-        counts[j] = len(simulate_flight(_START, cfg, rng).events)
-    return {"count": counts}
+def _flight_disp(rng, m, sigma, t):
+    return (flight_displacement(simulate_flight(_START, FlightConfig(sigma, t), rng), t),)
 
 
-def _chunk_tube(seed, level, lo, hi, r, t, total, size):
-    """Rejection draws in blocks (see _blocks).
+def _flight_count(rng, m, sigma, t):
+    return (len(simulate_flight(_START, FlightConfig(sigma, t), rng).events),)
+
+
+def _tube(rng, m, r, t):
+    """Hits among m uniform draws from the ball enclosing the tube.
 
     The tube around the unit-speed vertical geodesic from (0, 1) is tested
     in closed form: the squared Euclidean norm fixes the nearest flow time
@@ -283,53 +278,12 @@ def _chunk_tube(seed, level, lo, hi, r, t, total, size):
     distance to (0, e^{s*}) is below r.  The enclosing ball is centered at
     the segment midpoint (0, e^{t/2}) with radius t/2 + r.
     """
-    center = Point(0.0, math.exp(0.5 * t))
-    outer = 0.5 * t + r
-    cosh_r = math.cosh(r)
-    hits = np.zeros(hi - lo, dtype=np.int64)
-    draws = np.zeros(hi - lo, dtype=np.int64)
-    for j, (m, rng) in enumerate(_blocks(seed, level, lo, hi, total, size)):
-        pts = sample_annulus(center, 0.0, outer, rng, m)
-        x, y = pts[:, 0], pts[:, 1]
-        ssq = x * x + y * y
-        w = np.exp(np.clip(0.5 * np.log(ssq), 0.0, t))
-        cosh_d = (ssq + w * w) / (2.0 * y * w)
-        hits[j] = int(np.count_nonzero(cosh_d < cosh_r))
-        draws[j] = m
-    return {"hits": hits, "draws": draws}
-
-
-_CHUNK_FUNCS = {
-    "first_collision": _chunk_first_collision,
-    "nearest": _chunk_nearest,
-    "lorentz_disp": _chunk_lorentz_disp,
-    "flight_disp": _chunk_flight_disp,
-    "flight_counts": _chunk_flight_counts,
-    "tube": _chunk_tube,
-}
-
-
-def _run_chunk(task):
-    kind, seed, level, lo, hi, params = task
-    return _CHUNK_FUNCS[kind](seed, level, lo, hi, *params)
-
-
-def _run_replicas(kind, seed, level, n, params, workers):
-    """Run n replicas of a chunk kind, merged in index order."""
-    chunk = max(1, min(8192, -(-n // max(workers * 4, 1))))
-    tasks = [(kind, seed, level, lo, min(lo + chunk, n), params) for lo in range(0, n, chunk)]
-    if workers == 1 or len(tasks) == 1:
-        parts = [_run_chunk(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, tasks))
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
-
-
-def _run_blocks(kind, cfg, level, size, params):
-    """Run the ceil(samples / size) blocks of a block chunk kind."""
-    n_blocks = -(-cfg.samples // size)
-    return _run_replicas(kind, cfg.seed, level, n_blocks, (*params, cfg.samples, size), cfg.workers)
+    pts = sample_annulus(Point(0.0, math.exp(0.5 * t)), 0.0, 0.5 * t + r, rng, m)
+    x, y = pts[:, 0], pts[:, 1]
+    ssq = x * x + y * y
+    w = np.exp(np.clip(0.5 * np.log(ssq), 0.0, t))
+    cosh_d = (ssq + w * w) / (2.0 * y * w)
+    return np.count_nonzero(cosh_d < math.cosh(r)), m
 
 
 def _mean_hw(x) -> tuple[float, float]:
@@ -346,14 +300,14 @@ def _drive_free_path(cfg: ExperimentConfig) -> list[LevelStat]:
     levels = []
     for li, r in enumerate(cfg.r_levels):
         lam = lambda_for(cfg.sigma, r)
-        res = _run_blocks("first_collision", cfg, li, _FC_BLOCK, (lam, r, cfg.t))
+        times, _, censored = _run_streams(_first_collisions, cfg, li, (lam, r, cfg.t), size=_FC_BLOCK)
         n = cfg.samples
-        ks = ks_statistic(res["time"], exp_cdf(cfg.sigma))
-        mean, hw = _mean_hw(res["time"])
+        ks = ks_statistic(times, exp_cdf(cfg.sigma))
+        mean, hw = _mean_hw(times)
         levels += [
             LevelStat(r, lam, "ks_exp", ks, None, n),
             LevelStat(r, lam, "mean_free_path", mean, hw, n),
-            LevelStat(r, lam, "censored_count", float(res["censored"].sum()), None, n),
+            LevelStat(r, lam, "censored_count", float(censored.sum()), None, n),
         ]
     return levels
 
@@ -364,15 +318,15 @@ def _drive_nearest_neighbor(cfg: ExperimentConfig) -> list[LevelStat]:
         lam = lambda_for(cfg.sigma, r)
         # Ball large enough that Pr(T1 > R) ~ e^-30; censoring is negligible.
         R = 2.0 * math.asinh(math.sqrt(30.0 / (4.0 * math.pi * lam)))
-        res = _run_replicas("nearest", cfg.seed, li, cfg.samples, (lam, R), cfg.workers)
+        t1, censored = _run_streams(_nearest, cfg, li, (lam, R))
         n = cfg.samples
-        ks = ks_statistic(res["t1"], t1_cdf(lam))
-        mean, hw = _mean_hw(res["t1"])
+        ks = ks_statistic(t1, t1_cdf(lam))
+        mean, hw = _mean_hw(t1)
         levels += [
             LevelStat(r, lam, "mean_t1", mean, hw, n),
             LevelStat(r, lam, "ks_t1_tail", ks, None, n),
             LevelStat(r, lam, "expected_t1", expected_T1(lam), None, 0),
-            LevelStat(r, lam, "censored_count", float(res["censored"].sum()), None, n),
+            LevelStat(r, lam, "censored_count", float(censored.sum()), None, n),
         ]
     return levels
 
@@ -381,12 +335,12 @@ def _drive_deflection(cfg: ExperimentConfig) -> list[LevelStat]:
     levels = []
     for li, r in enumerate(cfg.r_levels):
         lam = lambda_for(cfg.sigma, r)
-        res = _run_blocks("first_collision", cfg, li, _FC_BLOCK, (lam, r, cfg.t))
-        keep = ~res["censored"]
-        betas = res["deflection"][keep]
+        times, betas, censored = _run_streams(_first_collisions, cfg, li, (lam, r, cfg.t), size=_FC_BLOCK)
+        keep = ~censored
+        betas = betas[keep]
         n = int(keep.sum())
         ks = ks_statistic(betas, deflection_cdf)
-        rho = float(sps.spearmanr(res["time"][keep], betas).statistic) if n > 2 else 0.0
+        rho = float(sps.spearmanr(times[keep], betas).statistic) if n > 2 else 0.0
         levels += [
             LevelStat(r, lam, "ks_deflection", ks, None, n),
             LevelStat(r, lam, "spearman_tau_beta", rho, None, n),
@@ -398,9 +352,9 @@ def _drive_deflection(cfg: ExperimentConfig) -> list[LevelStat]:
 def _drive_tube_mc(cfg: ExperimentConfig) -> list[LevelStat]:
     levels = []
     for li, r in enumerate(cfg.r_levels):
-        res = _run_blocks("tube", cfg, li, _TUBE_BLOCK, (r, cfg.t))
-        draws = int(res["draws"].sum())
-        p = res["hits"].sum() / draws
+        hits, draws = _run_streams(_tube, cfg, li, (r, cfg.t), size=_TUBE_BLOCK)
+        draws = int(draws.sum())
+        p = hits.sum() / draws
         area = ball_area(0.5 * cfg.t + r)
         hw = 1.96 * area * math.sqrt(p * (1.0 - p) / draws)
         levels += [
@@ -411,29 +365,25 @@ def _drive_tube_mc(cfg: ExperimentConfig) -> list[LevelStat]:
 
 
 def _drive_bg_convergence(cfg: ExperimentConfig) -> list[LevelStat]:
-    flight = _run_replicas(
-        "flight_disp", cfg.seed, 0, cfg.samples, (cfg.sigma, cfg.t), cfg.workers
-    )["disp"]
+    (flight,) = _run_streams(_flight_disp, cfg, 0, (cfg.sigma, cfg.t), tag=_TAG_FLIGHT)
     levels = []
     for li, r in enumerate(cfg.r_levels):
         lam = lambda_for(cfg.sigma, r)
-        res = _run_replicas("lorentz_disp", cfg.seed, li, cfg.samples, (lam, r, cfg.t), cfg.workers)
-        w1 = wasserstein1(res["disp"], flight)
-        hw = bootstrap_half_width_w1(
-            res["disp"], flight, _derive_rng(cfg.seed, _TAG_BOOT, li, 0)
-        )
+        disp, recollisions, events = _run_streams(_lorentz_disp, cfg, li, (lam, r, cfg.t))
+        w1 = wasserstein1(disp, flight)
+        hw = bootstrap_half_width_w1(disp, flight, _derive_rng(cfg.seed, _TAG_BOOT, li, 0))
         n = cfg.samples
         levels += [
             LevelStat(r, lam, "wasserstein1_displacement", w1, hw, n),
-            LevelStat(r, lam, "recollision_fraction", float((res["recollisions"] > 0).mean()), None, n),
-            LevelStat(r, lam, "mean_collisions", float(res["events"].mean()), None, n),
+            LevelStat(r, lam, "recollision_fraction", float((recollisions > 0).mean()), None, n),
+            LevelStat(r, lam, "mean_collisions", float(events.mean()), None, n),
         ]
     return levels
 
 
 def _drive_flight_baseline(cfg: ExperimentConfig) -> list[LevelStat]:
-    res = _run_replicas("flight_counts", cfg.seed, 0, cfg.samples, (cfg.sigma, cfg.t), cfg.workers)
-    counts = res["count"].astype(float)
+    (counts,) = _run_streams(_flight_count, cfg, 0, (cfg.sigma, cfg.t))
+    counts = counts.astype(float)
     mean, hw = _mean_hw(counts)
     betas = sample_deflection(_derive_rng(cfg.seed, _TAG_AUX, 0, 0), cfg.samples)
     return [
@@ -526,6 +476,17 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 # Trajectory export
 # ---------------------------------------------------------------------------
+
+def sample_trajectory(sigma: float, r: float, t: float, seed: int) -> Trajectory:
+    """The billiard trajectory that ``export`` writes: from (0, 1) heading up
+    to horizon t, in a field of radius-r obstacles at collision rate sigma
+    drawn from the export stream of the seed."""
+    if not all(0.0 < v < math.inf for v in (sigma, r, t)):
+        raise ValidationError("sigma, r and t must all be positive and finite")
+    rng = _derive_rng(seed, _TAG_EXPORT, 0, 0)
+    field = sample_field(lambda_for(sigma, r), _START.point, t + r, r, rng)
+    return simulate(_START, field, t)
+
 
 def export_trajectory(
     traj: Trajectory, model: str, dest: str | Path, grid_step: float = 0.05

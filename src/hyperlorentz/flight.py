@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .billiard import DEFAULT_MAX_EVENTS, CollisionEvent, Trajectory, position_at
-from .errors import RunawayError
-from .geometry import TWO_PI, Direction, Point, State, flow_angle, flow_xy, hyp_distance
+from .billiard import DEFAULT_MAX_EVENTS, Trajectory, _run_events, position_at
+# flow_xy is unused here but stays importable: perfbench/tracing.py patches it.
+from .geometry import TWO_PI, State, flow_xy, hyp_distance  # noqa: F401
 
 __all__ = ["FlightConfig", "sample_deflection", "simulate_flight", "flight_displacement"]
 
@@ -52,35 +52,18 @@ def simulate_flight(
 ) -> Trajectory:
     """Sample one random-flight path up to the horizon.
 
-    Reuses the billiard Trajectory type; turn events carry obstacle
-    index -1.
+    Runs the billiard's event loop with an Exp(sigma) gap and a
+    :func:`sample_deflection` turn, drawn in that order; turn events carry
+    obstacle index -1.
     """
-    x, y, alpha = s0.point.x, s0.point.y, s0.dir.alpha
-    t_now = 0.0
-    events: list[CollisionEvent] = []
-    while True:
-        gap = rng.exponential(1.0 / cfg.sigma)
-        if t_now + gap >= cfg.horizon:
-            break
-        if len(events) >= max_events:
-            raise RunawayError(f"exceeded {max_events} turn events before the horizon")
-        t_now += gap
-        ix, iy = flow_xy(x, y, alpha, gap)
-        pre = float(flow_angle(alpha, gap))
-        beta = float(sample_deflection(rng))
-        post = (pre + beta) % TWO_PI
-        events.append(
-            CollisionEvent(
-                time=t_now,
-                impact_point=Point(float(ix), float(iy)),
-                pre_dir=Direction(pre),
-                post_dir=Direction(post),
-                deflection=beta,
-                obstacle_index=-1,
-            )
-        )
-        x, y, alpha = float(ix), float(iy), post
-    return Trajectory(s0, cfg.horizon, tuple(events))
+
+    def step(x, y, alpha, t_left, last):
+        return rng.exponential(1.0 / cfg.sigma), -1
+
+    def turn(ix, iy, pre, idx):
+        return (pre + float(sample_deflection(rng))) % TWO_PI
+
+    return _run_events(s0, cfg.horizon, step, turn, max_events)
 
 
 def flight_displacement(traj: Trajectory, t: float) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -306,6 +307,64 @@ def test_simulate_event_cap_raises():
                 simulate(UP, field, 3.0, max_events=1)
             return
     raise AssertionError("no multi-collision scenario found")
+
+
+def test_simulate_hit_exactly_at_horizon_is_not_an_event():
+    # A hit landing exactly on t_max ends the path there, as a flight turn does.
+    center = Point(0.05, math.exp(2.3))
+    th = first_hit(UP, Obstacle(center, 0.3))
+    field = make_field([[center.x, center.y]], 0.3, 3.0)
+    assert simulate(UP, field, th).events == ()
+    assert len(simulate(UP, field, math.nextafter(th, 3.0)).events) == 1
+
+
+def test_simulate_near_grazing_shots_hit_once():
+    # A geodesic meets a convex disk in one segment, so a shot at a lone
+    # obstacle reflects once, however close to tangency; rounding must not
+    # turn the exit point of the chord into a second hit.
+    shots = 0
+    for r, s, k, a0, sign in itertools.product(
+        (0.5, 2.0),  # obstacle radius
+        (1.5, 3.0, 4.5),  # distance to the impact point
+        np.arange(6.0, 15.01, 0.5),  # 1 - |sin psi| = 10^-k
+        np.arange(8) * (math.pi / 4) + 0.1,  # shooting direction
+        (1.0, -1.0),  # side of the obstacle
+    ):
+        psi = sign * math.asin(1.0 - 10.0**-k)
+        *_, cx, cy = _tube_hit(ORIGIN.x, ORIGIN.y, a0, s, psi, r)
+        start = State(ORIGIN, Direction(float(a0)))
+        ob = Obstacle(Point(float(cx), float(cy)), r)
+        th = first_hit(start, ob)
+        if th is None:  # within the solver's tangency tolerance
+            continue
+        field = make_field([[ob.center.x, ob.center.y]], r, s + 1.0 + r)
+        events = simulate(start, field, s + 1.0).events
+        assert len(events) == 1, (r, s, k, a0, sign, [e.time for e in events])
+        assert events[0].time == th
+        shots += 1
+    assert shots > 1000
+
+
+def test_simulate_time_reversal_on_short_paths():
+    # Reverse the final direction and run back through the same field: a path
+    # with few events retraces its obstacles in reverse order to the start.
+    # Long paths are skipped, since chaos amplifies rounding along them.
+    r, t = 0.1, 3.0
+    lam = 1.0 / (2.0 * math.sinh(r))
+    checked = 0
+    for i in range(300):
+        field = sample_field(lam, ORIGIN, 2.0 * t + r, r, _derive_rng(31, 0, 0, i))
+        fwd = simulate(UP, field, t)
+        if len(fwd.events) > 4:
+            continue
+        end = position_at(fwd, t)
+        back = simulate(State(end.point, Direction(end.dir.alpha + math.pi)), field, t)
+        assert [e.obstacle_index for e in back.events] == [
+            e.obstacle_index for e in reversed(fwd.events)
+        ]
+        assert hyp_distance(position_at(back, t).point, ORIGIN) < 1e-6
+        checked += len(fwd.events) >= 2
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------

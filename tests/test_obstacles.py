@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats as sps
+from scipy import integrate, stats as sps
 
 from hyperlorentz import (
     BallRegion,
@@ -208,11 +208,16 @@ def test_nn_empirical_tail():
     assert ks < 0.015
 
 
-def test_expected_t1_against_bessel():
-    # independent route: scipy's exponentially scaled Bessel K0
+def test_expected_t1_against_quadrature():
+    # independent route: E[T1] = int_0^inf exp(-2 pi lam (cosh t - 1)) dt,
+    # cut where the integrand falls below e^-40
     for lam in (0.03, 0.3, 1.0, 3.0, 100.0):
-        ref = float(special.k0e(2.0 * math.pi * lam))
-        assert expected_T1(lam) == pytest.approx(ref, rel=1e-8)
+        x = 2.0 * math.pi * lam
+        upper = math.acosh(1.0 + 40.0 / x)
+        ref, _ = integrate.quad(
+            lambda t: math.exp(-x * (math.cosh(t) - 1.0)), 0.0, upper, epsabs=0.0, epsrel=1e-13
+        )
+        assert expected_T1(lam) == pytest.approx(ref, rel=1e-10)
 
 
 def test_expected_t1_large_intensity_euclidean_limit():
