@@ -24,12 +24,14 @@ import numpy as np
 
 from .errors import RegionTooSmallError, RunawayError
 from .geometry import (
+    SLICE,
     TWO_PI,
     Direction,
     Point,
     State,
     ball_area,
     distance_xy,
+    flow_ahead,
     flow_angle,
     flow_xy,
     hyp_distance,
@@ -37,7 +39,7 @@ from .geometry import (
     normalizing_coeffs,
 )
 # sample_annulus is unused here but stays importable: perfbench/tracing.py patches it.
-from .obstacles import ObstacleField, sample_annulus  # noqa: F401
+from .obstacles import BallRegion, ObstacleField, _FieldBatch, sample_annulus  # noqa: F401
 
 __all__ = [
     "Obstacle",
@@ -113,13 +115,13 @@ class Trajectory:
 # Exact collision solving
 # ---------------------------------------------------------------------------
 
-def _hit_times(x0, y0, alpha, cx, cy, cosh_r) -> np.ndarray:
-    """Forward hit times from state (x0, y0, alpha) against disk centers.
+def _hit_times(a, b, c, d, cx, cy, cosh_r) -> np.ndarray:
+    """Forward hit times against disk centers from the state that the Mobius
+    map (a, b, c, d) of :func:`normalizing_coeffs` takes to ((0, 1), pi/2).
 
     Returns +inf where the trajectory misses (no real quadratic root
     strictly ahead of the particle, or a tangency).
     """
-    a, b, c, d = normalizing_coeffs(x0, y0, alpha)
     tx, ty = mobius_xy(a, b, c, d, cx, cy)
     p = ty * cosh_r
     disc = p * p - (tx * tx + ty * ty)
@@ -152,9 +154,7 @@ def first_hit(s: State, ob: Obstacle) -> float | None:
     if hyp_distance(s.point, ob.center) <= ob.radius + 1e-9:
         raise ValueError("first_hit requires a state strictly outside the obstacle")
     t = _hit_times(
-        s.point.x,
-        s.point.y,
-        s.dir.alpha,
+        *normalizing_coeffs(s.point.x, s.point.y, s.dir.alpha),
         np.array([ob.center.x]),
         np.array([ob.center.y]),
         math.cosh(ob.radius),
@@ -185,56 +185,179 @@ def tube_area(t: float, r: float) -> float:
 # Event-driven simulation
 # ---------------------------------------------------------------------------
 
-def _check_field(s0: State, field: ObstacleField, t_max: float):
+def _check_start(s0: State, cx, cy, radius: float, region: BallRegion, t_max: float):
     if t_max <= 0.0:
         raise ValueError(f"horizon must be positive, got {t_max}")
-    needed = hyp_distance(s0.point, field.region.center) + t_max + field.radius
-    if field.region.outer < needed - 1e-9:
+    needed = hyp_distance(s0.point, region.center) + t_max + radius
+    if region.outer < needed - 1e-9:
         raise RegionTooSmallError(
-            f"field region (outer {field.region.outer:g}) cannot cover horizon "
-            f"{t_max:g} plus obstacle radius {field.radius:g}"
+            f"field region (outer {region.outer:g}) cannot cover horizon "
+            f"{t_max:g} plus obstacle radius {radius:g}"
         )
-    if len(field):
-        d = distance_xy(field.centers[:, 0], field.centers[:, 1], s0.point.x, s0.point.y)
-        if np.any(d <= field.radius):
+    if len(cx):
+        d = distance_xy(cx, cy, s0.point.x, s0.point.y)
+        if np.any(d <= radius):
             raise ValueError("initial point lies inside (or on) an obstacle")
 
 
-def _run_events(s0: State, horizon: float, step, turn, max_events: int) -> Trajectory:
-    """The event loop shared by the billiard and the random flight.
+def _runaway(max_events: int) -> RunawayError:
+    return RunawayError(f"exceeded {max_events} events before the horizon")
 
-    ``step(x, y, alpha, t_left, last)`` gives the free flight time to the next
-    turn and the obstacle index it turns at (``last`` is the index of the
-    previous turn, -1 at the start); ``turn(ix, iy, pre_alpha, idx)`` gives
-    the direction after it.  The path flows between turns and stops at the
-    first turn at or beyond the horizon.
+
+def _run_events(s0: State, n: int, horizon: float, step, turn, max_events: int, record=None):
+    """The event loop shared by the billiard and the random flight: n
+    replicas start from s0 and advance together, one turn per round.
+
+    Each round, ``step(live, x, y, alpha, t_left, last)`` gives the free
+    flight time of each live replica to its next turn and the obstacle index
+    it turns at; ``live`` lists the live replicas in increasing order and
+    the other arrays their states, time left and previous obstacle (-1 at
+    the start).  A replica whose next turn falls at or beyond the horizon
+    stops.  The others flow to their turns and take the direction
+    ``turn(live, ix, iy, pre, idx)`` gives.  A replica is live in a round
+    only if it turned in every round before, so all live replicas have
+    turned as many times as there have been rounds.  If ``record`` is a
+    list, each round appends the arrays (live, time, ix, iy, pre, post, idx)
+    of the replicas that turned.
+
+    Returns (x, y, events): each replica's position at the horizon and its
+    number of turns.  Every array operation acts elementwise, so a replica
+    follows the same path, bit for bit, whatever else is in the batch.
     """
-    x, y, alpha = s0.point.x, s0.point.y, s0.dir.alpha
-    t_now = 0.0
-    idx = -1
-    events: list[CollisionEvent] = []
+    live = np.arange(n)
+    x = np.full(n, s0.point.x)
+    y = np.full(n, s0.point.y)
+    alpha = np.full(n, s0.dir.alpha)
+    t_now = np.zeros(n)
+    last = np.full(n, -1)
+    end = np.empty((4, n))  # x, y, alpha and time of each replica's last turn
+    events = np.empty(n, dtype=np.int64)
+    rounds = 0
     while True:
-        gap, idx = step(x, y, alpha, horizon - t_now, idx)
-        if t_now + gap >= horizon:
-            break
-        if len(events) >= max_events:
-            raise RunawayError(f"exceeded {max_events} events before the horizon")
-        ix, iy = flow_xy(x, y, alpha, gap)
-        pre = float(flow_angle(alpha, gap))
-        post = turn(ix, iy, pre, idx)
-        t_now += gap
-        events.append(
+        gap, idx = step(live, x, y, alpha, horizon - t_now, last)
+        go = t_now + gap < horizon
+        if not go.all():
+            halt = ~go
+            end[:, live[halt]] = x[halt], y[halt], alpha[halt], t_now[halt]
+            events[live[halt]] = rounds
+            state = (live, x, y, alpha, t_now, gap, idx)
+            live, x, y, alpha, t_now, gap, idx = (v[go] for v in state)
+            if not live.size:
+                break
+        if rounds >= max_events:
+            raise _runaway(max_events)
+        ix, iy, pre = flow_ahead(x, y, alpha, gap)
+        post = turn(live, ix, iy, pre, idx)
+        x, y, alpha, t_now, last = ix, iy, post, t_now + gap, idx
+        rounds += 1
+        if record is not None:
+            record.append((live, t_now, ix, iy, pre, post, idx))
+    x, y, alpha, t_now = end
+    alpha[alpha >= TWO_PI] = 0.0  # as Direction stores an angle that rounds up to 2*pi
+    return (*flow_xy(x, y, alpha, horizon - t_now), events)
+
+
+def _trajectory(s0: State, horizon: float, record) -> Trajectory:
+    """Box the record of a one-replica :func:`_run_events` run."""
+    rounds = zip(*(np.concatenate(col).tolist() for col in zip(*record))) if record else ()
+    return Trajectory(
+        s0,
+        horizon,
+        tuple(
             CollisionEvent(
-                time=t_now,
-                impact_point=Point(float(ix), float(iy)),
+                time=t,
+                impact_point=Point(ix, iy),
                 pre_dir=Direction(pre),
                 post_dir=Direction(post),
                 deflection=post - pre,
                 obstacle_index=idx,
             )
+            for _, t, ix, iy, pre, post, idx in rounds
+        ),
+    )
+
+
+def _billiard(cx, cy, counts, radius: float):
+    """The billiard's step and turn for len(counts) replicas, whose obstacle
+    centers (cx, cy) come grouped by replica, counts[i] for replica i, plus
+    the per-replica recollision counts that turn fills in.
+
+    The step keeps a candidate set per replica, pruned by the necessary
+    condition d(current, center) <= remaining + r.  Between steps the
+    distance to a center falls by at most the time flown, so a pruned
+    obstacle stays pruned and the set is carried instead of rebuilt; it is
+    copied down to its survivors once a step prunes a quarter of it.  The
+    obstacle just left is excluded exactly, with no tolerance window: a
+    geodesic meets a convex hyperbolic disk in one segment, so after an
+    outward reflection it cannot hit that disk again next, and any root the
+    solver finds for it is rounding.  Each replica takes its smallest exact
+    hit time, the first candidate on ties.
+    """
+    cosh_r = math.cosh(radius)
+    # Candidates in increasing order, so grouped by replica: those of the
+    # k-th live replica end at cand[ends[k] - 1]; (ccx, ccy) are their centers.
+    cand, ccx, ccy = np.arange(len(cx)), cx, cy
+    ends = np.cumsum(counts)
+    was_live = np.arange(len(counts))
+    seen = np.zeros(len(cx), dtype=bool)
+    recollisions = np.zeros(len(counts), dtype=np.int64)
+
+    def step(live, x, y, alpha, t_left, last):
+        nonlocal cand, ccx, ccy, ends, was_live
+        lens = _lengths(ends)
+        if live.size < was_live.size:  # drop the candidates of replicas that stopped
+            stays = np.isin(was_live, live, assume_unique=True)
+            cand, ccx, ccy, ends = _subset(stays.repeat(lens).nonzero()[0], cand, ccx, ccy, ends)
+            lens, ends, was_live = lens[stays], ends[stays], live
+        cosh_d = ((_spread(x, lens) - ccx) ** 2 + _spread(y * y, lens) + ccy * ccy) / (
+            _spread(2.0 * y, lens) * ccy
         )
-        x, y, alpha = float(ix), float(iy), post
-    return Trajectory(s0, horizon, tuple(events))
+        keep = cosh_d <= _spread(np.cosh(t_left + radius), lens)
+        if np.count_nonzero(keep) < 0.75 * keep.size:  # enough pruned to pay for a copy
+            cand, ccx, ccy, ends = _subset(keep.nonzero()[0], cand, ccx, ccy, ends)
+            keep = np.ones(cand.size, dtype=bool)
+        keep[cand.searchsorted(last[last >= 0])] = False  # the obstacle just left
+        ob, sx, sy, solve_ends = _subset(keep.nonzero()[0], cand, ccx, ccy, ends)
+
+        lens = _lengths(solve_ends)
+        coeffs = [_spread(v, lens) for v in normalizing_coeffs(x, y, alpha)]
+        th = np.empty(ob.size)
+        for k in range(0, ob.size, SLICE):
+            part = slice(k, k + SLICE)
+            abcd = (v if v.size == 1 else v[part] for v in coeffs)
+            th[part] = _hit_times(*abcd, sx[part], sy[part], cosh_r)
+        gap = np.full(live.size, np.inf)
+        idx = np.full(live.size, -1)
+        if ob.size:
+            some = lens > 0
+            heads = (solve_ends - lens)[some]
+            best = np.minimum.reduceat(th, heads)
+            ties = (th == best.repeat(lens[some])).nonzero()[0]
+            gap[some], idx[some] = best, ob[ties[ties.searchsorted(heads)]]
+        return gap, idx
+
+    def turn(live, ix, iy, pre, idx):
+        recollisions[live] += seen[idx]
+        seen[idx] = True
+        return _reflect_angle(ix, iy, pre, cx[idx], cy[idx], radius)
+
+    return step, turn, recollisions
+
+
+def _lengths(ends):
+    """Lengths of consecutive runs that end at the given offsets."""
+    return ends - np.concatenate(([0], ends[:-1]))
+
+
+def _spread(v, lens):
+    """Entry k of the per-replica array v, lens[k] times over; the entry of
+    a lone replica is left to broadcast."""
+    return v if lens.size == 1 else v.repeat(lens)
+
+
+def _subset(sel, cand, ccx, ccy, ends):
+    """The candidates at the sorted positions sel, and the ends of their runs."""
+    return cand[sel], ccx[sel], ccy[sel], sel.searchsorted(ends)
 
 
 def simulate(
@@ -247,45 +370,47 @@ def simulate(
 
     Event-driven: repeatedly take the minimum positive exact hit time over
     the candidate obstacles, advance, reflect, and record.  Recollisions
-    with any obstacle are allowed.  The obstacle just left is excluded
-    exactly, with no tolerance window: a geodesic meets a convex hyperbolic
-    disk in one segment, so after an outward reflection it cannot hit that
-    disk again next, and any root the solver finds for it is rounding.
-    Obstacles are pruned by the necessary condition
-    d(current, center) <= remaining + r before the exact solve.
+    with any obstacle are allowed; the obstacle just left is never the next
+    one hit.  A run of :func:`_simulate_batch` with one replica, recorded.
     """
-    _check_field(s0, field, t_max)
     cx, cy = field.centers[:, 0], field.centers[:, 1]
-    radius = field.radius
-    cosh_r = math.cosh(radius)
+    _check_start(s0, cx, cy, field.radius, field.region, t_max)
+    step, turn, _ = _billiard(cx, cy, [len(cx)], field.radius)
+    record: list = []
+    _run_events(s0, 1, t_max, step, turn, max_events, record)
+    return _trajectory(s0, t_max, record)
 
-    def step(x, y, alpha, t_left, last):
-        cosh_d = ((x - cx) ** 2 + y * y + cy * cy) / (2.0 * y * cy)
-        cand = np.flatnonzero(cosh_d <= math.cosh(t_left + radius))
-        cand = cand[cand != last]
-        if cand.size == 0:
-            return math.inf, -1
-        th = _hit_times(x, y, alpha, cx[cand], cy[cand], cosh_r)
-        k = int(np.argmin(th))
-        return float(th[k]), int(cand[k])
 
-    def turn(ix, iy, pre, idx):
-        return float(_reflect_angle(ix, iy, pre, cx[idx], cy[idx], radius))
+def _simulate_batch(
+    s0: State,
+    fields: _FieldBatch,
+    t_max: float,
+    max_events: int = DEFAULT_MAX_EVENTS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run one billiard per field of the batch from s0 up to t_max, together.
 
-    return _run_events(s0, t_max, step, turn, max_events)
+    Returns (x, y, events, recollisions) arrays, one entry per field: the
+    position at t_max, the number of collisions and the number of
+    recollisions.  Each is what :func:`simulate` on that field alone gives,
+    bit for bit.
+    """
+    cx, cy = fields.x, fields.y
+    _check_start(s0, cx, cy, fields.radius, fields.region, t_max)
+    step, turn, recollisions = _billiard(cx, cy, fields.counts, fields.radius)
+    x, y, events = _run_events(s0, len(fields.counts), t_max, step, turn, max_events)
+    return x, y, events, recollisions
 
 
 def free_path(s0: State, field: ObstacleField, t_max: float) -> tuple[float, bool]:
     """Time of the first collision, or (t_max, True) if none before t_max."""
-    _check_field(s0, field, t_max)
+    cx, cy = field.centers[:, 0], field.centers[:, 1]
+    _check_start(s0, cx, cy, field.radius, field.region, t_max)
     if len(field) == 0:
         return t_max, True
     th = _hit_times(
-        s0.point.x,
-        s0.point.y,
-        s0.dir.alpha,
-        field.centers[:, 0],
-        field.centers[:, 1],
+        *normalizing_coeffs(s0.point.x, s0.point.y, s0.dir.alpha),
+        cx,
+        cy,
         math.cosh(field.radius),
     )
     t = float(th.min())

@@ -1,14 +1,21 @@
 """Experiment orchestration: Monte Carlo drivers, reports, file export.
 
 Every experiment runs ``samples`` independent replicas through one runner,
-``_run_streams``: stream k of level L is a counter-based Philox stream
-keyed by the tuple (seed, tag, L, k) and covers replicas [kB, (k+1)B) for
-a fixed block size B.  Most experiments use B = 1, one stream per replica;
-free-path and deflection advance blocks of B = 8192 replicas together, and
-tube-mc counts blocks of 200 000 draws.  B never depends on the worker
-count, and the runner concatenates per-stream results in stream order, so
-reports depend only on the configuration and are byte-identical for any
-worker count.
+``_Runner``: stream k of level L is a counter-based Philox stream keyed by
+the tuple (seed, tag, L, k) and covers replicas [kB, (k+1)B) for a fixed
+block size B.  free-path and deflection draw blocks of B = 8192 replicas
+from one stream, and tube-mc counts blocks of 200 000 draws.  The other
+experiments keep one stream per replica (B = 1); nearest-neighbor and
+bg-convergence advance the replicas of a chunk of streams together: each
+replica draws its field, or its flight's gaps and turns, from its own
+stream; fields are grouped into batches of at most 16 384 obstacles, and
+the event loop steps every replica of a batch at once.  A replica's path
+depends only on its own stream, never on the batch it shares.  B and the
+batch cap never depend on the worker count, and the runner concatenates
+per-stream results in stream order, so reports depend only on the
+configuration and are byte-identical for any worker count.  One process
+pool serves the whole run, with no more workers than there are chunks of
+streams.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -35,15 +42,14 @@ from scipy import stats as sps
 
 from .billiard import (
     Trajectory,
+    _simulate_batch,
     position_at,
-    recollision_count,
-    sample_first_collision,  # noqa: F401  unused; perfbench/tracing.py patches it here
     sample_first_collisions,
     simulate,
     tube_area,
 )
 from .errors import ValidationError
-from .flight import FlightConfig, flight_displacement, sample_deflection, simulate_flight
+from .flight import FlightConfig, _flight_ends, sample_deflection, simulate_flight
 from .geometry import (
     TWO_PI,
     Direction,
@@ -53,9 +59,18 @@ from .geometry import (
     cayley,
     cayley_angle_shift,
     distance_xy,
-    hyp_distance,
 )
-from .obstacles import expected_T1, nearest_neighbor_tail, sample_annulus, sample_field
+from .obstacles import (
+    _sample_fields,
+    expected_T1,
+    nearest_neighbor_tail,
+    sample_annulus,
+    sample_field,
+)
+# Unused here, but perfbench/tracing.py patches these names in this module;
+# drop them when its targets move to the batch entry points (ROADMAP D1).
+from .billiard import recollision_count, sample_first_collision  # noqa: F401
+from .geometry import hyp_distance  # noqa: F401
 from .stats import bootstrap_half_width_w1, ks_statistic, wasserstein1
 
 __all__ = [
@@ -210,67 +225,99 @@ def _derive_rng(seed: int, tag: int, level: int, index: int) -> np.random.Genera
 
 
 def _run_range(kernel, params, seed, tag, level, total, size, lo, hi):
-    """Streams lo..hi-1 of a level, columns concatenated in stream order."""
-    parts = [
-        kernel(_derive_rng(seed, tag, level, k), min(size, total - k * size), *params)
-        for k in range(lo, hi)
-    ]
-    return [np.hstack(col) for col in zip(*parts)]
+    """Streams lo..hi-1 of a level, through one kernel call."""
+    ks = range(lo, hi)
+    rngs = [_derive_rng(seed, tag, level, k) for k in ks]
+    return kernel(rngs, [min(size, total - k * size) for k in ks], *params)
 
 
-def _run_streams(kernel, cfg, level, params, tag=_TAG_REPLICA, size=1):
-    """Run ``kernel(rng, m, *params)`` over the streams of one level.
+class _Runner:
+    """Runs kernels over the streams of one run, on one process pool.
 
-    Stream k draws from ``_derive_rng(cfg.seed, tag, level, k)`` and covers
-    replicas [k*size, k*size + m), m = min(size, samples - k*size).  The
-    kernel returns a tuple of per-stream columns (scalars or arrays); each
-    column comes back concatenated in stream order, whatever the workers.
+    ``run(kernel, level, params, tag, size)`` calls ``kernel(rngs, sizes,
+    *params)`` on consecutive chunks of the level's streams: stream k draws
+    from ``_derive_rng(cfg.seed, tag, level, k)`` and covers replicas
+    [k*size, k*size + sizes[k]), sizes[k] = min(size, samples - k*size).
+    The kernel returns a tuple of columns over its streams' replicas (or
+    over its streams); each comes back concatenated in stream order,
+    whatever the workers.
     """
-    n = -(-cfg.samples // size)
-    chunk = max(1, min(8192, -(-n // (cfg.workers * 4))))
-    los = range(0, n, chunk)
-    his = [min(lo + chunk, n) for lo in los]
-    run = partial(_run_range, kernel, params, cfg.seed, tag, level, cfg.samples, size)
-    if cfg.workers == 1 or len(los) == 1:
-        parts = list(map(run, los, his))
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(run, los, his))
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def __call__(self, kernel, level, params, tag=_TAG_REPLICA, size=1):
+        cfg = self.cfg
+        n = -(-cfg.samples // size)
+        chunk = max(1, min(8192, -(-n // (cfg.workers * 4))))
+        los = range(0, n, chunk)
+        his = [min(lo + chunk, n) for lo in los]
+        run = partial(_run_range, kernel, params, cfg.seed, tag, level, cfg.samples, size)
+        if cfg.workers == 1 or len(los) == 1:
+            parts = list(map(run, los, his))
+        else:
+            if self._pool is None:
+                # A fork pool starts all its workers at once: no more than there is work for.
+                self._pool = ProcessPoolExecutor(max_workers=min(cfg.workers, len(los)))
+            parts = list(self._pool.map(run, los, his))
+        return _columns(parts)
+
+
+def _columns(parts):
+    """Each column of a list of column tuples, concatenated in list order."""
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-# Kernels: kernel(rng, m, *params) -> tuple of columns for one stream.  The
-# per-replica kernels run one replica per stream (m = 1).
+# Kernels: kernel(rngs, sizes, *params) -> tuple of columns for a chunk of
+# streams.  The per-replica kernels get one replica per stream; all but
+# _flight_count advance their streams' replicas together.
 
-def _first_collisions(rng, m, lam, r, horizon):
-    return sample_first_collisions(lam, r, horizon, rng, m)
-
-
-def _nearest(rng, m, lam, R):
-    field = sample_field(lam, _START.point, R, 0.0, rng, radius=R)
-    if len(field):
-        d = distance_xy(field.centers[:, 0], field.centers[:, 1], _START.point.x, _START.point.y)
-        return float(d.min()), False
-    return R, True
+def _first_collisions(rngs, sizes, lam, r, horizon):
+    return _columns(
+        [sample_first_collisions(lam, r, horizon, rng, m) for rng, m in zip(rngs, sizes)]
+    )
 
 
-def _lorentz_disp(rng, m, lam, r, t):
-    field = sample_field(lam, _START.point, t + r, r, rng)
-    traj = simulate(_START, field, t)
-    disp = hyp_distance(_START.point, position_at(traj, t).point)
-    return disp, recollision_count(traj), len(traj.events)
+def _nearest(rngs, sizes, lam, R):
+    parts = []
+    for fields in _sample_fields(lam, _START.point, R, 0.0, rngs, radius=R):
+        d = distance_xy(fields.x, fields.y, _START.point.x, _START.point.y)
+        hit = fields.counts > 0
+        near = np.full(len(hit), R)
+        if d.size:
+            near[hit] = np.minimum.reduceat(d, (np.cumsum(fields.counts) - fields.counts)[hit])
+        parts.append((near, ~hit))
+    return _columns(parts)
 
 
-def _flight_disp(rng, m, sigma, t):
-    return (flight_displacement(simulate_flight(_START, FlightConfig(sigma, t), rng), t),)
+def _lorentz_disp(rngs, sizes, lam, r, t):
+    parts = []
+    for fields in _sample_fields(lam, _START.point, t + r, r, rngs):
+        x, y, events, recollisions = _simulate_batch(_START, fields, t)
+        parts.append((distance_xy(_START.point.x, _START.point.y, x, y), recollisions, events))
+    return _columns(parts)
 
 
-def _flight_count(rng, m, sigma, t):
-    return (len(simulate_flight(_START, FlightConfig(sigma, t), rng).events),)
+def _flight_disp(rngs, sizes, sigma, t):
+    x, y, _ = _flight_ends(_START, FlightConfig(sigma, t), rngs)
+    return (distance_xy(_START.point.x, _START.point.y, x, y),)
 
 
-def _tube(rng, m, r, t):
-    """Hits among m uniform draws from the ball enclosing the tube.
+def _flight_count(rngs, sizes, sigma, t):
+    cfg = FlightConfig(sigma, t)
+    return (np.array([len(simulate_flight(_START, cfg, rng).events) for rng in rngs]),)
+
+
+def _tube(rngs, sizes, r, t):
+    """Hits among m uniform draws from the ball enclosing the tube, per stream.
 
     The tube around the unit-speed vertical geodesic from (0, 1) is tested
     in closed form: the squared Euclidean norm fixes the nearest flow time
@@ -278,12 +325,15 @@ def _tube(rng, m, r, t):
     distance to (0, e^{s*}) is below r.  The enclosing ball is centered at
     the segment midpoint (0, e^{t/2}) with radius t/2 + r.
     """
-    pts = sample_annulus(Point(0.0, math.exp(0.5 * t)), 0.0, 0.5 * t + r, rng, m)
-    x, y = pts[:, 0], pts[:, 1]
-    ssq = x * x + y * y
-    w = np.exp(np.clip(0.5 * np.log(ssq), 0.0, t))
-    cosh_d = (ssq + w * w) / (2.0 * y * w)
-    return np.count_nonzero(cosh_d < math.cosh(r)), m
+    hits = []
+    for rng, m in zip(rngs, sizes):
+        pts = sample_annulus(Point(0.0, math.exp(0.5 * t)), 0.0, 0.5 * t + r, rng, m)
+        x, y = pts[:, 0], pts[:, 1]
+        ssq = x * x + y * y
+        w = np.exp(np.clip(0.5 * np.log(ssq), 0.0, t))
+        cosh_d = (ssq + w * w) / (2.0 * y * w)
+        hits.append(np.count_nonzero(cosh_d < math.cosh(r)))
+    return np.array(hits), np.array(sizes)
 
 
 def _mean_hw(x) -> tuple[float, float]:
@@ -296,11 +346,11 @@ def _mean_hw(x) -> tuple[float, float]:
 # Experiment drivers
 # ---------------------------------------------------------------------------
 
-def _drive_free_path(cfg: ExperimentConfig) -> list[LevelStat]:
+def _drive_free_path(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     levels = []
     for li, r in enumerate(cfg.r_levels):
         lam = lambda_for(cfg.sigma, r)
-        times, _, censored = _run_streams(_first_collisions, cfg, li, (lam, r, cfg.t), size=_FC_BLOCK)
+        times, _, censored = run(_first_collisions, li, (lam, r, cfg.t), size=_FC_BLOCK)
         n = cfg.samples
         ks = ks_statistic(times, exp_cdf(cfg.sigma))
         mean, hw = _mean_hw(times)
@@ -312,13 +362,13 @@ def _drive_free_path(cfg: ExperimentConfig) -> list[LevelStat]:
     return levels
 
 
-def _drive_nearest_neighbor(cfg: ExperimentConfig) -> list[LevelStat]:
+def _drive_nearest_neighbor(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     levels = []
     for li, r in enumerate(cfg.r_levels):
         lam = lambda_for(cfg.sigma, r)
         # Ball large enough that Pr(T1 > R) ~ e^-30; censoring is negligible.
         R = 2.0 * math.asinh(math.sqrt(30.0 / (4.0 * math.pi * lam)))
-        t1, censored = _run_streams(_nearest, cfg, li, (lam, R))
+        t1, censored = run(_nearest, li, (lam, R))
         n = cfg.samples
         ks = ks_statistic(t1, t1_cdf(lam))
         mean, hw = _mean_hw(t1)
@@ -331,11 +381,11 @@ def _drive_nearest_neighbor(cfg: ExperimentConfig) -> list[LevelStat]:
     return levels
 
 
-def _drive_deflection(cfg: ExperimentConfig) -> list[LevelStat]:
+def _drive_deflection(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     levels = []
     for li, r in enumerate(cfg.r_levels):
         lam = lambda_for(cfg.sigma, r)
-        times, betas, censored = _run_streams(_first_collisions, cfg, li, (lam, r, cfg.t), size=_FC_BLOCK)
+        times, betas, censored = run(_first_collisions, li, (lam, r, cfg.t), size=_FC_BLOCK)
         keep = ~censored
         betas = betas[keep]
         n = int(keep.sum())
@@ -349,10 +399,10 @@ def _drive_deflection(cfg: ExperimentConfig) -> list[LevelStat]:
     return levels
 
 
-def _drive_tube_mc(cfg: ExperimentConfig) -> list[LevelStat]:
+def _drive_tube_mc(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     levels = []
     for li, r in enumerate(cfg.r_levels):
-        hits, draws = _run_streams(_tube, cfg, li, (r, cfg.t), size=_TUBE_BLOCK)
+        hits, draws = run(_tube, li, (r, cfg.t), size=_TUBE_BLOCK)
         draws = int(draws.sum())
         p = hits.sum() / draws
         area = ball_area(0.5 * cfg.t + r)
@@ -364,12 +414,12 @@ def _drive_tube_mc(cfg: ExperimentConfig) -> list[LevelStat]:
     return levels
 
 
-def _drive_bg_convergence(cfg: ExperimentConfig) -> list[LevelStat]:
-    (flight,) = _run_streams(_flight_disp, cfg, 0, (cfg.sigma, cfg.t), tag=_TAG_FLIGHT)
+def _drive_bg_convergence(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
+    (flight,) = run(_flight_disp, 0, (cfg.sigma, cfg.t), tag=_TAG_FLIGHT)
     levels = []
     for li, r in enumerate(cfg.r_levels):
         lam = lambda_for(cfg.sigma, r)
-        disp, recollisions, events = _run_streams(_lorentz_disp, cfg, li, (lam, r, cfg.t))
+        disp, recollisions, events = run(_lorentz_disp, li, (lam, r, cfg.t))
         w1 = wasserstein1(disp, flight)
         hw = bootstrap_half_width_w1(disp, flight, _derive_rng(cfg.seed, _TAG_BOOT, li, 0))
         n = cfg.samples
@@ -381,8 +431,8 @@ def _drive_bg_convergence(cfg: ExperimentConfig) -> list[LevelStat]:
     return levels
 
 
-def _drive_flight_baseline(cfg: ExperimentConfig) -> list[LevelStat]:
-    (counts,) = _run_streams(_flight_count, cfg, 0, (cfg.sigma, cfg.t))
+def _drive_flight_baseline(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
+    (counts,) = run(_flight_count, 0, (cfg.sigma, cfg.t))
     counts = counts.astype(float)
     mean, hw = _mean_hw(counts)
     betas = sample_deflection(_derive_rng(cfg.seed, _TAG_AUX, 0, 0), cfg.samples)
@@ -455,7 +505,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         raise ValidationError(f"output directory {out_dir} is not writable: {exc}") from exc
 
     t0 = time.perf_counter()
-    levels = _DRIVERS[cfg.experiment](cfg)
+    with _Runner(cfg) as run:
+        levels = _DRIVERS[cfg.experiment](cfg, run)
     elapsed = time.perf_counter() - t0
     report = Report(
         experiment=cfg.experiment,

@@ -20,6 +20,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+#: Batched callers feed long arrays to the kernels below in slices of at most
+#: this many elements, which bounds the memory their temporaries take.
+SLICE = 4096
+
 __all__ = [
     "Point",
     "Direction",
@@ -56,26 +60,22 @@ def distance_xy(x1, y1, x2, y2):
     return np.arccosh(np.maximum(arg, 1.0))
 
 
-def _flow_denom(sin_a, t):
-    """cosh t - sin(alpha) sinh t >= e^{-|t|}, evaluated without cancellation.
+def flow_xy(x0, y0, alpha, t):
+    """Unit-speed geodesic flow started at (x0, y0) with direction angle alpha.
 
-    Identities: cosh t - s sinh t = e^{-t} + (1-s) sinh t = e^{t} - (1+s) sinh t.
-    Picking the branch by the sign of t keeps every term nonnegative, which
+    The denominator cosh t - s sinh t >= e^{-|t|}, s = sin(alpha), is
+    evaluated without cancellation through the identities
+    cosh t - s sinh t = e^{-t} + (1-s) sinh t = e^{t} - (1+s) sinh t:
+    picking the form by the sign of t keeps every term nonnegative, which
     matters for near-vertical directions where the naive form loses all
     precision to cancellation.
     """
+    t = np.asarray(t)
     sh = np.sinh(t)
-    return np.where(
-        np.asarray(t) >= 0.0,
-        np.exp(-np.asarray(t)) + (1.0 - sin_a) * sh,
-        np.exp(np.asarray(t)) - (1.0 + sin_a) * sh,
-    )
-
-
-def flow_xy(x0, y0, alpha, t):
-    """Unit-speed geodesic flow started at (x0, y0) with direction angle alpha."""
-    denom = _flow_denom(np.sin(alpha), t)
-    return x0 + y0 * np.sinh(t) * np.cos(alpha) / denom, y0 / denom
+    sin_a = np.sin(alpha)
+    lean = np.where(t >= 0.0, (1.0 - sin_a) * sh, -((1.0 + sin_a) * sh))
+    denom = np.exp(-np.abs(t)) + lean
+    return x0 + y0 * sh * np.cos(alpha) / denom, y0 / denom
 
 
 def flow_angle(alpha, t):
@@ -88,6 +88,16 @@ def flow_angle(alpha, t):
     """
     vy = np.exp(-np.asarray(t, dtype=float)) - (1.0 - np.sin(alpha)) * np.cosh(t)
     return np.arctan2(vy, np.cos(alpha)) % TWO_PI
+
+
+def flow_ahead(x0, y0, alpha, t):
+    """Position and direction angle after flowing for time t >= 0: what
+    :func:`flow_xy` and :func:`flow_angle` give, bit for bit, with the terms
+    they share evaluated once."""
+    sh, e = np.sinh(t), np.exp(-t)
+    c, lean = np.cos(alpha), 1.0 - np.sin(alpha)
+    denom = e + lean * sh
+    return x0 + y0 * sh * c / denom, y0 / denom, np.arctan2(e - lean * np.cosh(t), c) % TWO_PI
 
 
 def normalizing_coeffs(x0, y0, alpha):

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import special
 
 from .errors import InfeasibleFieldError
-from .geometry import Point, ball_area, distance_xy, flow_xy
+from .geometry import SLICE, Point, ball_area, distance_xy, flow_xy
 
 __all__ = [
     "BallRegion",
@@ -34,6 +34,10 @@ __all__ = [
 
 #: Refuse to sample fields whose expected point count exceeds this.
 DEFAULT_COUNT_CAP = 10**8
+
+#: _sample_fields groups consecutive fields up to this many points (a larger
+#: field goes alone), which bounds the memory of a batch run on the group.
+_GROUP_POINTS = 16_384
 
 # Centers of transported fields may land on the region boundary up to rounding.
 _REGION_TOL = 1e-9
@@ -84,15 +88,29 @@ class ObstacleField:
             raise ValueError(f"obstacle radius must be positive, got {self.radius}")
         if not (self.intensity > 0.0):
             raise ValueError(f"intensity must be positive, got {self.intensity}")
-        if len(centers):
-            d = distance_xy(centers[:, 0], centers[:, 1], self.region.center.x, self.region.center.y)
-            if np.any(d <= self.region.exclusion - _REGION_TOL) or np.any(
-                d > self.region.outer + _REGION_TOL
-            ):
-                raise ValueError("field has centers outside its sampling region")
+        _check_in_region(centers[:, 0], centers[:, 1], self.region)
 
     def __len__(self) -> int:
         return len(self.centers)
+
+
+@dataclass(frozen=True)
+class _FieldBatch:
+    """Consecutive Poisson fields of one region and radius, stacked: the
+    centers of field i are the next ``counts[i]`` entries of (x, y)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+    radius: float
+    region: BallRegion
+
+
+def _check_in_region(x, y, region: BallRegion) -> None:
+    if len(x):
+        d = distance_xy(x, y, region.center.x, region.center.y)
+        if np.any(d <= region.exclusion - _REGION_TOL) or np.any(d > region.outer + _REGION_TOL):
+            raise ValueError("field has centers outside its sampling region")
 
 
 @dataclass(frozen=True)
@@ -179,21 +197,65 @@ def sample_field(
     common obstacle radius recorded on the field; it defaults to the
     exclusion radius, the standard choice for billiard runs.
     """
+    (batch,) = _sample_fields(lam, center, R, exclusion, [rng], radius, count_cap)
+    return ObstacleField(np.column_stack((batch.x, batch.y)), batch.radius, lam, batch.region)
+
+
+def _sample_fields(
+    lam: float,
+    center: Point,
+    R: float,
+    exclusion: float,
+    rngs: Iterable[np.random.Generator],
+    radius: float | None = None,
+    count_cap: float = DEFAULT_COUNT_CAP,
+) -> Iterator[_FieldBatch]:
+    """Sample one field of :func:`sample_field` from each generator, in order.
+
+    Each generator makes the draws ``sample_field`` makes, so field i is the
+    one ``sample_field`` draws from generator i.  Consecutive fields come in
+    batches of at most ``_GROUP_POINTS`` points; a larger field comes alone.
+    """
     if not (lam > 0.0):
         raise ValueError(f"intensity must be positive, got {lam}")
     if radius is None:
         if exclusion <= 0.0:
             raise ValueError("an obstacle radius is required when sampling with no exclusion")
         radius = exclusion
+    if not (radius > 0.0):
+        raise ValueError(f"obstacle radius must be positive, got {radius}")
     region = BallRegion(center, R, exclusion)
     expected = lam * region.area
     if expected > count_cap:
         raise InfeasibleFieldError(
             f"expected obstacle count {expected:.3g} exceeds cap {count_cap:.3g}"
         )
-    n = int(rng.poisson(expected))
-    centers = sample_annulus(center, exclusion, R, rng, n)
-    return ObstacleField(centers, radius, lam, region)
+
+    def batch(us, phis):
+        # All fields' points at once, a slice at a time, as sample_annulus places them.
+        u, phi = np.concatenate(us), np.concatenate(phis)
+        x, y = np.empty(u.size), np.empty(u.size)
+        for k in range(0, u.size, SLICE):
+            part = slice(k, k + SLICE)
+            eta = _radius_from_uniform(u[part], exclusion, R)
+            x[part], y[part] = flow_xy(center.x, center.y, phi[part], eta)
+            _check_in_region(x[part], y[part], region)
+        return _FieldBatch(x, y, np.array(list(map(len, us))), radius, region)
+
+    us: list[np.ndarray] = []
+    phis: list[np.ndarray] = []
+    points = 0
+    for rng in rngs:
+        n = int(rng.poisson(expected))
+        if us and points + n > _GROUP_POINTS:
+            done = batch(us, phis)
+            us, phis, points = [], [], 0
+            yield done
+        us.append(rng.random(n))
+        phis.append(rng.uniform(0.0, 2.0 * math.pi, n))
+        points += n
+    if us:
+        yield batch(us, phis)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hyperlorentz import (
     ObstacleField,
     Point,
     RegionTooSmallError,
+    RunawayError,
     State,
     ball_area,
     circle_to_euclidean,
@@ -30,9 +31,10 @@ from hyperlorentz import (
     simulate,
     tube_area,
 )
-from hyperlorentz.billiard import _tube_hit
+from hyperlorentz.billiard import _hit_times, _reflect_angle, _simulate_batch, _tube_hit
 from hyperlorentz.experiments import _derive_rng, exp_cdf
-from hyperlorentz.obstacles import sample_annulus
+from hyperlorentz.geometry import flow_angle, flow_xy, normalizing_coeffs
+from hyperlorentz.obstacles import _FieldBatch, sample_annulus
 from util import angle_diff, random_mobius
 
 TWO_PI = 2.0 * math.pi
@@ -365,6 +367,96 @@ def test_simulate_time_reversal_on_short_paths():
         assert hyp_distance(position_at(back, t).point, ORIGIN) < 1e-6
         checked += len(fwd.events) >= 2
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# _simulate_batch
+# ---------------------------------------------------------------------------
+
+def reference_run(s0, cx, cy, radius, t_max, max_events):
+    """One replica at a time, as a plain loop: the full field is pruned
+    afresh at every step and np.argmin picks the hit.  Returns the position
+    at t_max, the number of collisions and the number of recollisions."""
+    cosh_r = math.cosh(radius)
+    x, y, alpha, t_now, last = s0.point.x, s0.point.y, s0.dir.alpha, 0.0, -1
+    hits = []
+    while True:
+        cosh_d = ((x - cx) ** 2 + y * y + cy * cy) / (2.0 * y * cy)
+        cand = np.flatnonzero(cosh_d <= math.cosh(t_max - t_now + radius))
+        cand = cand[cand != last]
+        if cand.size == 0:
+            break
+        th = _hit_times(*normalizing_coeffs(x, y, alpha), cx[cand], cy[cand], cosh_r)
+        k = int(np.argmin(th))
+        gap = float(th[k])
+        if t_now + gap >= t_max:
+            break
+        if len(hits) >= max_events:
+            raise RunawayError(f"exceeded {max_events} events before the horizon")
+        ix, iy = flow_xy(x, y, alpha, gap)
+        pre = float(flow_angle(alpha, gap))
+        last = int(cand[k])
+        alpha = float(_reflect_angle(ix, iy, pre, cx[last], cy[last], radius))
+        x, y = float(ix), float(iy)
+        t_now += gap
+        hits.append(last)
+    end = geodesic_flow(State(Point(x, y), Direction(alpha)), t_max - t_now)
+    return end.x, end.y, len(hits), len(hits) - len(set(hits))
+
+
+def test_simulate_batch_matches_one_replica_at_a_time():
+    r = 0.3
+    # A lone obstacle hit exactly at the horizon: no event.
+    far = Point(0.05, math.exp(4.3))
+    t_max = first_hit(UP, Obstacle(far, r))
+    # A ring of 5 obstacles 1e-4 apart around the start traps the replica:
+    # adjacent centers at angle 2 pi / k and distance rho from the start lie
+    # 2r + 1e-4 apart when sinh^2 rho (1 - cos(2 pi / k)) = cosh(2r + 1e-4) - 1.
+    k = 5
+    rho = math.asinh(math.sqrt((math.cosh(2 * r + 1e-4) - 1.0) / (1.0 - math.cos(TWO_PI / k))))
+    angles = 0.5 * math.pi + 0.1 + TWO_PI * np.arange(k) / k
+    ring = np.column_stack(flow_xy(ORIGIN.x, ORIGIN.y, angles, rho))
+    lam = 1.0 / (2.0 * math.sinh(r))
+    fields = [
+        sample_field(lam, ORIGIN, t_max + r, r, _derive_rng(41, 0, 0, i)).centers for i in range(5)
+    ]
+    fields[2:2] = [
+        np.empty((0, 2)),  # no obstacles
+        np.array([[4.0, 0.5]]),  # one obstacle off the path: no events
+        ring,
+        np.array([[far.x, far.y]]),
+        # Mirror images across the path, hit at the same time: the first wins.
+        np.array([[-0.2 * math.e, math.e], [0.2 * math.e, math.e]]),
+    ]
+    want = [reference_run(UP, f[:, 0], f[:, 1], r, t_max, 10**6) for f in fields]
+    events = [w[2] for w in want]
+    trapped = 4
+    assert events[2] == events[3] == events[5] == 0
+    assert events[trapped] > max(events[:trapped] + events[trapped + 1:]) and events[trapped] >= 10
+    assert min(events[:2] + events[6:]) > 0
+
+    region = BallRegion(ORIGIN, t_max + r + 0.5)
+
+    def stacked(fields):
+        c = np.concatenate(fields)
+        return _FieldBatch(c[:, 0].copy(), c[:, 1].copy(), np.array(list(map(len, fields))), r, region)
+
+    x, y, ev, rc = _simulate_batch(UP, stacked(fields), t_max)
+    assert list(zip(x, y, ev, rc)) == want
+    for f, (wx, wy, we, wr) in zip(fields, want):
+        traj = simulate(UP, ObstacleField(f, r, lam, region), t_max)
+        end = position_at(traj, t_max).point
+        assert (end.x, end.y, len(traj.events), recollision_count(traj)) == (wx, wy, we, wr)
+
+    # The trapped replica alone runs past a cap the others stay within.
+    cap = max(events[:trapped] + events[trapped + 1:])
+    with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
+        _simulate_batch(UP, stacked(fields), t_max, max_events=cap)
+    with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
+        simulate(UP, ObstacleField(ring, r, lam, region), t_max, max_events=cap)
+    others = [f for i, f in enumerate(fields) if i != trapped]
+    x, y, ev, rc = _simulate_batch(UP, stacked(others), t_max, max_events=cap)
+    assert list(zip(x, y, ev, rc)) == want[:trapped] + want[trapped + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from hyperlorentz import (
     tube_area,
 )
 from hyperlorentz import FlightConfig, ObstacleField, BallRegion, expected_T1
+from hyperlorentz import experiments
 from hyperlorentz.cli import main
 from hyperlorentz.experiments import _FC_BLOCK, _derive_rng
 
@@ -88,15 +89,60 @@ def test_reports_identical_across_worker_counts(tmp_path):
 
 
 def test_block_reports_identical_across_worker_counts(tmp_path):
-    # several first-collision blocks and a ragged last one
-    samples = 2 * _FC_BLOCK + 7
-    for experiment in ("free-path", "deflection"):
+    # Several first-collision blocks and a ragged last one; for the
+    # per-replica experiments, 4 (workers 1) or 12 (workers 3) chunks, and
+    # at workers 1 chunks whose fields fill more than one batch of obstacles.
+    for experiment, kw in {
+        "free-path": dict(samples=2 * _FC_BLOCK + 7),
+        "deflection": dict(samples=2 * _FC_BLOCK + 7),
+        "bg-convergence": dict(sigma=1.0, r_levels=(0.4, 0.1), t=4.0, samples=241),
+        "nearest-neighbor": dict(t=1.0, samples=3001),
+        "flight-baseline": dict(sigma=2.0, r_levels=(), t=3.0, samples=3001),
+    }.items():
         blobs = []
         for w in (1, 3):
             out = tmp_path / f"{experiment}-w{w}"
-            run_experiment(cfg_for(out, experiment=experiment, workers=w, samples=samples))
+            run_experiment(cfg_for(out, experiment=experiment, workers=w, **kw))
             blobs.append(read_outputs(out))
         assert blobs[0] == blobs[1]
+
+
+def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch):
+    # A fork pool starts all its workers at once, wanted or not.
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, wait=True):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    run_experiment(
+        cfg_for(tmp_path / "a", experiment="flight-baseline", r_levels=(), samples=2, workers=1000)
+    )
+    run_experiment(
+        cfg_for(
+            tmp_path / "b",
+            experiment="bg-convergence",
+            sigma=1.0,
+            r_levels=(0.4, 0.2, 0.1),
+            t=1.0,
+            samples=5,
+            workers=1000,
+        )
+    )
+    assert made == [2, 5]
 
 
 def test_failed_report_write_keeps_previous_pair(tmp_path, monkeypatch):

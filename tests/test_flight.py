@@ -8,6 +8,7 @@ from hyperlorentz import (
     Direction,
     FlightConfig,
     Point,
+    RunawayError,
     State,
     flight_displacement,
     hyp_distance,
@@ -18,6 +19,8 @@ from hyperlorentz import (
     simulate_flight,
 )
 from hyperlorentz.experiments import _derive_rng, deflection_cdf
+from hyperlorentz.flight import _flight_ends
+from hyperlorentz.geometry import flow_angle, flow_xy, geodesic_flow
 from util import random_mobius
 
 TWO_PI = 2.0 * math.pi
@@ -159,3 +162,49 @@ def test_flight_event_cap_raises():
 
     with pytest.raises(RunawayError):
         simulate_flight(START, FlightConfig(50.0, 10.0), _derive_rng(11, 0, 0, 0), max_events=5)
+
+
+def reference_flight(s0, cfg, rng, max_events):
+    """One path as a plain loop: draw a gap; if it ends inside the horizon,
+    flow there, draw a deflection and turn.  Returns the position at the
+    horizon and the number of turns."""
+    x, y, alpha, t_now, n = s0.point.x, s0.point.y, s0.dir.alpha, 0.0, 0
+    while True:
+        gap = rng.exponential(1.0 / cfg.sigma)
+        if t_now + gap >= cfg.horizon:
+            break
+        if n >= max_events:
+            raise RunawayError(f"exceeded {max_events} events before the horizon")
+        ix, iy = flow_xy(x, y, alpha, gap)
+        alpha = (float(flow_angle(alpha, gap)) + float(sample_deflection(rng))) % TWO_PI
+        x, y, t_now, n = float(ix), float(iy), t_now + gap, n + 1
+    end = geodesic_flow(State(Point(x, y), Direction(alpha)), cfg.horizon - t_now)
+    return end.x, end.y, n
+
+
+def test_flight_batch_matches_one_path_at_a_time():
+    cfg = FlightConfig(1.5, 2.0)
+
+    def rngs():
+        return [_derive_rng(12, 0, 0, i) for i in range(60)]
+
+    want = [reference_flight(START, cfg, rng, 10**6) for rng in rngs()]
+    counts = [w[2] for w in want]
+    assert min(counts) == 0 and max(counts) >= 6
+    x, y, events = _flight_ends(START, cfg, rngs())
+    assert list(zip(x, y, events)) == want
+    for rng, (wx, wy, wn) in zip(rngs(), want):
+        traj = simulate_flight(START, cfg, rng)
+        end = position_at(traj, cfg.horizon).point
+        assert (end.x, end.y, len(traj.events)) == (wx, wy, wn)
+    # Every path leaves its generator where the plain loop does.
+    for ref, rng in zip(rngs(), rngs()):
+        reference_flight(START, cfg, ref, 10**6)
+        _flight_ends(START, cfg, [rng])
+        assert ref.random() == rng.random()
+
+    cap = max(counts) - 1
+    with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
+        _flight_ends(START, cfg, rngs(), cap)
+    with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
+        simulate_flight(START, cfg, rngs()[counts.index(max(counts))], cap)

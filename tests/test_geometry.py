@@ -23,6 +23,7 @@ from hyperlorentz import (
     normalizing_map,
     rotate_direction,
 )
+from hyperlorentz.geometry import flow_ahead, flow_angle, flow_xy
 from util import angle_diff, random_mobius, random_point, random_state
 
 TWO_PI = 2.0 * math.pi
@@ -194,6 +195,21 @@ def test_flow_semigroup():
         b = flow_state(flow_state(s, float(u)), float(t))
         assert (b.point.x, b.point.y) == pytest.approx((a.point.x, a.point.y), abs=1e-10)
         assert angle_diff(b.dir.alpha, a.dir.alpha) < 1e-10
+
+
+def test_flow_ahead_is_flow_xy_and_flow_angle_bit_for_bit():
+    rng = np.random.default_rng(31)
+    n = 200_000
+    x = rng.uniform(-5.0, 5.0, n)
+    y = np.exp(rng.uniform(-4.0, 4.0, n))
+    alpha = rng.uniform(0.0, TWO_PI, n)
+    alpha[:4] = 0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi
+    t = rng.exponential(2.0, n)
+    t[4:8] = 0.0, 5e-324, 1e-300, 40.0
+    ix, iy, pre = flow_ahead(x, y, alpha, t)
+    want_x, want_y = flow_xy(x, y, alpha, t)
+    assert np.array_equal(ix, want_x) and np.array_equal(iy, want_y)
+    assert np.array_equal(pre, flow_angle(alpha, t))
 
 
 def test_rotate_direction():
