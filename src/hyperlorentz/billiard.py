@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import RegionTooSmallError, RunawayError
 from .geometry import (
-    SLICE,
     TWO_PI,
     Direction,
     Point,
@@ -39,7 +38,7 @@ from .geometry import (
     normalizing_coeffs,
 )
 # sample_annulus is unused here but stays importable: perfbench/tracing.py patches it.
-from .obstacles import BallRegion, ObstacleField, _FieldBatch, sample_annulus  # noqa: F401
+from .obstacles import ObstacleField, sample_annulus  # noqa: F401
 
 __all__ = [
     "Obstacle",
@@ -57,8 +56,10 @@ __all__ = [
     "sample_first_collisions",
 ]
 
-#: Quadratic discriminants below this are treated as tangencies, i.e. no hit.
-DISC_TOL = 1e-12
+#: Tangency threshold of :func:`_hit_times`, relative to p^2: the fraction
+#: is tanh^2 of the half chord, and rounding alone makes p^2 - |t|^2 up to
+#: about 4 eps p^2, so chords shorter than about 6e-8 count as misses.
+DISC_TOL = 1e-15
 
 DEFAULT_MAX_EVENTS = 10**6
 
@@ -124,8 +125,9 @@ def _hit_times(a, b, c, d, cx, cy, cosh_r) -> np.ndarray:
     """
     tx, ty = mobius_xy(a, b, c, d, cx, cy)
     p = ty * cosh_r
-    disc = p * p - (tx * tx + ty * ty)
-    ok = disc >= DISC_TOL
+    pp = p * p
+    disc = pp - (tx * tx + ty * ty)
+    ok = disc >= DISC_TOL * pp
     sq = np.sqrt(np.where(ok, disc, 0.0))
     w_lo = p - sq  # roots are real and positive: their product is |center|^2 > 0
     w = np.where(w_lo > 1.0, w_lo, p + sq)
@@ -185,18 +187,18 @@ def tube_area(t: float, r: float) -> float:
 # Event-driven simulation
 # ---------------------------------------------------------------------------
 
-def _check_start(s0: State, cx, cy, radius: float, region: BallRegion, t_max: float):
+def _check_field(s0: State, field: ObstacleField, t_max: float):
     if t_max <= 0.0:
         raise ValueError(f"horizon must be positive, got {t_max}")
-    needed = hyp_distance(s0.point, region.center) + t_max + radius
-    if region.outer < needed - 1e-9:
+    needed = hyp_distance(s0.point, field.region.center) + t_max + field.radius
+    if field.region.outer < needed - 1e-9:
         raise RegionTooSmallError(
-            f"field region (outer {region.outer:g}) cannot cover horizon "
-            f"{t_max:g} plus obstacle radius {radius:g}"
+            f"field region (outer {field.region.outer:g}) cannot cover horizon "
+            f"{t_max:g} plus obstacle radius {field.radius:g}"
         )
-    if len(cx):
-        d = distance_xy(cx, cy, s0.point.x, s0.point.y)
-        if np.any(d <= radius):
+    if len(field):
+        d = distance_xy(field.centers[:, 0], field.centers[:, 1], s0.point.x, s0.point.y)
+        if np.any(d <= field.radius):
             raise ValueError("initial point lies inside (or on) an obstacle")
 
 
@@ -225,10 +227,8 @@ def _run_events(s0: State, n: int, horizon: float, step, turn, max_events: int, 
     follows the same path, bit for bit, whatever else is in the batch.
     """
     live = np.arange(n)
-    x = np.full(n, s0.point.x)
-    y = np.full(n, s0.point.y)
-    alpha = np.full(n, s0.dir.alpha)
-    t_now = np.zeros(n)
+    start = [[s0.point.x], [s0.point.y], [s0.dir.alpha], [0.0]]
+    x, y, alpha, t_now = np.array(start).repeat(n, axis=1)
     last = np.full(n, -1)
     end = np.empty((4, n))  # x, y, alpha and time of each replica's last turn
     events = np.empty(n, dtype=np.int64)
@@ -240,10 +240,10 @@ def _run_events(s0: State, n: int, horizon: float, step, turn, max_events: int, 
             halt = ~go
             end[:, live[halt]] = x[halt], y[halt], alpha[halt], t_now[halt]
             events[live[halt]] = rounds
+            if not go.any():
+                break
             state = (live, x, y, alpha, t_now, gap, idx)
             live, x, y, alpha, t_now, gap, idx = (v[go] for v in state)
-            if not live.size:
-                break
         if rounds >= max_events:
             raise _runaway(max_events)
         ix, iy, pre = flow_ahead(x, y, alpha, gap)
@@ -259,7 +259,7 @@ def _run_events(s0: State, n: int, horizon: float, step, turn, max_events: int, 
 
 def _trajectory(s0: State, horizon: float, record) -> Trajectory:
     """Box the record of a one-replica :func:`_run_events` run."""
-    rounds = zip(*(np.concatenate(col).tolist() for col in zip(*record))) if record else ()
+    rounds = ([v.item() for v in round_] for round_ in record)
     return Trajectory(
         s0,
         horizon,
@@ -277,89 +277,6 @@ def _trajectory(s0: State, horizon: float, record) -> Trajectory:
     )
 
 
-def _billiard(cx, cy, counts, radius: float):
-    """The billiard's step and turn for len(counts) replicas, whose obstacle
-    centers (cx, cy) come grouped by replica, counts[i] for replica i, plus
-    the per-replica recollision counts that turn fills in.
-
-    The step keeps a candidate set per replica, pruned by the necessary
-    condition d(current, center) <= remaining + r.  Between steps the
-    distance to a center falls by at most the time flown, so a pruned
-    obstacle stays pruned and the set is carried instead of rebuilt; it is
-    copied down to its survivors once a step prunes a quarter of it.  The
-    obstacle just left is excluded exactly, with no tolerance window: a
-    geodesic meets a convex hyperbolic disk in one segment, so after an
-    outward reflection it cannot hit that disk again next, and any root the
-    solver finds for it is rounding.  Each replica takes its smallest exact
-    hit time, the first candidate on ties.
-    """
-    cosh_r = math.cosh(radius)
-    # Candidates in increasing order, so grouped by replica: those of the
-    # k-th live replica end at cand[ends[k] - 1]; (ccx, ccy) are their centers.
-    cand, ccx, ccy = np.arange(len(cx)), cx, cy
-    ends = np.cumsum(counts)
-    was_live = np.arange(len(counts))
-    seen = np.zeros(len(cx), dtype=bool)
-    recollisions = np.zeros(len(counts), dtype=np.int64)
-
-    def step(live, x, y, alpha, t_left, last):
-        nonlocal cand, ccx, ccy, ends, was_live
-        lens = _lengths(ends)
-        if live.size < was_live.size:  # drop the candidates of replicas that stopped
-            stays = np.isin(was_live, live, assume_unique=True)
-            cand, ccx, ccy, ends = _subset(stays.repeat(lens).nonzero()[0], cand, ccx, ccy, ends)
-            lens, ends, was_live = lens[stays], ends[stays], live
-        cosh_d = ((_spread(x, lens) - ccx) ** 2 + _spread(y * y, lens) + ccy * ccy) / (
-            _spread(2.0 * y, lens) * ccy
-        )
-        keep = cosh_d <= _spread(np.cosh(t_left + radius), lens)
-        if np.count_nonzero(keep) < 0.75 * keep.size:  # enough pruned to pay for a copy
-            cand, ccx, ccy, ends = _subset(keep.nonzero()[0], cand, ccx, ccy, ends)
-            keep = np.ones(cand.size, dtype=bool)
-        keep[cand.searchsorted(last[last >= 0])] = False  # the obstacle just left
-        ob, sx, sy, solve_ends = _subset(keep.nonzero()[0], cand, ccx, ccy, ends)
-
-        lens = _lengths(solve_ends)
-        coeffs = [_spread(v, lens) for v in normalizing_coeffs(x, y, alpha)]
-        th = np.empty(ob.size)
-        for k in range(0, ob.size, SLICE):
-            part = slice(k, k + SLICE)
-            abcd = (v if v.size == 1 else v[part] for v in coeffs)
-            th[part] = _hit_times(*abcd, sx[part], sy[part], cosh_r)
-        gap = np.full(live.size, np.inf)
-        idx = np.full(live.size, -1)
-        if ob.size:
-            some = lens > 0
-            heads = (solve_ends - lens)[some]
-            best = np.minimum.reduceat(th, heads)
-            ties = (th == best.repeat(lens[some])).nonzero()[0]
-            gap[some], idx[some] = best, ob[ties[ties.searchsorted(heads)]]
-        return gap, idx
-
-    def turn(live, ix, iy, pre, idx):
-        recollisions[live] += seen[idx]
-        seen[idx] = True
-        return _reflect_angle(ix, iy, pre, cx[idx], cy[idx], radius)
-
-    return step, turn, recollisions
-
-
-def _lengths(ends):
-    """Lengths of consecutive runs that end at the given offsets."""
-    return ends - np.concatenate(([0], ends[:-1]))
-
-
-def _spread(v, lens):
-    """Entry k of the per-replica array v, lens[k] times over; the entry of
-    a lone replica is left to broadcast."""
-    return v if lens.size == 1 else v.repeat(lens)
-
-
-def _subset(sel, cand, ccx, ccy, ends):
-    """The candidates at the sorted positions sel, and the ends of their runs."""
-    return cand[sel], ccx[sel], ccy[sel], sel.searchsorted(ends)
-
-
 def simulate(
     s0: State,
     field: ObstacleField,
@@ -368,51 +285,48 @@ def simulate(
 ) -> Trajectory:
     """Run the billiard among a fixed obstacle configuration up to t_max.
 
-    Event-driven: repeatedly take the minimum positive exact hit time over
-    the candidate obstacles, advance, reflect, and record.  Recollisions
-    with any obstacle are allowed; the obstacle just left is never the next
-    one hit.  A run of :func:`_simulate_batch` with one replica, recorded.
+    Event-driven: each step keeps the obstacles with d(current, center) <=
+    remaining + r, takes the smallest exact hit time (the first on ties),
+    advances, reflects and records.  Recollisions with any obstacle are
+    allowed, but the obstacle just left is excluded with no tolerance
+    window: a geodesic meets a convex disk in one segment, so any root
+    found for it is rounding.
     """
-    cx, cy = field.centers[:, 0], field.centers[:, 1]
-    _check_start(s0, cx, cy, field.radius, field.region, t_max)
-    step, turn, _ = _billiard(cx, cy, [len(cx)], field.radius)
+    _check_field(s0, field, t_max)
+    cx, cy, radius = field.centers[:, 0], field.centers[:, 1], field.radius
+    cosh_r = math.cosh(radius)
+    cy2 = cy * cy
+
+    def step(live, x, y, alpha, t_left, last):
+        # One replica: numpy is cheaper on Python floats than on 1-element arrays.
+        x, y, alpha, t_left, last = x.item(), y.item(), alpha.item(), t_left.item(), last.item()
+        # cosh d(current, center) <= cosh(t_left + r), times 2 y cy
+        keep = (x - cx) ** 2 + cy2 <= (2.0 * y * math.cosh(t_left + radius)) * cy - y * y
+        if last >= 0:
+            keep[last] = False
+        cand = keep.nonzero()[0]
+        if not cand.size:
+            return np.full(1, math.inf), np.full(1, -1)
+        th = _hit_times(*normalizing_coeffs(x, y, alpha), cx[cand], cy[cand], cosh_r)
+        k = th.argmin()
+        return th[k : k + 1], cand[k : k + 1]
+
+    def turn(live, ix, iy, pre, idx):
+        k = idx.item()
+        return np.array([_reflect_angle(ix.item(), iy.item(), pre.item(), cx[k], cy[k], radius)])
+
     record: list = []
     _run_events(s0, 1, t_max, step, turn, max_events, record)
     return _trajectory(s0, t_max, record)
 
 
-def _simulate_batch(
-    s0: State,
-    fields: _FieldBatch,
-    t_max: float,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run one billiard per field of the batch from s0 up to t_max, together.
-
-    Returns (x, y, events, recollisions) arrays, one entry per field: the
-    position at t_max, the number of collisions and the number of
-    recollisions.  Each is what :func:`simulate` on that field alone gives,
-    bit for bit.
-    """
-    cx, cy = fields.x, fields.y
-    _check_start(s0, cx, cy, fields.radius, fields.region, t_max)
-    step, turn, recollisions = _billiard(cx, cy, fields.counts, fields.radius)
-    x, y, events = _run_events(s0, len(fields.counts), t_max, step, turn, max_events)
-    return x, y, events, recollisions
-
-
 def free_path(s0: State, field: ObstacleField, t_max: float) -> tuple[float, bool]:
     """Time of the first collision, or (t_max, True) if none before t_max."""
-    cx, cy = field.centers[:, 0], field.centers[:, 1]
-    _check_start(s0, cx, cy, field.radius, field.region, t_max)
+    _check_field(s0, field, t_max)
     if len(field) == 0:
         return t_max, True
-    th = _hit_times(
-        *normalizing_coeffs(s0.point.x, s0.point.y, s0.dir.alpha),
-        cx,
-        cy,
-        math.cosh(field.radius),
-    )
+    coeffs = normalizing_coeffs(s0.point.x, s0.point.y, s0.dir.alpha)
+    th = _hit_times(*coeffs, *field.centers.T, math.cosh(field.radius))
     t = float(th.min())
     if t <= t_max:
         return t, False
@@ -443,6 +357,93 @@ def recollision_count(traj: Trajectory) -> int:
             count += 1
         seen.add(ev.obstacle_index)
     return count
+
+
+# ---------------------------------------------------------------------------
+# Lazy exploration: the field revealed along the path
+# ---------------------------------------------------------------------------
+
+def _cosh_to_segment(x, y, length):
+    """cosh of the distance from (x, y) to the segment from (0, 1) to
+    (0, e^length) of the vertical geodesic: distance along a geodesic is
+    convex, so the nearest point is (0, e^s), s = clip(log |(x, y)|, 0, length)."""
+    ssq = x * x + y * y
+    w = np.exp(np.clip(0.5 * np.log(ssq), 0.0, length))
+    return (ssq + w * w) / (2.0 * y * w)
+
+
+def _explore(s0: State, lam: float, radius: float, t_max: float, rng: np.random.Generator,
+             n: int, max_events: int = DEFAULT_MAX_EVENTS, record=None):
+    """Run n billiards from s0 up to t_max, all drawing from rng, each in its
+    own Poisson field of intensity lam revealed only where its path explores
+    it: the law of :func:`simulate` in the field :func:`sample_field` draws
+    on the annulus r < d <= t_max + r.  Returns (x, y, events, recollisions),
+    each replica's position at t_max and numbers of collisions and
+    recollisions; ``record`` is passed to :func:`_run_events`.
+
+    Given the path so far, the centers not yet met are Poisson on the
+    complement of the explored set, the points within r of an earlier
+    segment (the first covers the start ball).  Each step proposes first
+    contacts along the current segment as :func:`sample_first_collisions`
+    draws them in an empty plane, Exp(2 lam sinh r) gaps and sin psi
+    uniform, placed by :func:`_tube_hit`, and rejects those whose center is
+    explored: that thins them to the fresh field.  The first accepted one
+    races the exact hit times of the obstacles met so far, but the one just
+    left, so recollisions stay exact.  An obstacle is known by the round it
+    was first met in.
+    """
+    scale = 1.0 / (2.0 * lam * math.sinh(radius))
+    cosh_r = math.cosh(radius)
+    # Round k, column col[i]: a, b, c, d (normalizing_coeffs of the start) and
+    # length of segment k of replica i, and the center it first met, or nan.
+    hist = np.empty((7, 32, n))
+    col = np.arange(n)
+    rounds = 0
+    recollisions = np.zeros(n, dtype=np.int64)
+
+    def step(live, x, y, alpha, t_left, last):
+        nonlocal hist
+        m, cols = live.size, col[live]
+        coeffs = normalizing_coeffs(x, y, alpha)
+        gap, idx = np.full(m, math.inf), np.full(m, -1)
+        past = hist[:, :rounds, cols]
+        if rounds:
+            th = _hit_times(*coeffs, *past[5:], cosh_r)  # (rounds, m), inf where none was met
+            th[last, np.arange(m)] = math.inf  # every live replica has turned, last >= 0
+            idx = th.argmin(axis=0)
+            gap = th[idx, np.arange(m)]
+        bound = np.minimum(gap, t_left)
+        if rounds == hist.shape[1]:  # grow, keeping the live replicas' columns only
+            hist = np.concatenate((past, np.empty_like(past)), axis=1)
+            col[live] = cols = np.arange(m)
+        new = hist[:, rounds]
+        new[5:, cols] = math.nan
+        s, todo = np.zeros(m), np.arange(m)
+        while todo.size:
+            s_try = s[todo] + rng.exponential(scale, todo.size)
+            psi = np.arcsin(rng.uniform(-1.0, 1.0, todo.size))
+            ahead = s_try < bound[todo]
+            todo, s_try, psi = todo[ahead], s_try[ahead], psi[ahead]
+            s[todo] = s_try
+            *_, cx, cy = _tube_hit(x[todo], y[todo], alpha[todo], s_try, psi, radius)
+            a, b, c, d, length = past[:5, :, todo]
+            explored = _cosh_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < cosh_r
+            fresh = ~explored.any(axis=0)
+            gap[todo[fresh]], idx[todo[fresh]] = s_try[fresh], rounds
+            new[5:, cols[todo[fresh]]] = cx[fresh], cy[fresh]
+            todo = todo[~fresh]
+        new[:5, cols] = *coeffs, gap
+        return gap, idx
+
+    def turn(live, ix, iy, pre, idx):
+        nonlocal rounds
+        recollisions[live] += idx < rounds
+        cols = col[live]
+        rounds += 1
+        return _reflect_angle(ix, iy, pre, hist[5, idx, cols], hist[6, idx, cols], radius)
+
+    x, y, events = _run_events(s0, n, t_max, step, turn, max_events, record)
+    return x, y, events, recollisions
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,17 @@ Every experiment runs ``samples`` independent replicas through one runner,
 ``_Runner``: stream k of level L is a counter-based Philox stream keyed by
 the tuple (seed, tag, L, k) and covers replicas [kB, (k+1)B) for a fixed
 block size B.  free-path and deflection draw blocks of B = 8192 replicas
-from one stream, and tube-mc counts blocks of 200 000 draws.  The other
-experiments keep one stream per replica (B = 1); nearest-neighbor and
-bg-convergence advance the replicas of a chunk of streams together: each
-replica draws its field, or its flight's gaps and turns, from its own
-stream; fields are grouped into batches of at most 16 384 obstacles, and
-the event loop steps every replica of a batch at once.  A replica's path
-depends only on its own stream, never on the batch it shares.  B and the
-batch cap never depend on the worker count, and the runner concatenates
-per-stream results in stream order, so reports depend only on the
-configuration and are byte-identical for any worker count.  One process
-pool serves the whole run, with no more workers than there are chunks of
-streams.
+from one stream, tube-mc counts blocks of 200 000 draws, and the
+bg-convergence billiard levels explore blocks of B = 256 fields lazily.
+The other experiments, and the bg-convergence flight, keep one stream per
+replica (B = 1); nearest-neighbor and the flight advance the replicas of a
+chunk of streams together (fields in batches of at most 16 384 obstacles),
+each on its own stream, so that no result depends on the chunk.  B and
+the batch cap never depend on the worker count, and the runner
+concatenates per-stream results in stream order, so reports depend only
+on the configuration and are byte-identical for any worker count.  One
+process pool serves the whole run, with no more workers than there are
+chunks of streams.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -42,7 +41,8 @@ from scipy import stats as sps
 
 from .billiard import (
     Trajectory,
-    _simulate_batch,
+    _cosh_to_segment,
+    _explore,
     position_at,
     sample_first_collisions,
     simulate,
@@ -107,6 +107,7 @@ _START = State(Point(0.0, 1.0), Direction(0.5 * math.pi))
 
 _TUBE_BLOCK = 200_000  # rejection draws per deterministic block
 _FC_BLOCK = 8192  # first-collision replicas per deterministic block
+_LAZY_BLOCK = 256  # bg-convergence billiard replicas per deterministic block
 
 
 def lambda_for(sigma: float, r: float) -> float:
@@ -277,8 +278,9 @@ def _columns(parts):
 
 
 # Kernels: kernel(rngs, sizes, *params) -> tuple of columns for a chunk of
-# streams.  The per-replica kernels get one replica per stream; all but
-# _flight_count advance their streams' replicas together.
+# streams.  _first_collisions and _lorentz_disp run a block of replicas per
+# stream, _lorentz_disp's in fields revealed along their paths; the
+# per-replica kernels but _flight_count advance their streams together.
 
 def _first_collisions(rngs, sizes, lam, r, horizon):
     return _columns(
@@ -300,8 +302,8 @@ def _nearest(rngs, sizes, lam, R):
 
 def _lorentz_disp(rngs, sizes, lam, r, t):
     parts = []
-    for fields in _sample_fields(lam, _START.point, t + r, r, rngs):
-        x, y, events, recollisions = _simulate_batch(_START, fields, t)
+    for rng, m in zip(rngs, sizes):
+        x, y, events, recollisions = _explore(_START, lam, r, t, rng, m)
         parts.append((distance_xy(_START.point.x, _START.point.y, x, y), recollisions, events))
     return _columns(parts)
 
@@ -320,19 +322,13 @@ def _tube(rngs, sizes, r, t):
     """Hits among m uniform draws from the ball enclosing the tube, per stream.
 
     The tube around the unit-speed vertical geodesic from (0, 1) is tested
-    in closed form: the squared Euclidean norm fixes the nearest flow time
-    s* = clip(log(x^2+y^2)/2, 0, t), and the point is inside iff its
-    distance to (0, e^{s*}) is below r.  The enclosing ball is centered at
-    the segment midpoint (0, e^{t/2}) with radius t/2 + r.
+    in closed form by :func:`_cosh_to_segment`.  The enclosing ball is
+    centered at the segment midpoint (0, e^{t/2}) with radius t/2 + r.
     """
     hits = []
     for rng, m in zip(rngs, sizes):
         pts = sample_annulus(Point(0.0, math.exp(0.5 * t)), 0.0, 0.5 * t + r, rng, m)
-        x, y = pts[:, 0], pts[:, 1]
-        ssq = x * x + y * y
-        w = np.exp(np.clip(0.5 * np.log(ssq), 0.0, t))
-        cosh_d = (ssq + w * w) / (2.0 * y * w)
-        hits.append(np.count_nonzero(cosh_d < math.cosh(r)))
+        hits.append(np.count_nonzero(_cosh_to_segment(pts[:, 0], pts[:, 1], t) < math.cosh(r)))
     return np.array(hits), np.array(sizes)
 
 
@@ -419,7 +415,7 @@ def _drive_bg_convergence(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat
     levels = []
     for li, r in enumerate(cfg.r_levels):
         lam = lambda_for(cfg.sigma, r)
-        disp, recollisions, events = run(_lorentz_disp, li, (lam, r, cfg.t))
+        disp, recollisions, events = run(_lorentz_disp, li, (lam, r, cfg.t), size=_LAZY_BLOCK)
         w1 = wasserstein1(disp, flight)
         hw = bootstrap_half_width_w1(disp, flight, _derive_rng(cfg.seed, _TAG_BOOT, li, 0))
         n = cfg.samples

@@ -31,11 +31,19 @@ from hyperlorentz import (
     simulate,
     tube_area,
 )
-from hyperlorentz.billiard import _hit_times, _reflect_angle, _simulate_batch, _tube_hit
+from hyperlorentz.billiard import (
+    DISC_TOL,
+    _cosh_to_segment,
+    _explore,
+    _hit_times,
+    _reflect_angle,
+    _tube_hit,
+)
 from hyperlorentz.experiments import _derive_rng, exp_cdf
-from hyperlorentz.geometry import flow_angle, flow_xy, normalizing_coeffs
-from hyperlorentz.obstacles import _FieldBatch, sample_annulus
-from util import angle_diff, random_mobius
+from hyperlorentz.geometry import distance_xy, flow_angle, flow_xy, mobius_xy, normalizing_coeffs
+from hyperlorentz.obstacles import sample_annulus
+from hyperlorentz.stats import wasserstein1
+from util import angle_diff, random_mobius, random_state
 
 TWO_PI = 2.0 * math.pi
 ORIGIN = Point(0.0, 1.0)
@@ -320,14 +328,34 @@ def test_simulate_hit_exactly_at_horizon_is_not_an_event():
     assert len(simulate(UP, field, math.nextafter(th, 3.0)).events) == 1
 
 
+def exact_relative_discriminant(mp, alpha, cx, cy, r):
+    """(p^2 - |t|^2) / p^2 of the hit solve for a shot from (0, 1) heading
+    alpha at the obstacle of center (cx, cy), in 40-digit arithmetic: t is
+    the center in the frame where the shot runs up the imaginary axis, and
+    p = t_y cosh r.  It equals tanh^2 of the half chord, and is negative
+    for a miss."""
+    with mp.workdps(40):
+        h = (mp.pi / 2 - mp.mpf(alpha)) / 2
+        z = mp.mpc(cx, cy)
+        t = (mp.cos(h) * z + mp.sin(h)) / (mp.cos(h) - mp.sin(h) * z)
+        cosh_r = mp.cosh(mp.mpf(r))
+        return float(1 - (1 + (t.real / t.imag) ** 2) / cosh_r**2)
+
+
 def test_simulate_near_grazing_shots_hit_once():
     # A geodesic meets a convex disk in one segment, so a shot at a lone
     # obstacle reflects once, however close to tangency; rounding must not
-    # turn the exit point of the chord into a second hit.
-    shots = 0
+    # turn the exit point of the chord into a second hit.  And every shot
+    # whose chord the solver can resolve is a hit, at any distance and
+    # radius: a shot may be missed only if its exact relative discriminant
+    # lies within the tangency tolerance plus the rounding of the transport
+    # to the shot's frame, which grows like eps e^u with the distance u.
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    hits = 0
     for r, s, k, a0, sign in itertools.product(
-        (0.5, 2.0),  # obstacle radius
-        (1.5, 3.0, 4.5),  # distance to the impact point
+        (0.05, 0.5, 2.0),  # obstacle radius
+        (1.5, 3.0, 4.5, 8.0),  # distance to the impact point
         np.arange(6.0, 15.01, 0.5),  # 1 - |sin psi| = 10^-k
         np.arange(8) * (math.pi / 4) + 0.1,  # shooting direction
         (1.0, -1.0),  # side of the obstacle
@@ -337,14 +365,20 @@ def test_simulate_near_grazing_shots_hit_once():
         start = State(ORIGIN, Direction(float(a0)))
         ob = Obstacle(Point(float(cx), float(cy)), r)
         th = first_hit(start, ob)
-        if th is None:  # within the solver's tangency tolerance
+        rel = exact_relative_discriminant(mp, float(a0), ob.center.x, ob.center.y, r)
+        blur = 8.0 * eps * math.exp(s + r)
+        if rel > DISC_TOL + blur:
+            assert th is not None, (r, s, k, a0, sign, rel)
+        if rel < -blur:
+            assert th is None, (r, s, k, a0, sign, rel)
+        if th is None:
             continue
         field = make_field([[ob.center.x, ob.center.y]], r, s + 1.0 + r)
         events = simulate(start, field, s + 1.0).events
         assert len(events) == 1, (r, s, k, a0, sign, [e.time for e in events])
         assert events[0].time == th
-        shots += 1
-    assert shots > 1000
+        hits += 1
+    assert hits > 3000
 
 
 def test_simulate_time_reversal_on_short_paths():
@@ -370,7 +404,7 @@ def test_simulate_time_reversal_on_short_paths():
 
 
 # ---------------------------------------------------------------------------
-# _simulate_batch
+# simulate against a plain reference loop
 # ---------------------------------------------------------------------------
 
 def reference_run(s0, cx, cy, radius, t_max, max_events):
@@ -404,7 +438,7 @@ def reference_run(s0, cx, cy, radius, t_max, max_events):
     return end.x, end.y, len(hits), len(hits) - len(set(hits))
 
 
-def test_simulate_batch_matches_one_replica_at_a_time():
+def test_simulate_matches_one_replica_reference_loop():
     r = 0.3
     # A lone obstacle hit exactly at the horizon: no event.
     far = Point(0.05, math.exp(4.3))
@@ -437,26 +471,20 @@ def test_simulate_batch_matches_one_replica_at_a_time():
 
     region = BallRegion(ORIGIN, t_max + r + 0.5)
 
-    def stacked(fields):
-        c = np.concatenate(fields)
-        return _FieldBatch(c[:, 0].copy(), c[:, 1].copy(), np.array(list(map(len, fields))), r, region)
-
-    x, y, ev, rc = _simulate_batch(UP, stacked(fields), t_max)
-    assert list(zip(x, y, ev, rc)) == want
-    for f, (wx, wy, we, wr) in zip(fields, want):
-        traj = simulate(UP, ObstacleField(f, r, lam, region), t_max)
+    def run(f, max_events=10**6):
+        traj = simulate(UP, ObstacleField(f, r, lam, region), t_max, max_events)
         end = position_at(traj, t_max).point
-        assert (end.x, end.y, len(traj.events), recollision_count(traj)) == (wx, wy, we, wr)
+        return end.x, end.y, len(traj.events), recollision_count(traj)
 
-    # The trapped replica alone runs past a cap the others stay within.
+    for f, w in zip(fields, want):
+        assert run(f) == w
+
+    # The trapped replica runs past a cap the others stay within.
     cap = max(events[:trapped] + events[trapped + 1:])
     with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
-        _simulate_batch(UP, stacked(fields), t_max, max_events=cap)
-    with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
-        simulate(UP, ObstacleField(ring, r, lam, region), t_max, max_events=cap)
-    others = [f for i, f in enumerate(fields) if i != trapped]
-    x, y, ev, rc = _simulate_batch(UP, stacked(others), t_max, max_events=cap)
-    assert list(zip(x, y, ev, rc)) == want[:trapped] + want[trapped + 1:]
+        run(ring, max_events=cap)
+    for f, w in zip(fields[:trapped] + fields[trapped + 1:], want[:trapped] + want[trapped + 1:]):
+        assert run(f, max_events=cap) == w
 
 
 # ---------------------------------------------------------------------------
@@ -646,3 +674,110 @@ def test_sample_first_collision_censoring():
     # a nearly empty field: almost every run is censored at the horizon
     fc = sample_first_collision(1e-6, 0.1, 2.0, _derive_rng(6, 0, 0, 0))
     assert fc.censored and fc.time == 2.0 and math.isnan(fc.deflection)
+
+
+# ---------------------------------------------------------------------------
+# lazy exploration
+# ---------------------------------------------------------------------------
+
+def test_cosh_to_segment_against_brute_force_minimum():
+    # The closed form against the smallest distance to 20 001 points along
+    # the segment, for points nearest its start, its end and its inside.
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0.0, 1.0, 20_001)
+    nearest = {"start": 0, "end": 0, "inside": 0}
+    for _ in range(300):
+        s = random_state(rng)
+        length = float(rng.uniform(0.05, 4.0))
+        # A point off the segment's geodesic, beside flow time u.
+        u, v = rng.uniform(-1.0, length + 1.0), rng.uniform(-2.0, 2.0)
+        fx, fy = flow_xy(s.point.x, s.point.y, s.dir.alpha, u)
+        px, py = flow_xy(fx, fy, flow_angle(s.dir.alpha, u) + 0.5 * math.pi, v)
+        coeffs = normalizing_coeffs(s.point.x, s.point.y, s.dir.alpha)
+        closed = _cosh_to_segment(*mobius_xy(*coeffs, px, py), length)
+        gx, gy = flow_xy(s.point.x, s.point.y, s.dir.alpha, length * grid)
+        brute = np.cosh(distance_xy(gx, gy, px, py))
+        assert closed == pytest.approx(brute.min(), rel=1e-7)
+        nearest["start" if u < 0.0 else "end" if u > length else "inside"] += 1
+    assert min(nearest.values()) > 50
+
+
+def test_explore_fresh_centers_unexplored_and_obstacle_left_never_next():
+    # Read each path back from the event record: segment k starts at the
+    # start or at impact k - 1 and ends at impact k, and the obstacle hit
+    # there has its center at distance r along the inward normal, the
+    # direction of pre - post.  An obstacle first met in round k lies more
+    # than r from every earlier segment, and the exact solver hits it at
+    # the end of segment k; a recollision hits the center met before; no
+    # segment enters an obstacle met before it; no obstacle is hit twice in
+    # a row.
+    r, t, n = 0.4, 4.0, 256
+    lam = 1.0 / (2.0 * math.sinh(r))
+    cosh_r = math.cosh(r)
+    record = []
+    rng = _derive_rng(17, 0, 0, 0)
+    _, _, events, recollisions = _explore(UP, lam, r, t, rng, n, max_events=1000, record=record)
+    paths = [[] for _ in range(n)]
+    for rows in record:
+        for i, *row in zip(*(v.tolist() for v in rows)):
+            paths[i].append(row)  # time, ix, iy, pre, post, idx
+    fresh = known = 0
+    for i, path in enumerate(paths):
+        ids = [row[5] for row in path]
+        assert len(path) == events[i]
+        assert all(a != b for a, b in zip(ids, ids[1:]))
+        assert recollisions[i] == sum(idx < k for k, idx in enumerate(ids))
+        start = (UP.point.x, UP.point.y, UP.dir.alpha, 0.0)
+        segments, centers = [], {}
+        for k, (time, ix, iy, pre, post, idx) in enumerate(path):
+            coeffs, length = normalizing_coeffs(*start[:3]), time - start[3]
+            inward = math.atan2(math.sin(pre) - math.sin(post), math.cos(pre) - math.cos(post))
+            center = tuple(map(float, flow_xy(ix, iy, inward, r)))
+            left = ids[k - 1] if k else -1
+            for j, other in centers.items():  # obstacles met before, but those at the ends
+                if j not in (idx, left):
+                    assert _cosh_to_segment(*mobius_xy(*coeffs, *other), length) > cosh_r
+            if idx == k:
+                for seg, seg_length in segments:
+                    assert _cosh_to_segment(*mobius_xy(*seg, *center), seg_length) > cosh_r
+                th = _hit_times(*coeffs, *np.array(center)[:, None], cosh_r)[0]
+                assert th == pytest.approx(length, abs=1e-9)
+                centers[k] = center
+                fresh += 1
+            else:
+                assert center == pytest.approx(centers[idx], rel=1e-9)
+                known += 1
+            segments.append((coeffs, length))
+            start = (ix, iy, post, time)
+    assert fresh > 500 and known > 100
+
+
+def test_explore_matches_simulate_in_full_fields():
+    # Lazy exploration against the billiard in a field sampled whole on the
+    # annulus r < d <= t + r: the same law of the displacement (W1 between
+    # the two samples within the 0.999 quantile of W1 between random halves
+    # of their pooled sample) and of the collision count and recollision
+    # fraction (within 4 standard errors).
+    n = 2048
+    for (t, r), seed in zip(itertools.product((2.0, 4.0), (0.4, 0.1)), itertools.count(60)):
+        lam = 1.0 / (2.0 * math.sinh(r))
+        full = np.empty((3, n))
+        for i in range(n):
+            traj = simulate(UP, sample_field(lam, ORIGIN, t + r, r, _derive_rng(seed, 0, 0, i)), t)
+            full[:, i] = (
+                hyp_distance(ORIGIN, position_at(traj, t).point),
+                len(traj.events),
+                recollision_count(traj) > 0,
+            )
+        lazy = np.empty((3, n))
+        for k in range(n // 256):
+            x, y, ev, rc = _explore(UP, lam, r, t, _derive_rng(seed, 1, 0, k), 256)
+            lazy[:, 256 * k : 256 * (k + 1)] = distance_xy(ORIGIN.x, ORIGIN.y, x, y), ev, rc > 0
+        w1 = wasserstein1(full[0], lazy[0])
+        rng = np.random.default_rng(seed)
+        pooled = np.concatenate((full[0], lazy[0]))
+        null = [wasserstein1(*rng.permutation(pooled).reshape(2, n)) for _ in range(999)]
+        assert sum(w >= w1 for w in null) >= 1, (t, r, w1, max(null))
+        for a, b in zip(full[1:], lazy[1:]):
+            se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / n)
+            assert abs(a.mean() - b.mean()) < 4.0 * se, (t, r, a.mean(), b.mean(), se)

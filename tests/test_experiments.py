@@ -24,7 +24,7 @@ from hyperlorentz import (
 from hyperlorentz import FlightConfig, ObstacleField, BallRegion, expected_T1
 from hyperlorentz import experiments
 from hyperlorentz.cli import main
-from hyperlorentz.experiments import _FC_BLOCK, _derive_rng
+from hyperlorentz.experiments import _FC_BLOCK, _LAZY_BLOCK, _derive_rng
 
 START = State(Point(0.0, 1.0), Direction(math.pi / 2))
 SIGMA_HALF = 2.0 * math.sinh(0.5)  # sigma matching (lam, r) = (1, 0.5)
@@ -89,13 +89,14 @@ def test_reports_identical_across_worker_counts(tmp_path):
 
 
 def test_block_reports_identical_across_worker_counts(tmp_path):
-    # Several first-collision blocks and a ragged last one; for the
-    # per-replica experiments, 4 (workers 1) or 12 (workers 3) chunks, and
-    # at workers 1 chunks whose fields fill more than one batch of obstacles.
+    # Several blocks and a ragged last one, run serially (workers 1) or on
+    # a pool (workers 3); for the per-replica experiments, 4 or 12 chunks,
+    # and at workers 1 chunks whose fields fill more than one batch of
+    # obstacles.
     for experiment, kw in {
         "free-path": dict(samples=2 * _FC_BLOCK + 7),
         "deflection": dict(samples=2 * _FC_BLOCK + 7),
-        "bg-convergence": dict(sigma=1.0, r_levels=(0.4, 0.1), t=4.0, samples=241),
+        "bg-convergence": dict(sigma=1.0, r_levels=(0.4, 0.1), t=4.0, samples=2 * _LAZY_BLOCK + 7),
         "nearest-neighbor": dict(t=1.0, samples=3001),
         "flight-baseline": dict(sigma=2.0, r_levels=(), t=3.0, samples=3001),
     }.items():
@@ -249,6 +250,19 @@ def test_bg_convergence_experiment(tmp_path):
         assert w1.value >= 0.0 and w1.half_width > 0.0
         assert 0.0 <= rep.stat("recollision_fraction", r=r).value <= 1.0
         assert rep.stat("mean_collisions", r=r).value == pytest.approx(2.0, rel=0.25)
+
+
+def test_bg_convergence_long_time(tmp_path):
+    # At t = 10 a path collides about 10 times, and a trapped one a hundred
+    # times or more: the run finishes, and its mean collision count is the
+    # one of the same streams run directly, within 4 standard errors of
+    # sigma t.
+    cfg = cfg_for(tmp_path, experiment="bg-convergence", sigma=1.0, r_levels=(0.1,), t=10.0, samples=1024)
+    mean = run_experiment(cfg).stat("mean_collisions", r=0.1).value
+    with experiments._Runner(cfg) as run:
+        *_, events = run(experiments._lorentz_disp, 0, (lambda_for(1.0, 0.1), 0.1, 10.0), size=_LAZY_BLOCK)
+    assert mean == events.mean()
+    assert abs(mean - 10.0) < 4.0 * events.std(ddof=1) / math.sqrt(events.size)
 
 
 def test_flight_baseline_experiment(tmp_path):
