@@ -372,14 +372,15 @@ def _cosh_to_segment(x, y, length):
     return (ssq + w * w) / (2.0 * y * w)
 
 
-def _explore(s0: State, lam: float, radius: float, t_max: float, rng: np.random.Generator,
-             n: int, max_events: int = DEFAULT_MAX_EVENTS, record=None):
-    """Run n billiards from s0 up to t_max, all drawing from rng, each in its
-    own Poisson field of intensity lam revealed only where its path explores
-    it: the law of :func:`simulate` in the field :func:`sample_field` draws
-    on the annulus r < d <= t_max + r.  Returns (x, y, events, recollisions),
-    each replica's position at t_max and numbers of collisions and
-    recollisions; ``record`` is passed to :func:`_run_events`.
+def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVENTS, record=None):
+    """Run blocks of billiards from s0 up to t_max, advanced together.  Block
+    (rng, n, lam, radius) holds n replicas, each in its own Poisson field of
+    intensity lam and obstacle radius radius revealed only where its path
+    explores it: the law of :func:`simulate` in the field :func:`sample_field`
+    draws on the annulus r < d <= t_max + r.  Returns (x, y, events,
+    recollisions) over the blocks' replicas in order, each replica's position
+    at t_max and numbers of collisions and recollisions; ``record`` is passed
+    to :func:`_run_events`.
 
     Given the path so far, the centers not yet met are Poisson on the
     complement of the explored set, the points within r of an earlier
@@ -391,9 +392,19 @@ def _explore(s0: State, lam: float, radius: float, t_max: float, rng: np.random.
     races the exact hit times of the obstacles met so far, but the one just
     left, so recollisions stay exact.  An obstacle is known by the round it
     was first met in.
+
+    Each round, every block with proposals left to make draws them from its
+    own generator, in the order it would draw them alone, and a block with
+    none draws nothing: every replica follows the path it follows when its
+    block runs alone, bit for bit, and leaves its generator in the same state.
     """
-    scale = 1.0 / (2.0 * lam * math.sinh(radius))
-    cosh_r = math.cosh(radius)
+    rngs, sizes, lams, block_radii = zip(*blocks)
+    scales = [1.0 / (2.0 * lam * math.sinh(r)) for lam, r in zip(lams, block_radii)]
+    # The block, radius and cosh of the radius of each replica.
+    block = np.repeat(np.arange(len(blocks)), sizes)
+    radii = np.repeat(block_radii, sizes)
+    cosh_radii = np.repeat([math.cosh(r) for r in block_radii], sizes)
+    n = block.size
     # Round k, column col[i]: a, b, c, d (normalizing_coeffs of the start) and
     # length of segment k of replica i, and the center it first met, or nan.
     hist = np.empty((7, 32, n))
@@ -401,9 +412,22 @@ def _explore(s0: State, lam: float, radius: float, t_max: float, rng: np.random.
     rounds = 0
     recollisions = np.zeros(n, dtype=np.int64)
 
+    def propose(owner):
+        """Exp(2 lam sinh r) gaps and psi for replicas of the blocks ``owner``
+        lists in increasing order, each block's from its own generator."""
+        counts = np.bincount(owner, minlength=len(blocks))
+        draws = [
+            (rngs[k].exponential(scales[k], m), rngs[k].uniform(-1.0, 1.0, m))
+            for k, m in enumerate(counts.tolist())
+            if m
+        ]
+        gaps, sin_psi = (np.concatenate(v) for v in zip(*draws))
+        return gaps, np.arcsin(sin_psi)
+
     def step(live, x, y, alpha, t_left, last):
         nonlocal hist
         m, cols = live.size, col[live]
+        radius, cosh_r = radii[live], cosh_radii[live]
         coeffs = normalizing_coeffs(x, y, alpha)
         gap, idx = np.full(m, math.inf), np.full(m, -1)
         past = hist[:, :rounds, cols]
@@ -420,14 +444,14 @@ def _explore(s0: State, lam: float, radius: float, t_max: float, rng: np.random.
         new[5:, cols] = math.nan
         s, todo = np.zeros(m), np.arange(m)
         while todo.size:
-            s_try = s[todo] + rng.exponential(scale, todo.size)
-            psi = np.arcsin(rng.uniform(-1.0, 1.0, todo.size))
+            s_try, psi = propose(block[live[todo]])
+            s_try += s[todo]
             ahead = s_try < bound[todo]
             todo, s_try, psi = todo[ahead], s_try[ahead], psi[ahead]
             s[todo] = s_try
-            *_, cx, cy = _tube_hit(x[todo], y[todo], alpha[todo], s_try, psi, radius)
+            *_, cx, cy = _tube_hit(x[todo], y[todo], alpha[todo], s_try, psi, radius[todo])
             a, b, c, d, length = past[:5, :, todo]
-            explored = _cosh_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < cosh_r
+            explored = _cosh_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < cosh_r[todo]
             fresh = ~explored.any(axis=0)
             gap[todo[fresh]], idx[todo[fresh]] = s_try[fresh], rounds
             new[5:, cols[todo[fresh]]] = cx[fresh], cy[fresh]
@@ -440,7 +464,7 @@ def _explore(s0: State, lam: float, radius: float, t_max: float, rng: np.random.
         recollisions[live] += idx < rounds
         cols = col[live]
         rounds += 1
-        return _reflect_angle(ix, iy, pre, hist[5, idx, cols], hist[6, idx, cols], radius)
+        return _reflect_angle(ix, iy, pre, hist[5, idx, cols], hist[6, idx, cols], radii[live])
 
     x, y, events = _run_events(s0, n, t_max, step, turn, max_events, record)
     return x, y, events, recollisions

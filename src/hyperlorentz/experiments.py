@@ -1,18 +1,22 @@
 """Experiment orchestration: Monte Carlo drivers, reports, file export.
 
-Every experiment runs ``samples`` independent replicas through one runner,
-``_Runner``: stream k of level L is a counter-based Philox stream keyed by
-the tuple (seed, tag, L, k) and covers replicas [kB, (k+1)B) for a fixed
-block size B.  free-path and deflection draw blocks of B = 8192 replicas
-from one stream, tube-mc counts blocks of 200 000 draws, and the
-bg-convergence billiard levels explore blocks of B = 256 fields lazily.
-The other experiments, and the bg-convergence flight, keep one stream per
-replica (B = 1); nearest-neighbor and the flight advance the replicas of a
-chunk of streams together (fields in batches of at most 16 384 obstacles),
-each on its own stream, so that no result depends on the chunk.  B and
-the batch cap never depend on the worker count, and the runner
-concatenates per-stream results in stream order, so reports depend only
-on the configuration and are byte-identical for any worker count.  One
+Every experiment runs ``samples`` independent replicas per level through
+one runner, ``_Runner``: stream k of level L is a counter-based Philox
+stream keyed by the tuple (seed, tag, L, k) and covers replicas [kB,
+(k+1)B) for a fixed block size B.  free-path and deflection draw blocks of
+B = 8192 replicas from one stream, tube-mc counts blocks of 200 000 draws,
+and the bg-convergence billiard levels explore blocks of B = 256 fields
+lazily.  The other experiments, and the bg-convergence flight, keep one
+stream per replica (B = 1).  The runner cuts the streams of all of a
+call's levels, level by level, into chunks of at most 8192 replicas (or
+one stream), so a chunk may mix levels, and runs each chunk through one
+kernel call.  The lazy billiard, nearest-neighbor and the flight advance
+the replicas of a chunk together (fields in batches of at most 16 384
+obstacles), each block or replica drawing from its own stream as it would
+alone, so that no result depends on the chunk.  B and the caps never
+depend on the worker count or the sample count, and the runner returns
+per-stream results per level, in stream order, so reports depend only on
+the configuration and are byte-identical for any worker count.  One
 process pool serves the whole run, with no more workers than there are
 chunks of streams.
 
@@ -34,6 +38,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +114,7 @@ _START = State(Point(0.0, 1.0), Direction(0.5 * math.pi))
 _TUBE_BLOCK = 200_000  # rejection draws per deterministic block
 _FC_BLOCK = 8192  # first-collision replicas per deterministic block
 _LAZY_BLOCK = 256  # bg-convergence billiard replicas per deterministic block
+_BATCH = 8192  # replicas per kernel call, unless one stream holds more
 
 
 def lambda_for(sigma: float, r: float) -> float:
@@ -225,23 +232,34 @@ def _derive_rng(seed: int, tag: int, level: int, index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
 
 
-def _run_range(kernel, params, seed, tag, level, total, size, lo, hi):
-    """Streams lo..hi-1 of a level, through one kernel call."""
-    ks = range(lo, hi)
-    rngs = [_derive_rng(seed, tag, level, k) for k in ks]
-    return kernel(rngs, [min(size, total - k * size) for k in ks], *params)
+def _run_chunk(kernel, args, seed, tag, total, size, ranges):
+    """One kernel call over a chunk of streams, given as (level, params, lo, hi)
+    ranges of streams of one level each; returns its columns cut per range."""
+    rngs, sizes, params, cuts = [], [], [], []
+    for level, p, lo, hi in ranges:
+        ks = range(lo, hi)
+        rngs += [_derive_rng(seed, tag, level, k) for k in ks]
+        sizes += [min(size, total - k * size) for k in ks]
+        params += [p] * len(ks)
+        cuts.append(sum(sizes))
+    columns = kernel(rngs, sizes, params, *args)
+    return list(zip(*(np.split(c, cuts[:-1]) for c in columns)))
 
 
 class _Runner:
     """Runs kernels over the streams of one run, on one process pool.
 
-    ``run(kernel, level, params, tag, size)`` calls ``kernel(rngs, sizes,
-    *params)`` on consecutive chunks of the level's streams: stream k draws
-    from ``_derive_rng(cfg.seed, tag, level, k)`` and covers replicas
-    [k*size, k*size + sizes[k]), sizes[k] = min(size, samples - k*size).
-    The kernel returns a tuple of columns over its streams' replicas (or
-    over its streams); each comes back concatenated in stream order,
-    whatever the workers.
+    ``run(kernel, levels, *args, tag=tag, size=size)`` runs the streams of
+    every level together: level L has parameters ``levels[L]``, and its
+    stream k draws from ``_derive_rng(cfg.seed, tag, L, k)`` and covers
+    replicas [k*size, k*size + m), m = min(size, samples - k*size).  The
+    streams, level by level, are cut into consecutive chunks of at most
+    ``_BATCH`` replicas (or one stream), so a chunk may hold streams of
+    several levels, and each chunk is one call ``kernel(rngs, sizes,
+    params, *args)``, params[i] being the parameters of stream i's level.
+    The kernel returns a tuple of columns with one entry per replica, in
+    stream order; ``run`` returns one such tuple per level, whatever the
+    chunks and the workers.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -255,21 +273,33 @@ class _Runner:
         if self._pool is not None:
             self._pool.shutdown()
 
-    def __call__(self, kernel, level, params, tag=_TAG_REPLICA, size=1):
+    def __call__(self, kernel, levels, *args, tag=_TAG_REPLICA, size=1):
         cfg = self.cfg
-        n = -(-cfg.samples // size)
-        chunk = max(1, min(8192, -(-n // (cfg.workers * 4))))
-        los = range(0, n, chunk)
-        his = [min(lo + chunk, n) for lo in los]
-        run = partial(_run_range, kernel, params, cfg.seed, tag, level, cfg.samples, size)
-        if cfg.workers == 1 or len(los) == 1:
-            parts = list(map(run, los, his))
+        n = -(-cfg.samples // size)  # streams per level
+        total = n * len(levels)
+        # The fewest chunks of at most cap streams, in a multiple of the
+        # worker count, all of one size but the last.
+        cap = max(1, _BATCH // size)
+        count = cfg.workers * -(-total // (cfg.workers * cap))
+        chunk = -(-total // count)
+        chunks = []
+        for lo in range(0, total, chunk):
+            hi = min(lo + chunk, total)
+            chunks.append([(L, levels[L], max(lo - L * n, 0), min(hi - L * n, n))
+                           for L in range(lo // n, (hi - 1) // n + 1)])
+        run = partial(_run_chunk, kernel, args, cfg.seed, tag, cfg.samples, size)
+        if cfg.workers == 1 or len(chunks) == 1:
+            parts = map(run, chunks)
         else:
             if self._pool is None:
                 # A fork pool starts all its workers at once: no more than there is work for.
-                self._pool = ProcessPoolExecutor(max_workers=min(cfg.workers, len(los)))
-            parts = list(self._pool.map(run, los, his))
-        return _columns(parts)
+                self._pool = ProcessPoolExecutor(max_workers=min(cfg.workers, len(chunks)))
+            parts = self._pool.map(run, chunks)
+        per_level = [[] for _ in levels]
+        for ranges, pieces in zip(chunks, parts):
+            for (L, *_), piece in zip(ranges, pieces):
+                per_level[L].append(piece)
+        return [_columns(p) for p in per_level]
 
 
 def _columns(parts):
@@ -277,59 +307,61 @@ def _columns(parts):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-# Kernels: kernel(rngs, sizes, *params) -> tuple of columns for a chunk of
-# streams.  _first_collisions and _lorentz_disp run a block of replicas per
-# stream, _lorentz_disp's in fields revealed along their paths; the
-# per-replica kernels but _flight_count advance their streams together.
+# Kernels: kernel(rngs, sizes, params, *args) -> tuple of columns over the
+# replicas of a chunk of streams, params[i] being stream i's level
+# parameters.  _first_collisions, _lorentz_disp and _tube run a block of
+# replicas per stream, _lorentz_disp's in fields revealed along their paths;
+# the other kernels but _flight_count run one replica per stream and
+# advance their streams together.
 
-def _first_collisions(rngs, sizes, lam, r, horizon):
-    return _columns(
-        [sample_first_collisions(lam, r, horizon, rng, m) for rng, m in zip(rngs, sizes)]
-    )
+def _first_collisions(rngs, sizes, params, horizon):
+    return _columns([
+        sample_first_collisions(lam, r, horizon, rng, m)
+        for rng, m, (lam, r) in zip(rngs, sizes, params)
+    ])
 
 
-def _nearest(rngs, sizes, lam, R):
+def _nearest(rngs, sizes, params):
     parts = []
-    for fields in _sample_fields(lam, _START.point, R, 0.0, rngs, radius=R):
-        d = distance_xy(fields.x, fields.y, _START.point.x, _START.point.y)
-        hit = fields.counts > 0
-        near = np.full(len(hit), R)
-        if d.size:
-            near[hit] = np.minimum.reduceat(d, (np.cumsum(fields.counts) - fields.counts)[hit])
-        parts.append((near, ~hit))
+    for (lam, R), group in groupby(zip(params, rngs), key=itemgetter(0)):
+        for fields in _sample_fields(lam, _START.point, R, 0.0, [rng for _, rng in group], radius=R):
+            d = distance_xy(fields.x, fields.y, _START.point.x, _START.point.y)
+            hit = fields.counts > 0
+            near = np.full(len(hit), R)
+            if d.size:
+                near[hit] = np.minimum.reduceat(d, (np.cumsum(fields.counts) - fields.counts)[hit])
+            parts.append((near, ~hit))
     return _columns(parts)
 
 
-def _lorentz_disp(rngs, sizes, lam, r, t):
-    parts = []
-    for rng, m in zip(rngs, sizes):
-        x, y, events, recollisions = _explore(_START, lam, r, t, rng, m)
-        parts.append((distance_xy(_START.point.x, _START.point.y, x, y), recollisions, events))
-    return _columns(parts)
+def _lorentz_disp(rngs, sizes, params, t):
+    blocks = [(rng, m, lam, r) for rng, m, (lam, r) in zip(rngs, sizes, params)]
+    x, y, events, recollisions = _explore(_START, t, blocks)
+    return distance_xy(_START.point.x, _START.point.y, x, y), recollisions, events
 
 
-def _flight_disp(rngs, sizes, sigma, t):
+def _flight_disp(rngs, sizes, params, sigma, t):
     x, y, _ = _flight_ends(_START, FlightConfig(sigma, t), rngs)
     return (distance_xy(_START.point.x, _START.point.y, x, y),)
 
 
-def _flight_count(rngs, sizes, sigma, t):
+def _flight_count(rngs, sizes, params, sigma, t):
     cfg = FlightConfig(sigma, t)
     return (np.array([len(simulate_flight(_START, cfg, rng).events) for rng in rngs]),)
 
 
-def _tube(rngs, sizes, r, t):
-    """Hits among m uniform draws from the ball enclosing the tube, per stream.
+def _tube(rngs, sizes, params, t):
+    """Whether each of m uniform draws from the ball enclosing the tube hits it.
 
     The tube around the unit-speed vertical geodesic from (0, 1) is tested
     in closed form by :func:`_cosh_to_segment`.  The enclosing ball is
     centered at the segment midpoint (0, e^{t/2}) with radius t/2 + r.
     """
     hits = []
-    for rng, m in zip(rngs, sizes):
+    for rng, m, (r,) in zip(rngs, sizes, params):
         pts = sample_annulus(Point(0.0, math.exp(0.5 * t)), 0.0, 0.5 * t + r, rng, m)
-        hits.append(np.count_nonzero(_cosh_to_segment(pts[:, 0], pts[:, 1], t) < math.cosh(r)))
-    return np.array(hits), np.array(sizes)
+        hits.append(_cosh_to_segment(pts[:, 0], pts[:, 1], t) < math.cosh(r))
+    return (np.concatenate(hits),)
 
 
 def _mean_hw(x) -> tuple[float, float]:
@@ -342,11 +374,15 @@ def _mean_hw(x) -> tuple[float, float]:
 # Experiment drivers
 # ---------------------------------------------------------------------------
 
+def _lambdas(cfg: ExperimentConfig) -> list[float]:
+    return [lambda_for(cfg.sigma, r) for r in cfg.r_levels]
+
+
 def _drive_free_path(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     levels = []
-    for li, r in enumerate(cfg.r_levels):
-        lam = lambda_for(cfg.sigma, r)
-        times, _, censored = run(_first_collisions, li, (lam, r, cfg.t), size=_FC_BLOCK)
+    lams = _lambdas(cfg)
+    columns = run(_first_collisions, list(zip(lams, cfg.r_levels)), cfg.t, size=_FC_BLOCK)
+    for r, lam, (times, _, censored) in zip(cfg.r_levels, lams, columns):
         n = cfg.samples
         ks = ks_statistic(times, exp_cdf(cfg.sigma))
         mean, hw = _mean_hw(times)
@@ -360,11 +396,11 @@ def _drive_free_path(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
 
 def _drive_nearest_neighbor(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     levels = []
-    for li, r in enumerate(cfg.r_levels):
-        lam = lambda_for(cfg.sigma, r)
-        # Ball large enough that Pr(T1 > R) ~ e^-30; censoring is negligible.
-        R = 2.0 * math.asinh(math.sqrt(30.0 / (4.0 * math.pi * lam)))
-        t1, censored = run(_nearest, li, (lam, R))
+    lams = _lambdas(cfg)
+    # Balls large enough that Pr(T1 > R) ~ e^-30; censoring is negligible.
+    balls = [2.0 * math.asinh(math.sqrt(30.0 / (4.0 * math.pi * lam))) for lam in lams]
+    columns = run(_nearest, list(zip(lams, balls)))
+    for r, lam, (t1, censored) in zip(cfg.r_levels, lams, columns):
         n = cfg.samples
         ks = ks_statistic(t1, t1_cdf(lam))
         mean, hw = _mean_hw(t1)
@@ -379,9 +415,9 @@ def _drive_nearest_neighbor(cfg: ExperimentConfig, run: _Runner) -> list[LevelSt
 
 def _drive_deflection(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     levels = []
-    for li, r in enumerate(cfg.r_levels):
-        lam = lambda_for(cfg.sigma, r)
-        times, betas, censored = run(_first_collisions, li, (lam, r, cfg.t), size=_FC_BLOCK)
+    lams = _lambdas(cfg)
+    columns = run(_first_collisions, list(zip(lams, cfg.r_levels)), cfg.t, size=_FC_BLOCK)
+    for r, lam, (times, betas, censored) in zip(cfg.r_levels, lams, columns):
         keep = ~censored
         betas = betas[keep]
         n = int(keep.sum())
@@ -397,10 +433,10 @@ def _drive_deflection(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
 
 def _drive_tube_mc(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     levels = []
-    for li, r in enumerate(cfg.r_levels):
-        hits, draws = run(_tube, li, (r, cfg.t), size=_TUBE_BLOCK)
-        draws = int(draws.sum())
-        p = hits.sum() / draws
+    columns = run(_tube, [(r,) for r in cfg.r_levels], cfg.t, size=_TUBE_BLOCK)
+    for r, (hits,) in zip(cfg.r_levels, columns):
+        draws = hits.size
+        p = np.count_nonzero(hits) / draws
         area = ball_area(0.5 * cfg.t + r)
         hw = 1.96 * area * math.sqrt(p * (1.0 - p) / draws)
         levels += [
@@ -411,11 +447,12 @@ def _drive_tube_mc(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
 
 
 def _drive_bg_convergence(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
-    (flight,) = run(_flight_disp, 0, (cfg.sigma, cfg.t), tag=_TAG_FLIGHT)
+    # The flight is one level with no parameters of its own.
+    [(flight,)] = run(_flight_disp, [()], cfg.sigma, cfg.t, tag=_TAG_FLIGHT)
     levels = []
-    for li, r in enumerate(cfg.r_levels):
-        lam = lambda_for(cfg.sigma, r)
-        disp, recollisions, events = run(_lorentz_disp, li, (lam, r, cfg.t), size=_LAZY_BLOCK)
+    lams = _lambdas(cfg)
+    columns = run(_lorentz_disp, list(zip(lams, cfg.r_levels)), cfg.t, size=_LAZY_BLOCK)
+    for li, (r, lam, (disp, recollisions, events)) in enumerate(zip(cfg.r_levels, lams, columns)):
         w1 = wasserstein1(disp, flight)
         hw = bootstrap_half_width_w1(disp, flight, _derive_rng(cfg.seed, _TAG_BOOT, li, 0))
         n = cfg.samples
@@ -428,7 +465,7 @@ def _drive_bg_convergence(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat
 
 
 def _drive_flight_baseline(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
-    (counts,) = run(_flight_count, 0, (cfg.sigma, cfg.t))
+    [(counts,)] = run(_flight_count, [()], cfg.sigma, cfg.t)
     counts = counts.astype(float)
     mean, hw = _mean_hw(counts)
     betas = sample_deflection(_derive_rng(cfg.seed, _TAG_AUX, 0, 0), cfg.samples)

@@ -48,7 +48,12 @@ def bootstrap_half_width_w1(
 ) -> float:
     """Half-width of the bootstrap percentile interval for wasserstein1(a, b).
 
-    Both samples are resampled with replacement independently.
+    Both samples are resampled with replacement independently.  The
+    interval ignores W1's upward bias: W1 between two finite samples is
+    positive even when they share one law, and for two gamma samples of one
+    law (n = 1 000 and 3 000, 300 trials each) it exceeded this half-width
+    in 77 % and 82 % of trials.  So "W1 +/- half-width excludes 0" is not
+    evidence that the two laws differ; a permutation null of W1 is.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

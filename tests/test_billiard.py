@@ -716,7 +716,7 @@ def test_explore_fresh_centers_unexplored_and_obstacle_left_never_next():
     cosh_r = math.cosh(r)
     record = []
     rng = _derive_rng(17, 0, 0, 0)
-    _, _, events, recollisions = _explore(UP, lam, r, t, rng, n, max_events=1000, record=record)
+    _, _, events, recollisions = _explore(UP, t, [(rng, n, lam, r)], max_events=1000, record=record)
     paths = [[] for _ in range(n)]
     for rows in record:
         for i, *row in zip(*(v.tolist() for v in rows)):
@@ -752,6 +752,44 @@ def test_explore_fresh_centers_unexplored_and_obstacle_left_never_next():
     assert fresh > 500 and known > 100
 
 
+def test_explore_blocks_together_match_each_block_alone():
+    # Blocks of three radii, a ragged last block, a block of one replica and
+    # a block whose trapped replica runs far more rounds than any other,
+    # advanced together: every replica ends where it ends when its block
+    # runs alone, bit for bit, every generator is left in the same state,
+    # and an event cap raises the same error.
+    t = 4.0
+    specs = [  # (stream, n, r)
+        ((31, 0, 0, 3), 100, 0.4),
+        ((31, 0, 1, 0), 256, 0.2),
+        ((31, 0, 2, 0), 256, 0.1),
+        ((31, 0, 2, 1), 37, 0.1),
+        ((31, 0, 1, 4), 1, 0.2),
+    ]
+
+    def blocks():
+        return [(_derive_rng(*key), n, 1.0 / (2.0 * math.sinh(r)), r) for key, n, r in specs]
+
+    alone, states = [], []
+    for block in blocks():
+        alone.append(_explore(UP, t, [block]))
+        states.append(repr(block[0].bit_generator.state))  # holds arrays: compare reprs
+    longest = [int(events.max()) for _, _, events, _ in alone]
+    assert longest[0] >= 20 and longest[0] > max(longest[1:])
+    together = blocks()
+    got = _explore(UP, t, together)
+    for want, col in zip(zip(*alone), got):
+        assert np.array_equal(np.concatenate(want), col)
+    assert [repr(block[0].bit_generator.state) for block in together] == states
+
+    cap = longest[0] - 1
+    with pytest.raises(RunawayError) as solo:
+        _explore(UP, t, blocks()[:1], max_events=cap)
+    with pytest.raises(RunawayError) as merged:
+        _explore(UP, t, blocks(), max_events=cap)
+    assert str(merged.value) == str(solo.value)
+
+
 def test_explore_matches_simulate_in_full_fields():
     # Lazy exploration against the billiard in a field sampled whole on the
     # annulus r < d <= t + r: the same law of the displacement (W1 between
@@ -771,7 +809,7 @@ def test_explore_matches_simulate_in_full_fields():
             )
         lazy = np.empty((3, n))
         for k in range(n // 256):
-            x, y, ev, rc = _explore(UP, lam, r, t, _derive_rng(seed, 1, 0, k), 256)
+            x, y, ev, rc = _explore(UP, t, [(_derive_rng(seed, 1, 0, k), 256, lam, r)])
             lazy[:, 256 * k : 256 * (k + 1)] = distance_xy(ORIGIN.x, ORIGIN.y, x, y), ev, rc > 0
         w1 = wasserstein1(full[0], lazy[0])
         rng = np.random.default_rng(seed)

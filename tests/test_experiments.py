@@ -252,6 +252,17 @@ def test_bg_convergence_experiment(tmp_path):
         assert rep.stat("mean_collisions", r=r).value == pytest.approx(2.0, rel=0.25)
 
 
+def test_bg_convergence_level_rows_do_not_depend_on_other_levels(tmp_path):
+    # The billiard streams of every level run as one batch: a level's rows
+    # are the same whichever levels run beside it.
+    rows = []
+    for levels in ((0.4, 0.2), (0.4, 0.2, 0.1)):
+        cfg = cfg_for(tmp_path / str(len(levels)), experiment="bg-convergence", sigma=1.0,
+                      r_levels=levels, t=2.0, samples=600, workers=len(levels) - 1)
+        rows.append([s for s in run_experiment(cfg).levels if s.r in (0.4, 0.2)])
+    assert len(rows[0]) == 6 and rows[0] == rows[1]
+
+
 def test_bg_convergence_long_time(tmp_path):
     # At t = 10 a path collides about 10 times, and a trapped one a hundred
     # times or more: the run finishes, and its mean collision count is the
@@ -260,7 +271,7 @@ def test_bg_convergence_long_time(tmp_path):
     cfg = cfg_for(tmp_path, experiment="bg-convergence", sigma=1.0, r_levels=(0.1,), t=10.0, samples=1024)
     mean = run_experiment(cfg).stat("mean_collisions", r=0.1).value
     with experiments._Runner(cfg) as run:
-        *_, events = run(experiments._lorentz_disp, 0, (lambda_for(1.0, 0.1), 0.1, 10.0), size=_LAZY_BLOCK)
+        [(*_, events)] = run(experiments._lorentz_disp, [(lambda_for(1.0, 0.1), 0.1)], 10.0, size=_LAZY_BLOCK)
     assert mean == events.mean()
     assert abs(mean - 10.0) < 4.0 * events.std(ddof=1) / math.sqrt(events.size)
 
