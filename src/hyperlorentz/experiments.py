@@ -5,20 +5,20 @@ one runner, ``_Runner``: stream k of level L is a counter-based Philox
 stream keyed by the tuple (seed, tag, L, k) and covers replicas [kB,
 (k+1)B) for a fixed block size B.  free-path and deflection draw blocks of
 B = 8192 replicas from one stream, tube-mc counts blocks of 200 000 draws,
-and the bg-convergence billiard levels explore blocks of B = 256 fields
-lazily.  The other experiments, and the bg-convergence flight, keep one
+and bg-convergence draws blocks of B = 256 flights and of 256 billiards in
+fields explored lazily.  nearest-neighbor and flight-baseline keep one
 stream per replica (B = 1).  The runner cuts the streams of all of a
 call's levels, level by level, into chunks of at most 8192 replicas (or
 one stream), so a chunk may mix levels, and runs each chunk through one
-kernel call.  The lazy billiard, nearest-neighbor and the flight advance
-the replicas of a chunk together (fields in batches of at most 16 384
-obstacles), each block or replica drawing from its own stream as it would
-alone, so that no result depends on the chunk.  B and the caps never
-depend on the worker count or the sample count, and the runner returns
-per-stream results per level, in stream order, so reports depend only on
-the configuration and are byte-identical for any worker count.  One
-process pool serves the whole run, with no more workers than there are
-chunks of streams.
+kernel call.  The lazy billiard, the bg-convergence flight and
+nearest-neighbor advance the blocks or replicas of a chunk together
+(fields in batches of at most 16 384 obstacles), each drawing from its
+own stream as it would alone, so that no result depends on the chunk.
+B and the caps never depend on the worker count or the sample count, and
+the runner returns per-stream results per level, in stream order, so
+reports depend only on the configuration and are byte-identical for any
+worker count.  One process pool serves the whole run, with no more
+workers than there are chunks of streams.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -309,10 +309,10 @@ def _columns(parts):
 
 # Kernels: kernel(rngs, sizes, params, *args) -> tuple of columns over the
 # replicas of a chunk of streams, params[i] being stream i's level
-# parameters.  _first_collisions, _lorentz_disp and _tube run a block of
-# replicas per stream, _lorentz_disp's in fields revealed along their paths;
-# the other kernels but _flight_count run one replica per stream and
-# advance their streams together.
+# parameters.  _first_collisions, _lorentz_disp, _flight_disp and _tube run
+# a block of replicas per stream, _lorentz_disp's in fields revealed along
+# their paths; _nearest runs one replica per stream and advances its streams
+# together, and _flight_count one path at a time.
 
 def _first_collisions(rngs, sizes, params, horizon):
     return _columns([
@@ -341,7 +341,7 @@ def _lorentz_disp(rngs, sizes, params, t):
 
 
 def _flight_disp(rngs, sizes, params, sigma, t):
-    x, y, _ = _flight_ends(_START, FlightConfig(sigma, t), rngs)
+    x, y, _ = _flight_ends(_START, FlightConfig(sigma, t), zip(rngs, sizes))
     return (distance_xy(_START.point.x, _START.point.y, x, y),)
 
 
@@ -448,7 +448,7 @@ def _drive_tube_mc(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
 
 def _drive_bg_convergence(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     # The flight is one level with no parameters of its own.
-    [(flight,)] = run(_flight_disp, [()], cfg.sigma, cfg.t, tag=_TAG_FLIGHT)
+    [(flight,)] = run(_flight_disp, [()], cfg.sigma, cfg.t, tag=_TAG_FLIGHT, size=_LAZY_BLOCK)
     levels = []
     lams = _lambdas(cfg)
     columns = run(_lorentz_disp, list(zip(lams, cfg.r_levels)), cfg.t, size=_LAZY_BLOCK)

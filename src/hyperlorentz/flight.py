@@ -11,7 +11,6 @@ so simulating it doubles as solving that equation stochastically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .billiard import (
     DEFAULT_MAX_EVENTS,
     Trajectory,
     _run_events,
-    _runaway,
     _trajectory,
     position_at,
 )
@@ -55,50 +53,33 @@ def _deflection(u):
     return 4.0 * np.arcsin(np.sqrt(u))
 
 
-def _draw_turns(rng: np.random.Generator, cfg: FlightConfig, max_events: int):
-    """The draws of one path, in the order it makes them: a gap, then, while
-    the path is inside the horizon, a deflection's uniform and the next gap.
+def _rules(cfg: FlightConfig, blocks):
+    """The arguments n, horizon, step and turn of :func:`_run_events` for
+    flights in blocks (rng, n) of paths, in order.
 
-    Returns (gaps, uniforms) lists; a path with more than ``max_events``
-    turns raises :class:`RunawayError` after its last gap.
+    Each round, every block with live paths draws, from its own generator,
+    an Exp(sigma) gap for each of its m live paths, then a deflection's
+    uniform for each that turns; a block with none draws nothing.  So a
+    path's draws are a gap, then, while it is inside the horizon, a uniform
+    and the next gap, and a block draws what it draws alone.
     """
+    rngs, sizes = zip(*blocks)
+    block = np.repeat(np.arange(len(rngs)), sizes)
     scale = 1.0 / cfg.sigma
-    gaps, us = [rng.exponential(scale)], []
-    t = 0.0
-    while t + gaps[-1] < cfg.horizon:
-        if len(us) >= max_events:
-            raise _runaway(max_events)
-        t += gaps[-1]
-        us.append(rng.random())
-        gaps.append(rng.exponential(scale))
-    return gaps, us
 
-
-def _replay(draws):
-    """The flight's step and turn for the paths of the given draws: round k
-    takes gap k and deflection k of each live path."""
-    gaps = _padded([gs for gs, _ in draws])
-    betas = _deflection(_padded([us for _, us in draws]))
-    k = 0  # turns so far, the same for every live path
+    def draw(live, method, *args):
+        if len(rngs) == 1:  # one block, as in simulate_flight: skip the grouping
+            return method(rngs[0], *args, live.size)
+        counts = np.bincount(block[live], minlength=len(rngs)).tolist()
+        return np.concatenate([method(rng, *args, m) for rng, m in zip(rngs, counts) if m])
 
     def step(live, x, y, alpha, t_left, last):
-        return gaps[k, live], last
+        return draw(live, np.random.Generator.exponential, scale), last
 
     def turn(live, ix, iy, pre, idx):
-        nonlocal k
-        post = (pre + betas[k, live]) % TWO_PI
-        k += 1
-        return post
+        return (pre + _deflection(draw(live, np.random.Generator.random))) % TWO_PI
 
-    return step, turn
-
-
-def _padded(lists):
-    """The lists as the columns of one array, padded with zeros."""
-    out = np.zeros((max(map(len, lists)), len(lists)))
-    for j, v in enumerate(lists):
-        out[: len(v), j] = v
-    return out
+    return block.size, cfg.horizon, step, turn
 
 
 def simulate_flight(
@@ -109,30 +90,31 @@ def simulate_flight(
 ) -> Trajectory:
     """Sample one random-flight path up to the horizon.
 
-    Exp(sigma) gaps and :func:`sample_deflection` turns, drawn in that
-    order; turn events carry obstacle index -1.  A run of
-    :func:`_flight_ends` with one generator, recorded.
+    Exp(sigma) gaps and :func:`sample_deflection` turns, drawn alternately
+    from rng, a gap first; turn events carry obstacle index -1.  A run of
+    :func:`_flight_ends` with one block of one path, recorded.
     """
-    step, turn = _replay([_draw_turns(rng, cfg, max_events)])
     record: list = []
-    _run_events(s0, 1, cfg.horizon, step, turn, max_events, record)
+    _run_events(s0, *_rules(cfg, [(rng, 1)]), max_events, record)
     return _trajectory(s0, cfg.horizon, record)
 
 
 def _flight_ends(
     s0: State,
     cfg: FlightConfig,
-    rngs: Sequence[np.random.Generator],
+    blocks,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One flight per generator from s0, advanced together.
+    """Flights from s0 in blocks (rng, n) of n paths that draw from rng,
+    advanced together.
 
-    Returns (x, y, events) arrays: the position at the horizon and the
-    number of turns of each path, bit for bit those of
-    :func:`simulate_flight` with the same generator.
+    Returns (x, y, events) arrays over the blocks' paths in order: the
+    position at the horizon and the number of turns of each path.  Every
+    path ends, bit for bit, where it ends when its block runs alone, and
+    leaves its generator in the same state; a block of one is
+    :func:`simulate_flight`'s path.
     """
-    step, turn = _replay([_draw_turns(rng, cfg, max_events) for rng in rngs])
-    return _run_events(s0, len(rngs), cfg.horizon, step, turn, max_events)
+    return _run_events(s0, *_rules(cfg, blocks), max_events)
 
 
 def flight_displacement(traj: Trajectory, t: float) -> float:

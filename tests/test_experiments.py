@@ -143,7 +143,9 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch):
             workers=1000,
         )
     )
-    assert made == [2, 5]
+    # bg-convergence at 5 samples: its flight is one block of 5, one chunk
+    # run without a pool; its billiard one block per level, 3 chunks.
+    assert made == [2, 3]
 
 
 def test_failed_report_write_keeps_previous_pair(tmp_path, monkeypatch):

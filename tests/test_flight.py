@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.integrate import solve_ivp
 
 from hyperlorentz import (
     Direction,
@@ -191,7 +193,7 @@ def test_flight_batch_matches_one_path_at_a_time():
     want = [reference_flight(START, cfg, rng, 10**6) for rng in rngs()]
     counts = [w[2] for w in want]
     assert min(counts) == 0 and max(counts) >= 6
-    x, y, events = _flight_ends(START, cfg, rngs())
+    x, y, events = _flight_ends(START, cfg, [(rng, 1) for rng in rngs()])
     assert list(zip(x, y, events)) == want
     for rng, (wx, wy, wn) in zip(rngs(), want):
         traj = simulate_flight(START, cfg, rng)
@@ -200,11 +202,84 @@ def test_flight_batch_matches_one_path_at_a_time():
     # Every path leaves its generator where the plain loop does.
     for ref, rng in zip(rngs(), rngs()):
         reference_flight(START, cfg, ref, 10**6)
-        _flight_ends(START, cfg, [rng])
+        _flight_ends(START, cfg, [(rng, 1)])
         assert ref.random() == rng.random()
 
     cap = max(counts) - 1
     with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
-        _flight_ends(START, cfg, rngs(), cap)
+        _flight_ends(START, cfg, [(rng, 1) for rng in rngs()], cap)
     with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
         simulate_flight(START, cfg, rngs()[counts.index(max(counts))], cap)
+
+
+def test_flight_blocks_together_match_each_block_alone():
+    # Blocks of 256, a ragged block and a block of one, advanced together:
+    # every path ends where it ends when its block runs alone, bit for bit,
+    # every generator is left in the same state, and an event cap raises
+    # the same error.
+    cfg = FlightConfig(1.5, 4.0)
+    specs = [((13, 1, 0, 0), 256), ((13, 1, 0, 1), 256), ((13, 1, 0, 2), 37), ((13, 1, 0, 3), 1)]
+
+    def blocks():
+        return [(_derive_rng(*key), n) for key, n in specs]
+
+    alone, states = [], []
+    for block in blocks():
+        alone.append(_flight_ends(START, cfg, [block]))
+        states.append(repr(block[0].bit_generator.state))  # holds arrays: compare reprs
+    longest = [int(events.max()) for *_, events in alone]
+    assert min(longest) >= 1
+    together = blocks()
+    got = _flight_ends(START, cfg, together)
+    for want, col in zip(zip(*alone), got):
+        assert np.array_equal(np.concatenate(want), col)
+    assert [repr(block[0].bit_generator.state) for block in together] == states
+
+    k = longest.index(max(longest))
+    cap = longest[k] - 1
+    with pytest.raises(RunawayError) as solo:
+        _flight_ends(START, cfg, blocks()[k : k + 1], cap)
+    with pytest.raises(RunawayError) as merged:
+        _flight_ends(START, cfg, blocks(), cap)
+    assert str(merged.value) == str(solo.value)
+
+
+def mean_cosh_displacement(sigma, t):
+    """E cosh d_t of the flight: m'' + (4 sigma / 3) m' - m = 0, m(0) = 1,
+    m'(0) = 0, as E cos beta = -1/3 under the deflection law."""
+    kappa = 2.0 * sigma / 3.0
+    omega = math.hypot(1.0, kappa)
+    return math.exp(-kappa * t) * (math.cosh(omega * t) + kappa / omega * math.sinh(omega * t))
+
+
+def test_mean_cosh_displacement_solves_its_ode():
+    ts = np.linspace(0.0, 5.0, 11)
+    for sigma in (0.5, 1.0, 2.0):
+        sol = solve_ivp(
+            lambda t, m: [m[1], m[0] - 4.0 * sigma / 3.0 * m[1]],
+            (0.0, 5.0), [1.0, 0.0], t_eval=ts, rtol=1e-11, atol=1e-12,
+        )
+        assert sol.y[0] == pytest.approx([mean_cosh_displacement(sigma, t) for t in ts], rel=1e-8)
+
+
+def test_block_flight_matches_closed_form_moments():
+    # 10^5 paths in blocks of 256 per config: the mean of cosh d_t against
+    # its closed form, and the turn count's mean and variance against
+    # Poisson(sigma t), all nine inside one family-wise 0.999 normal band.
+    n, size = 100_000, 256
+    z_band = sps.norm.isf(0.001 / (2 * 9))
+    zs = []
+    for (sigma, t), seed in zip(((1.0, 2.0), (2.0, 3.0), (1.0, 4.0)), itertools.count(70)):
+        blocks = [(_derive_rng(seed, 0, 0, k), min(size, n - k * size)) for k in range(-(-n // size))]
+        x, y, events = _flight_ends(START, FlightConfig(sigma, t), blocks)
+        assert x.size == n
+        cosh_d = (x * x + y * y + 1.0) / (2.0 * y)  # from (0, 1)
+        counts = events.astype(float)
+        var = counts.var(ddof=1)
+        m4 = ((counts - counts.mean()) ** 4).mean()
+        zs += [
+            (cosh_d.mean() - mean_cosh_displacement(sigma, t)) / (cosh_d.std(ddof=1) / math.sqrt(n)),
+            (counts.mean() - sigma * t) / math.sqrt(var / n),
+            (var - sigma * t) / math.sqrt((m4 - var * var) / n),
+        ]
+    assert max(map(abs, zs)) < z_band, zs
