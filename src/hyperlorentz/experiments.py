@@ -113,7 +113,7 @@ _START = State(Point(0.0, 1.0), Direction(0.5 * math.pi))
 
 _TUBE_BLOCK = 200_000  # rejection draws per deterministic block
 _FC_BLOCK = 8192  # first-collision replicas per deterministic block
-_LAZY_BLOCK = 256  # bg-convergence billiard replicas per deterministic block
+_LAZY_BLOCK = 256  # bg-convergence flight paths or billiard fields per deterministic block
 _BATCH = 8192  # replicas per kernel call, unless one stream holds more
 
 

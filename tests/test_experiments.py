@@ -139,12 +139,12 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch):
             sigma=1.0,
             r_levels=(0.4, 0.2, 0.1),
             t=1.0,
-            samples=5,
+            samples=2 * experiments._LAZY_BLOCK + 1,
             workers=1000,
         )
     )
-    # bg-convergence at 5 samples: its flight is one block of 5, one chunk
-    # run without a pool; its billiard one block per level, 3 chunks.
+    # bg-convergence at 513 samples: its flight is 3 blocks in 3 chunks and
+    # makes a pool of 3; its billiard's 9 blocks in 9 chunks reuse that pool.
     assert made == [2, 3]
 
 
