@@ -17,8 +17,10 @@ own stream as it would alone, so that no result depends on the chunk.
 B and the caps never depend on the worker count or the sample count, and
 the runner returns per-stream results per level, in stream order, so
 reports depend only on the configuration and are byte-identical for any
-worker count.  One process pool serves the whole run, with no more
-workers than there are chunks of streams.
+worker count.  One process pool serves the whole run: the first call
+with more than one chunk starts k = min(workers, chunks) - 1 worker
+processes, and from then on the calling process runs every (k+1)-th chunk
+of a call itself while the pool runs the others.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -260,18 +262,25 @@ class _Runner:
     The kernel returns a tuple of columns with one entry per replica, in
     stream order; ``run`` returns one such tuple per level, whatever the
     chunks and the workers.
+
+    At workers > 1 a call of more than one chunk runs them on one pool of
+    k worker processes beside the caller, k = min(workers, chunks) - 1 at
+    the run's first such call: the caller runs chunks 0, k+1, 2(k+1), ...
+    itself while the pool runs the others, and the results are put back in
+    chunk order.  Later calls reuse that pool.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self._pool = None
+        self._pool_size = 0
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         if self._pool is not None:
-            self._pool.shutdown()
+            self._pool.shutdown(cancel_futures=True)
 
     def __call__(self, kernel, levels, *args, tag=_TAG_REPLICA, size=1):
         cfg = self.cfg
@@ -292,9 +301,14 @@ class _Runner:
             parts = map(run, chunks)
         else:
             if self._pool is None:
-                # A fork pool starts all its workers at once: no more than there is work for.
-                self._pool = ProcessPoolExecutor(max_workers=min(cfg.workers, len(chunks)))
-            parts = self._pool.map(run, chunks)
+                # A fork pool starts all its workers at once: no more than there
+                # is work for beside the caller.
+                self._pool_size = min(cfg.workers, len(chunks)) - 1
+                self._pool = ProcessPoolExecutor(max_workers=self._pool_size)
+            step = self._pool_size + 1
+            theirs = self._pool.map(run, [c for i, c in enumerate(chunks) if i % step])
+            mine = iter([run(c) for c in chunks[::step]])
+            parts = [next(theirs if i % step else mine) for i in range(len(chunks))]
         per_level = [[] for _ in levels]
         for ranges, pieces in zip(chunks, parts):
             for (L, *_), piece in zip(ranges, pieces):

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -109,29 +111,42 @@ def test_block_reports_identical_across_worker_counts(tmp_path):
 
 
 def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch):
-    # A fork pool starts all its workers at once, wanted or not.
-    made = []
+    # A fork pool starts all its workers at once, wanted or not; the caller
+    # runs its own share of the chunks, so the pool needs one worker fewer.
+    made, ran, in_pool = [], [], [False]
 
     class SerialPool:
         def __init__(self, max_workers):
             made.append(max_workers)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, chunks):
+            def remote(chunk):
+                in_pool[0] = True
+                try:
+                    return fn(chunk)
+                finally:
+                    in_pool[0] = False
 
-        def shutdown(self, wait=True):
+            return map(remote, list(chunks))
+
+        def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-        def __enter__(self):
-            return self
+    run_chunk = experiments._run_chunk
 
-        def __exit__(self, *exc):
-            self.shutdown()
+    def spy(kernel, args, seed, tag, total, size, ranges):
+        streams = [(L, k) for L, _, lo, hi in ranges for k in range(lo, hi)]
+        ran.append((kernel.__name__, "pool" if in_pool[0] else "caller", streams))
+        return run_chunk(kernel, args, seed, tag, total, size, ranges)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments, "_run_chunk", spy)
     run_experiment(
         cfg_for(tmp_path / "a", experiment="flight-baseline", r_levels=(), samples=2, workers=1000)
     )
+    # flight-baseline at 2 samples: 2 one-stream chunks, a pool of 1.
+    assert ran == [("_flight_count", "caller", [(0, 0)]), ("_flight_count", "pool", [(0, 1)])]
+    ran.clear()
     run_experiment(
         cfg_for(
             tmp_path / "b",
@@ -144,8 +159,32 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch):
         )
     )
     # bg-convergence at 513 samples: its flight is 3 blocks in 3 chunks and
-    # makes a pool of 3; its billiard's 9 blocks in 9 chunks reuse that pool.
-    assert made == [2, 3]
+    # makes a pool of 2; its billiard's 9 blocks in 9 chunks reuse that pool.
+    assert made == [1, 2]
+    # With a pool of 2 the caller runs chunks 0, 3, 6, ...: here stream 0
+    # of every level, and the pool every other stream; no chunk runs twice.
+    def streams_of(kernel, place):
+        return sorted(s for name, where, streams in ran if (name, where) == (kernel, place) for s in streams)
+
+    for kernel, levels in (("_flight_disp", 1), ("_lorentz_disp", 3)):
+        assert streams_of(kernel, "caller") == [(L, 0) for L in range(levels)]
+        assert streams_of(kernel, "pool") == [(L, k) for L in range(levels) for k in (1, 2)]
+    assert len(ran) == 3 + 9
+
+
+def _fail_in_caller(rngs, sizes, params, caller_pid):
+    if os.getpid() == caller_pid:
+        raise RuntimeError("chunk failed in the caller")
+    return (np.zeros(sum(sizes)),)
+
+
+def test_failure_in_callers_chunk_propagates_and_shuts_the_pool(tmp_path):
+    run = experiments._Runner(cfg_for(tmp_path, samples=4, workers=2))
+    with pytest.raises(RuntimeError, match="chunk failed in the caller"):
+        with run:
+            run(_fail_in_caller, [()], os.getpid())
+    assert run._pool is not None  # the pool ran the other chunks
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_report_write_keeps_previous_pair(tmp_path, monkeypatch):
