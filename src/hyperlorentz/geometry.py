@@ -52,12 +52,13 @@ __all__ = [
 def distance_xy(x1, y1, x2, y2):
     """Hyperbolic distance between (x1, y1) and (x2, y2).
 
-    cosh d = ((x1-x2)^2 + y1^2 + y2^2) / (2 y1 y2); the argument is clamped
-    to >= 1 so that rounding noise near coincident points cannot take
-    arccosh out of its domain.
+    sinh(d/2)^2 = |z1 - z2|^2 / (4 y1 y2), z = x + iy.  Unlike arccosh of
+    cosh d = 1 + |z1 - z2|^2 / (2 y1 y2), which loses half the digits near
+    0 (an absolute error of about 2e-8), this form keeps full relative
+    precision at every distance.
     """
-    arg = ((x1 - x2) ** 2 + y1 * y1 + y2 * y2) / (2.0 * y1 * y2)
-    return np.arccosh(np.maximum(arg, 1.0))
+    dx, dy = x1 - x2, y1 - y2
+    return 2.0 * np.arcsinh(np.sqrt((dx * dx + dy * dy) / (4.0 * y1 * y2)))
 
 
 def flow_xy(x0, y0, alpha, t):

@@ -23,7 +23,7 @@ from hyperlorentz import (
     normalizing_map,
     rotate_direction,
 )
-from hyperlorentz.geometry import flow_ahead, flow_angle, flow_xy
+from hyperlorentz.geometry import distance_xy, flow_ahead, flow_angle, flow_xy
 from util import angle_diff, random_mobius, random_point, random_state
 
 TWO_PI = 2.0 * math.pi
@@ -58,6 +58,23 @@ def test_distance_clamps_rounding_noise():
     q = Point(0.1 + 1e-17, 0.7)
     d = hyp_distance(p, q)
     assert math.isfinite(d) and d >= 0.0
+
+
+def test_distance_keeps_relative_precision_at_every_range():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    rng = np.random.default_rng(8)
+    eps = np.finfo(float).eps
+    for reach in 10.0 ** np.linspace(-15.0, 1.0, 33):
+        x1 = rng.uniform(-3.0, 3.0, 16)
+        y1 = np.exp(rng.uniform(-2.0, 2.0, 16))
+        x2, y2 = flow_xy(x1, y1, rng.uniform(0.0, TWO_PI, 16), reach)
+        got = distance_xy(x1, y1, x2, y2)
+        for i in range(16):
+            a, b, c, d = (mp.mpf(float(v)) for v in (x1[i], y1[i], x2[i], y2[i]))
+            exact = mp.acosh(1 + ((a - c) ** 2 + (b - d) ** 2) / (2 * b * d))
+            assert exact > 0
+            assert abs(mp.mpf(float(got[i])) - exact) <= 4 * eps * exact, (reach, i)
 
 
 # ---------------------------------------------------------------------------
