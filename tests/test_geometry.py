@@ -62,7 +62,6 @@ def test_distance_clamps_rounding_noise():
 
 def test_distance_keeps_relative_precision_at_every_range():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 60
     rng = np.random.default_rng(8)
     eps = np.finfo(float).eps
     for reach in 10.0 ** np.linspace(-15.0, 1.0, 33):
@@ -71,10 +70,11 @@ def test_distance_keeps_relative_precision_at_every_range():
         x2, y2 = flow_xy(x1, y1, rng.uniform(0.0, TWO_PI, 16), reach)
         got = distance_xy(x1, y1, x2, y2)
         for i in range(16):
-            a, b, c, d = (mp.mpf(float(v)) for v in (x1[i], y1[i], x2[i], y2[i]))
-            exact = mp.acosh(1 + ((a - c) ** 2 + (b - d) ** 2) / (2 * b * d))
-            assert exact > 0
-            assert abs(mp.mpf(float(got[i])) - exact) <= 4 * eps * exact, (reach, i)
+            with mp.workdps(60):
+                a, b, c, d = (mp.mpf(float(v)) for v in (x1[i], y1[i], x2[i], y2[i]))
+                exact = mp.acosh(1 + ((a - c) ** 2 + (b - d) ** 2) / (2 * b * d))
+                assert exact > 0
+                assert abs(mp.mpf(float(got[i])) - exact) <= 4 * eps * exact, (reach, i)
 
 
 # ---------------------------------------------------------------------------
