@@ -30,16 +30,6 @@ def _r_levels(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
 
 
-def _default_workers() -> int:
-    env = os.environ.get("HYPERLORENTZ_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=1.0, help="collision rate (default 1.0)")
     p.add_argument(
@@ -56,7 +46,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers",
         type=int,
-        default=_default_workers(),
+        # argparse converts a string default with type, so a bad value exits 2.
+        default=os.environ.get("HYPERLORENTZ_WORKERS") or "1",
         help="worker process count (default 1, or HYPERLORENTZ_WORKERS)",
     )
     p.add_argument("--out", default="hyperlorentz-out", help="output directory")

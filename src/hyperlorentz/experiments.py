@@ -7,20 +7,21 @@ stream keyed by the tuple (seed, tag, L, k) and covers replicas [kB,
 B = 8192 replicas from one stream, tube-mc counts blocks of 200 000 draws,
 and bg-convergence draws blocks of B = 256 flights and of 256 billiards in
 fields explored lazily.  nearest-neighbor and flight-baseline keep one
-stream per replica (B = 1).  The runner cuts the streams of all of a
-call's levels, level by level, into chunks of at most 8192 replicas (or
-one stream), so a chunk may mix levels, and runs each chunk through one
-kernel call.  The lazy billiard, the bg-convergence flight and
-nearest-neighbor advance the blocks or replicas of a chunk together
-(fields in batches of at most 16 384 obstacles), each drawing from its
-own stream as it would alone, so that no result depends on the chunk.
-B and the caps never depend on the worker count or the sample count, and
-the runner returns per-stream results per level, in stream order, so
-reports depend only on the configuration and are byte-identical for any
-worker count.  One process pool serves the whole run: the first call
-with more than one chunk starts k = min(workers, chunks) - 1 worker
-processes, and from then on the calling process runs every (k+1)-th chunk
-of a call itself while the pool runs the others.
+stream per replica (B = 1).  The runner numbers the streams of all of a
+call's levels, level by level, and cuts them into ranges of at most 8192
+replicas (or one stream), so a chunk may mix levels.  Each chunk is one
+kernel call on one block ``(rng, m, *level parameters)`` per stream, the
+one block type from the runner down to the engines.  The lazy billiard,
+the bg-convergence flight and nearest-neighbor advance the blocks of a
+chunk together (fields in batches of at most 16 384 obstacles), each
+drawing from its own stream as it would alone, so that no result depends
+on the chunk.  B and the caps never depend on the worker count or the
+sample count, and the runner returns per-stream results per level, in
+stream order, so reports depend only on the configuration and are
+byte-identical for any worker count.  One process pool serves the whole
+run: the first call with more than one chunk starts k = min(workers,
+chunks) - 1 worker processes, and from then on the calling process runs
+every (k+1)-th chunk of a call itself while the pool runs the others.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -69,6 +70,7 @@ from .geometry import (
     distance_xy,
 )
 from .obstacles import (
+    BallRegion,
     _sample_fields,
     expected_T1,
     nearest_neighbor_tail,
@@ -124,6 +126,17 @@ def lambda_for(sigma: float, r: float) -> float:
     return sigma / (2.0 * math.sinh(r))
 
 
+def _checked_lambda(sigma: float, r: float) -> float:
+    """lambda_for(sigma, r), which must be positive and finite."""
+    try:
+        lam = lambda_for(sigma, r)
+    except OverflowError:  # sinh r overflows, so lambda underflows
+        lam = 0.0
+    if not (0.0 < lam < math.inf):
+        raise ValidationError(f"r = {r} gives intensity {lam}; it must be positive and finite")
+    return lam
+
+
 def exp_cdf(rate: float):
     return lambda x: -np.expm1(-rate * np.asarray(x, dtype=float))
 
@@ -159,6 +172,11 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; choose one of {', '.join(EXPERIMENTS)}"
             )
         object.__setattr__(self, "r_levels", tuple(float(r) for r in self.r_levels))
+        for name in ("samples", "seed", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
         if self.workers < 1:
@@ -173,6 +191,8 @@ class ExperimentConfig:
                 raise ValidationError(f"{self.experiment} needs at least one r level")
             if any(r <= 0.0 for r in self.r_levels):
                 raise ValidationError("r levels must be positive")
+            for r in self.r_levels:
+                _checked_lambda(self.sigma, r)
         if self.experiment == "bg-convergence" and any(
             r2 >= r1 for r1, r2 in zip(self.r_levels, self.r_levels[1:])
         ):
@@ -234,34 +254,29 @@ def _derive_rng(seed: int, tag: int, level: int, index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
 
 
-def _run_chunk(kernel, args, seed, tag, total, size, ranges):
-    """One kernel call over a chunk of streams, given as (level, params, lo, hi)
-    ranges of streams of one level each; returns its columns cut per range."""
-    rngs, sizes, params, cuts = [], [], [], []
-    for level, p, lo, hi in ranges:
-        ks = range(lo, hi)
-        rngs += [_derive_rng(seed, tag, level, k) for k in ks]
-        sizes += [min(size, total - k * size) for k in ks]
-        params += [p] * len(ks)
-        cuts.append(sum(sizes))
-    columns = kernel(rngs, sizes, params, *args)
-    return list(zip(*(np.split(c, cuts[:-1]) for c in columns)))
+def _run_chunk(kernel, args, seed, tag, samples, size, levels, streams):
+    """One kernel call on the blocks of a range of streams i = L*n + k."""
+    n = -(-samples // size)
+    blocks = [
+        (_derive_rng(seed, tag, L, k), min(size, samples - k * size), *levels[L])
+        for L, k in (divmod(i, n) for i in streams)
+    ]
+    return kernel(blocks, *args)
 
 
 class _Runner:
     """Runs kernels over the streams of one run, on one process pool.
 
     ``run(kernel, levels, *args, tag=tag, size=size)`` runs the streams of
-    every level together: level L has parameters ``levels[L]``, and its
-    stream k draws from ``_derive_rng(cfg.seed, tag, L, k)`` and covers
-    replicas [k*size, k*size + m), m = min(size, samples - k*size).  The
-    streams, level by level, are cut into consecutive chunks of at most
-    ``_BATCH`` replicas (or one stream), so a chunk may hold streams of
-    several levels, and each chunk is one call ``kernel(rngs, sizes,
-    params, *args)``, params[i] being the parameters of stream i's level.
-    The kernel returns a tuple of columns with one entry per replica, in
-    stream order; ``run`` returns one such tuple per level, whatever the
-    chunks and the workers.
+    every level together.  With n streams per level, stream i = L*n + k is
+    stream k of level L: it draws from ``_derive_rng(cfg.seed, tag, L, k)``
+    and covers replicas [k*size, k*size + m), m = min(size, samples -
+    k*size).  The streams are cut into consecutive ranges of at most
+    ``_BATCH`` replicas (or one stream), so a chunk may mix levels, and each
+    chunk is one call ``kernel(blocks, *args)``, one block ``(rng, m,
+    *levels[L])`` per stream.  The kernel returns a tuple of columns with one
+    entry per replica, in block order; ``run`` returns one such tuple per
+    level, of views into shared arrays, whatever the chunks and the workers.
 
     At workers > 1 a call of more than one chunk runs them on one pool of
     k worker processes beside the caller, k = min(workers, chunks) - 1 at
@@ -284,19 +299,14 @@ class _Runner:
 
     def __call__(self, kernel, levels, *args, tag=_TAG_REPLICA, size=1):
         cfg = self.cfg
-        n = -(-cfg.samples // size)  # streams per level
-        total = n * len(levels)
+        total = -(-cfg.samples // size) * len(levels)
         # The fewest chunks of at most cap streams, in a multiple of the
         # worker count, all of one size but the last.
         cap = max(1, _BATCH // size)
         count = cfg.workers * -(-total // (cfg.workers * cap))
         chunk = -(-total // count)
-        chunks = []
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            chunks.append([(L, levels[L], max(lo - L * n, 0), min(hi - L * n, n))
-                           for L in range(lo // n, (hi - 1) // n + 1)])
-        run = partial(_run_chunk, kernel, args, cfg.seed, tag, cfg.samples, size)
+        chunks = [range(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        run = partial(_run_chunk, kernel, args, cfg.seed, tag, cfg.samples, size, levels)
         if cfg.workers == 1 or len(chunks) == 1:
             parts = map(run, chunks)
         else:
@@ -309,11 +319,8 @@ class _Runner:
             theirs = self._pool.map(run, [c for i, c in enumerate(chunks) if i % step])
             mine = iter([run(c) for c in chunks[::step]])
             parts = [next(theirs if i % step else mine) for i in range(len(chunks))]
-        per_level = [[] for _ in levels]
-        for ranges, pieces in zip(chunks, parts):
-            for (L, *_), piece in zip(ranges, pieces):
-                per_level[L].append(piece)
-        return [_columns(p) for p in per_level]
+        # Every level has cfg.samples entries in every column.
+        return list(zip(*(np.split(col, len(levels)) for col in _columns(parts))))
 
 
 def _columns(parts):
@@ -321,50 +328,46 @@ def _columns(parts):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-# Kernels: kernel(rngs, sizes, params, *args) -> tuple of columns over the
-# replicas of a chunk of streams, params[i] being stream i's level
-# parameters.  _first_collisions, _lorentz_disp, _flight_disp and _tube run
-# a block of replicas per stream, _lorentz_disp's in fields revealed along
+# Kernels: kernel(blocks, *args) -> tuple of columns over the replicas of a
+# chunk's blocks (rng, m, *level parameters), one block per stream, in
+# order.  _first_collisions, _lorentz_disp, _flight_disp and _tube run a
+# block of m replicas per stream, _lorentz_disp's in fields revealed along
 # their paths; _nearest runs one replica per stream and advances its streams
 # together, and _flight_count one path at a time.
 
-def _first_collisions(rngs, sizes, params, horizon):
-    return _columns([
-        sample_first_collisions(lam, r, horizon, rng, m)
-        for rng, m, (lam, r) in zip(rngs, sizes, params)
-    ])
+def _first_collisions(blocks, horizon):
+    return _columns([sample_first_collisions(lam, r, horizon, rng, m) for rng, m, lam, r in blocks])
 
 
-def _nearest(rngs, sizes, params):
+def _nearest(blocks):
     parts = []
-    for (lam, R), group in groupby(zip(params, rngs), key=itemgetter(0)):
-        for fields in _sample_fields(lam, _START.point, R, 0.0, [rng for _, rng in group], radius=R):
-            d = distance_xy(fields.x, fields.y, _START.point.x, _START.point.y)
-            hit = fields.counts > 0
+    for (lam, R), group in groupby(blocks, key=itemgetter(2, 3)):
+        for x, y, counts in _sample_fields(lam, BallRegion(_START.point, R), [rng for rng, *_ in group]):
+            d = distance_xy(x, y, _START.point.x, _START.point.y)
+            hit = counts > 0
             near = np.full(len(hit), R)
             if d.size:
-                near[hit] = np.minimum.reduceat(d, (np.cumsum(fields.counts) - fields.counts)[hit])
+                near[hit] = np.minimum.reduceat(d, (np.cumsum(counts) - counts)[hit])
             parts.append((near, ~hit))
     return _columns(parts)
 
 
-def _lorentz_disp(rngs, sizes, params, t):
-    blocks = [(rng, m, lam, r) for rng, m, (lam, r) in zip(rngs, sizes, params)]
+def _lorentz_disp(blocks, t):
     x, y, events, recollisions = _explore(_START, t, blocks)
     return distance_xy(_START.point.x, _START.point.y, x, y), recollisions, events
 
 
-def _flight_disp(rngs, sizes, params, sigma, t):
-    x, y, _ = _flight_ends(_START, FlightConfig(sigma, t), zip(rngs, sizes))
+def _flight_disp(blocks, sigma, t):
+    x, y, _ = _flight_ends(_START, FlightConfig(sigma, t), blocks)
     return (distance_xy(_START.point.x, _START.point.y, x, y),)
 
 
-def _flight_count(rngs, sizes, params, sigma, t):
+def _flight_count(blocks, sigma, t):
     cfg = FlightConfig(sigma, t)
-    return (np.array([len(simulate_flight(_START, cfg, rng).events) for rng in rngs]),)
+    return (np.array([len(simulate_flight(_START, cfg, rng).events) for rng, _ in blocks]),)
 
 
-def _tube(rngs, sizes, params, t):
+def _tube(blocks, t):
     """Whether each of m uniform draws from the ball enclosing the tube hits it.
 
     The tube around the unit-speed vertical geodesic from (0, 1) is tested
@@ -372,7 +375,7 @@ def _tube(rngs, sizes, params, t):
     centered at the segment midpoint (0, e^{t/2}) with radius t/2 + r.
     """
     hits = []
-    for rng, m, (r,) in zip(rngs, sizes, params):
+    for rng, m, r in blocks:
         pts = sample_annulus(Point(0.0, math.exp(0.5 * t)), 0.0, 0.5 * t + r, rng, m)
         hits.append(_cosh_to_segment(pts[:, 0], pts[:, 1], t) < math.cosh(r))
     return (np.concatenate(hits),)
@@ -581,8 +584,8 @@ def sample_trajectory(sigma: float, r: float, t: float, seed: int) -> Trajectory
     drawn from the export stream of the seed."""
     if not all(0.0 < v < math.inf for v in (sigma, r, t)):
         raise ValidationError("sigma, r and t must all be positive and finite")
-    rng = _derive_rng(seed, _TAG_EXPORT, 0, 0)
-    field = sample_field(lambda_for(sigma, r), _START.point, t + r, r, rng)
+    lam = _checked_lambda(sigma, r)
+    field = sample_field(lam, _START.point, t + r, r, _derive_rng(seed, _TAG_EXPORT, 0, 0))
     return simulate(_START, field, t)
 
 

@@ -94,18 +94,6 @@ class ObstacleField:
         return len(self.centers)
 
 
-@dataclass(frozen=True)
-class _FieldBatch:
-    """Consecutive Poisson fields of one region and radius, stacked: the
-    centers of field i are the next ``counts[i]`` entries of (x, y)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    counts: np.ndarray
-    radius: float
-    region: BallRegion
-
-
 def _check_in_region(x, y, region: BallRegion) -> None:
     if len(x):
         d = distance_xy(x, y, region.center.x, region.center.y)
@@ -197,27 +185,6 @@ def sample_field(
     common obstacle radius recorded on the field; it defaults to the
     exclusion radius, the standard choice for billiard runs.
     """
-    (batch,) = _sample_fields(lam, center, R, exclusion, [rng], radius, count_cap)
-    return ObstacleField(np.column_stack((batch.x, batch.y)), batch.radius, lam, batch.region)
-
-
-def _sample_fields(
-    lam: float,
-    center: Point,
-    R: float,
-    exclusion: float,
-    rngs: Iterable[np.random.Generator],
-    radius: float | None = None,
-    count_cap: float = DEFAULT_COUNT_CAP,
-) -> Iterator[_FieldBatch]:
-    """Sample one field of :func:`sample_field` from each generator, in order.
-
-    Each generator makes the draws ``sample_field`` makes, so field i is the
-    one ``sample_field`` draws from generator i.  Consecutive fields come in
-    batches of at most ``_GROUP_POINTS`` points; a larger field comes alone.
-    """
-    if not (lam > 0.0):
-        raise ValueError(f"intensity must be positive, got {lam}")
     if radius is None:
         if exclusion <= 0.0:
             raise ValueError("an obstacle radius is required when sampling with no exclusion")
@@ -225,6 +192,25 @@ def _sample_fields(
     if not (radius > 0.0):
         raise ValueError(f"obstacle radius must be positive, got {radius}")
     region = BallRegion(center, R, exclusion)
+    ((x, y, _),) = _sample_fields(lam, region, [rng], count_cap)
+    return ObstacleField(np.column_stack((x, y)), radius, lam, region)
+
+
+def _sample_fields(
+    lam: float,
+    region: BallRegion,
+    rngs: Iterable[np.random.Generator],
+    count_cap: float = DEFAULT_COUNT_CAP,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Sample the centers of one field of :func:`sample_field` from each
+    generator, in order, making the draws ``sample_field`` makes.
+
+    Consecutive fields come in batches (x, y, counts) of at most
+    ``_GROUP_POINTS`` points, field i's centers being the next ``counts[i]``
+    entries of (x, y); a larger field comes alone.
+    """
+    if not (lam > 0.0):
+        raise ValueError(f"intensity must be positive, got {lam}")
     expected = lam * region.area
     if expected > count_cap:
         raise InfeasibleFieldError(
@@ -237,10 +223,10 @@ def _sample_fields(
         x, y = np.empty(u.size), np.empty(u.size)
         for k in range(0, u.size, SLICE):
             part = slice(k, k + SLICE)
-            eta = _radius_from_uniform(u[part], exclusion, R)
-            x[part], y[part] = flow_xy(center.x, center.y, phi[part], eta)
+            eta = _radius_from_uniform(u[part], region.exclusion, region.outer)
+            x[part], y[part] = flow_xy(region.center.x, region.center.y, phi[part], eta)
             _check_in_region(x[part], y[part], region)
-        return _FieldBatch(x, y, np.array(list(map(len, us))), radius, region)
+        return x, y, np.array(list(map(len, us)))
 
     us: list[np.ndarray] = []
     phis: list[np.ndarray] = []

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import optimize, stats as sps
@@ -328,7 +329,7 @@ def test_simulate_hit_exactly_at_horizon_is_not_an_event():
     assert len(simulate(UP, field, math.nextafter(th, 3.0)).events) == 1
 
 
-def exact_relative_discriminant(mp, alpha, cx, cy, r):
+def exact_relative_discriminant(alpha, cx, cy, r):
     """(p^2 - |t|^2) / p^2 of the hit solve for a shot from (0, 1) heading
     alpha at the obstacle of center (cx, cy), in 40-digit arithmetic: t is
     the center in the frame where the shot runs up the imaginary axis, and
@@ -350,7 +351,6 @@ def test_simulate_near_grazing_shots_hit_once():
     # radius: a shot may be missed only if its exact relative discriminant
     # lies within the tangency tolerance plus the rounding of the transport
     # to the shot's frame, which grows like eps e^u with the distance u.
-    mp = pytest.importorskip("mpmath")
     eps = np.finfo(float).eps
     hits = 0
     for r, s, k, a0, sign in itertools.product(
@@ -365,7 +365,7 @@ def test_simulate_near_grazing_shots_hit_once():
         start = State(ORIGIN, Direction(float(a0)))
         ob = Obstacle(Point(float(cx), float(cy)), r)
         th = first_hit(start, ob)
-        rel = exact_relative_discriminant(mp, float(a0), ob.center.x, ob.center.y, r)
+        rel = exact_relative_discriminant(float(a0), ob.center.x, ob.center.y, r)
         blur = 8.0 * eps * math.exp(s + r)
         if rel > DISC_TOL + blur:
             assert th is not None, (r, s, k, a0, sign, rel)

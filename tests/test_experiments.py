@@ -24,7 +24,7 @@ from hyperlorentz import (
     tube_area,
 )
 from hyperlorentz import FlightConfig, ObstacleField, BallRegion, expected_T1
-from hyperlorentz import experiments
+from hyperlorentz import cli, experiments
 from hyperlorentz.cli import main
 from hyperlorentz.experiments import _FC_BLOCK, _LAZY_BLOCK, _derive_rng
 
@@ -64,6 +64,16 @@ def test_config_rejects_bad_values(tmp_path):
         cfg_for(tmp_path, experiment="bg-convergence", r_levels=(0.2, 0.4))
     with pytest.raises(ValidationError):
         cfg_for(tmp_path, workers=0)
+    for name, value in (("samples", 2.5), ("samples", True), ("workers", 1.5), ("workers", True),
+                        ("seed", 1.0), ("seed", "3"), ("seed", False)):
+        with pytest.raises(ValidationError, match=name):
+            cfg_for(tmp_path, **{name: value})
+    assert cfg_for(tmp_path, samples=np.int64(7)).samples == 7
+    for r in (710.0, 800.0):
+        for experiment in ("free-path", "tube-mc"):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                cfg_for(tmp_path, experiment=experiment, r_levels=(0.5, r))
+    cfg_for(tmp_path, experiment="flight-baseline", r_levels=(800.0,))  # r is unused there
 
 
 def test_lambda_scaling_recorded_in_report(tmp_path):
@@ -134,10 +144,11 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch):
 
     run_chunk = experiments._run_chunk
 
-    def spy(kernel, args, seed, tag, total, size, ranges):
-        streams = [(L, k) for L, _, lo, hi in ranges for k in range(lo, hi)]
-        ran.append((kernel.__name__, "pool" if in_pool[0] else "caller", streams))
-        return run_chunk(kernel, args, seed, tag, total, size, ranges)
+    def spy(kernel, args, seed, tag, samples, size, levels, streams):
+        n = -(-samples // size)
+        pairs = [divmod(i, n) for i in streams]
+        ran.append((kernel.__name__, "pool" if in_pool[0] else "caller", pairs))
+        return run_chunk(kernel, args, seed, tag, samples, size, levels, streams)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiments, "_run_chunk", spy)
@@ -172,10 +183,10 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch):
     assert len(ran) == 3 + 9
 
 
-def _fail_in_caller(rngs, sizes, params, caller_pid):
+def _fail_in_caller(blocks, caller_pid):
     if os.getpid() == caller_pid:
         raise RuntimeError("chunk failed in the caller")
-    return (np.zeros(sum(sizes)),)
+    return (np.zeros(sum(m for _, m in blocks)),)
 
 
 def test_failure_in_callers_chunk_propagates_and_shuts_the_pool(tmp_path):
@@ -463,6 +474,42 @@ def test_cli_rejects_non_finite_parameters(tmp_path, capsys, command, flag, valu
     assert main([command, f"{flag}={value}", "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("r", ["710", "800"])
+@pytest.mark.parametrize("command", ["free-path", "nearest-neighbor", "deflection", "tube-mc",
+                                     "bg-convergence", "export"])
+def test_cli_rejects_radii_with_no_positive_finite_intensity(tmp_path, capsys, command, r):
+    # 2 sinh r overflows near r = 710, so sigma / (2 sinh r) is 0 there.
+    out = tmp_path / ("traj.csv" if command == "export" else "out")
+    assert main([command, "--r", r, "--out", str(out)]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_cli_rejects_bad_worker_environment(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("HYPERLORENTZ_WORKERS", value)
+    argv = ["flight-baseline", "--samples", "10", "--out", str(tmp_path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects what int() cannot read
+        code = exc.code
+    assert code == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_reads_workers_from_environment(tmp_path, monkeypatch):
+    seen = []
+    run = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg.workers) or run(cfg))
+    monkeypatch.setenv("HYPERLORENTZ_WORKERS", "2")
+    argv = ["flight-baseline", "--samples", "10", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert main([*argv, "--workers", "3"]) == 0
+    monkeypatch.delenv("HYPERLORENTZ_WORKERS")
+    assert main(argv) == 0
+    assert seen == [2, 3, 1]
 
 
 def test_cli_rejects_unknown_experiment():

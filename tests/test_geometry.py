@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -61,7 +62,6 @@ def test_distance_clamps_rounding_noise():
 
 
 def test_distance_keeps_relative_precision_at_every_range():
-    mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(8)
     eps = np.finfo(float).eps
     for reach in 10.0 ** np.linspace(-15.0, 1.0, 33):
