@@ -8,20 +8,19 @@ B = 8192 replicas from one stream, tube-mc counts blocks of 200 000 draws,
 and bg-convergence draws blocks of B = 256 flights and of 256 billiards in
 fields explored lazily.  nearest-neighbor and flight-baseline keep one
 stream per replica (B = 1).  The runner numbers the streams of all of a
-call's levels, level by level, and cuts them into ranges of at most 8192
-replicas (or one stream), so a chunk may mix levels.  Each chunk is one
-kernel call on one block ``(rng, m, *level parameters)`` per stream, the
-one block type from the runner down to the engines.  The lazy billiard,
-the bg-convergence flight and nearest-neighbor advance the blocks of a
-chunk together (fields in batches of at most 16 384 obstacles), each
-drawing from its own stream as it would alone, so that no result depends
-on the chunk.  B and the caps never depend on the worker count or the
-sample count, and the runner returns per-stream results per level, in
-stream order, so reports depend only on the configuration and are
-byte-identical for any worker count.  One process pool serves the whole
-run: the first call with more than one chunk starts k = min(workers,
-chunks) - 1 worker processes, and from then on the calling process runs
-every (k+1)-th chunk of a call itself while the pool runs the others.
+call's levels, level by level, and cuts them into chunks of at most one
+batch, 8192 replicas (or one stream), so a chunk may mix levels.  Each
+chunk is one kernel call on one block ``(rng, m, *level parameters)`` per
+stream, the one block type from the runner down to the engines.  The lazy
+billiard, the bg-convergence flight and nearest-neighbor advance the
+blocks of a chunk together (fields in batches of at most 16 384
+obstacles), each drawing from its own stream as it would alone, so that
+no result depends on the chunk.  B and the caps never depend on the
+worker count or the sample count, and the runner returns per-stream
+results per level, in stream order, so reports are byte-identical for
+any worker count.  A call of at most one batch runs in the caller; the
+first larger call starts the run's one pool, of k = min(workers,
+chunks) - 1 workers, and the caller runs every (k+1)-th chunk itself.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -137,6 +136,17 @@ def _checked_lambda(sigma: float, r: float) -> float:
     return lam
 
 
+def _check_tube(t: float, r: float) -> None:
+    """tube-mc's closed forms at (t, r): e^{t/2}, the area of the ball of
+    radius t/2 + r enclosing the tube and the tube's area must be finite."""
+    try:
+        finite = all(map(math.isfinite, (math.exp(0.5 * t), ball_area(0.5 * t + r), tube_area(t, r))))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValidationError(f"t/2 + r = {0.5 * t + r} gives tube-mc an enclosing ball of infinite area")
+
+
 def exp_cdf(rate: float):
     return lambda x: -np.expm1(-rate * np.asarray(x, dtype=float))
 
@@ -193,6 +203,8 @@ class ExperimentConfig:
                 raise ValidationError("r levels must be positive")
             for r in self.r_levels:
                 _checked_lambda(self.sigma, r)
+                if self.experiment == "tube-mc":
+                    _check_tube(self.t, r)
         if self.experiment == "bg-convergence" and any(
             r2 >= r1 for r1, r2 in zip(self.r_levels, self.r_levels[1:])
         ):
@@ -278,11 +290,11 @@ class _Runner:
     entry per replica, in block order; ``run`` returns one such tuple per
     level, of views into shared arrays, whatever the chunks and the workers.
 
-    At workers > 1 a call of more than one chunk runs them on one pool of
-    k worker processes beside the caller, k = min(workers, chunks) - 1 at
-    the run's first such call: the caller runs chunks 0, k+1, 2(k+1), ...
-    itself while the pool runs the others, and the results are put back in
-    chunk order.  Later calls reuse that pool.
+    A call of at most one batch is one chunk in the caller.  At workers > 1
+    a larger one runs on one pool of k worker processes beside the caller,
+    k = min(workers, chunks) - 1 at the run's first such call: the caller
+    runs chunks 0, k+1, 2(k+1), ... itself while the pool runs the others,
+    and results go back in chunk order; later calls reuse that pool.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -300,20 +312,21 @@ class _Runner:
     def __call__(self, kernel, levels, *args, tag=_TAG_REPLICA, size=1):
         cfg = self.cfg
         total = -(-cfg.samples // size) * len(levels)
-        # The fewest chunks of at most cap streams, in a multiple of the
-        # worker count, all of one size but the last.
+        # A call of one batch or less is one chunk in the caller; a larger one
+        # the fewest chunks of at most cap streams, in a multiple of workers.
         cap = max(1, _BATCH // size)
-        count = cfg.workers * -(-total // (cfg.workers * cap))
+        workers = cfg.workers if total > cap else 1
+        count = workers * -(-total // (workers * cap))
         chunk = -(-total // count)
         chunks = [range(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         run = partial(_run_chunk, kernel, args, cfg.seed, tag, cfg.samples, size, levels)
-        if cfg.workers == 1 or len(chunks) == 1:
+        if workers == 1:
             parts = map(run, chunks)
         else:
             if self._pool is None:
                 # A fork pool starts all its workers at once: no more than there
                 # is work for beside the caller.
-                self._pool_size = min(cfg.workers, len(chunks)) - 1
+                self._pool_size = min(workers, len(chunks)) - 1
                 self._pool = ProcessPoolExecutor(max_workers=self._pool_size)
             step = self._pool_size + 1
             theirs = self._pool.map(run, [c for i, c in enumerate(chunks) if i % step])

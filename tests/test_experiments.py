@@ -74,6 +74,11 @@ def test_config_rejects_bad_values(tmp_path):
             with pytest.raises(ValidationError, match="positive and finite"):
                 cfg_for(tmp_path, experiment=experiment, r_levels=(0.5, r))
     cfg_for(tmp_path, experiment="flight-baseline", r_levels=(800.0,))  # r is unused there
+    # tube-mc's enclosing ball, radius t/2 + r, must have a finite area.
+    for r, t in ((700.0, 100.0), (1.0, 1500.0)):
+        with pytest.raises(ValidationError, match="infinite area"):
+            cfg_for(tmp_path, experiment="tube-mc", r_levels=(0.5, r), t=t)
+        cfg_for(tmp_path, experiment="free-path", r_levels=(0.5, r), t=t)
 
 
 def test_lambda_scaling_recorded_in_report(tmp_path):
@@ -100,11 +105,12 @@ def test_reports_identical_across_worker_counts(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_block_reports_identical_across_worker_counts(tmp_path):
-    # Several blocks and a ragged last one, run serially (workers 1) or on
-    # a pool (workers 3); for the per-replica experiments, 4 or 12 chunks,
-    # and at workers 1 chunks whose fields fill more than one batch of
-    # obstacles.
+def test_block_reports_identical_across_worker_counts(tmp_path, monkeypatch):
+    # Several blocks and a ragged last one, run serially in one chunk a
+    # batch (workers 1) or on a pool (workers 3, with batches of 256
+    # replicas so that every call spans several chunks): for the
+    # per-replica experiments 12 chunks, and at workers 1 chunks whose
+    # fields fill more than one batch of obstacles.
     for experiment, kw in {
         "free-path": dict(samples=2 * _FC_BLOCK + 7),
         "deflection": dict(samples=2 * _FC_BLOCK + 7),
@@ -115,14 +121,19 @@ def test_block_reports_identical_across_worker_counts(tmp_path):
         blobs = []
         for w in (1, 3):
             out = tmp_path / f"{experiment}-w{w}"
-            run_experiment(cfg_for(out, experiment=experiment, workers=w, **kw))
+            with monkeypatch.context() as m:
+                if w > 1:
+                    m.setattr(experiments, "_BATCH", _LAZY_BLOCK)
+                run_experiment(cfg_for(out, experiment=experiment, workers=w, **kw))
             blobs.append(read_outputs(out))
         assert blobs[0] == blobs[1]
 
 
-def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch):
-    # A fork pool starts all its workers at once, wanted or not; the caller
-    # runs its own share of the chunks, so the pool needs one worker fewer.
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Replace the process pool by one that runs its chunks in this process,
+    and log the size of each pool made and each chunk run: its kernel,
+    "caller" or "pool", and its streams as (L, k)."""
     made, ran, in_pool = [], [], [False]
 
     class SerialPool:
@@ -152,6 +163,15 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiments, "_run_chunk", spy)
+    return made, ran
+
+
+def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch, pool_log):
+    # A fork pool starts all its workers at once, wanted or not; the caller
+    # runs its own share of the chunks, so the pool needs one worker fewer.
+    # Batches of one replica make these small runs span several chunks.
+    made, ran = pool_log
+    monkeypatch.setattr(experiments, "_BATCH", 1)
     run_experiment(
         cfg_for(tmp_path / "a", experiment="flight-baseline", r_levels=(), samples=2, workers=1000)
     )
@@ -183,13 +203,49 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch):
     assert len(ran) == 3 + 9
 
 
+@pytest.mark.parametrize("experiment, kw, size, kernels, pool", [
+    ("free-path", dict(), _FC_BLOCK, ["_first_collisions"], 1),
+    ("nearest-neighbor", dict(t=1.0), 1, ["_nearest"], 910),
+    ("bg-convergence", dict(sigma=1.0, r_levels=(0.4,), t=1.0), _LAZY_BLOCK,
+     ["_flight_disp", "_lorentz_disp"], 32),
+])
+def test_pool_only_for_calls_of_more_than_one_batch(tmp_path, pool_log, experiment, kw, size, kernels, pool):
+    # A batch is cap = _BATCH // size streams of one level.  A call of cap
+    # streams is one chunk in the caller, as at workers 1; a call of cap + 1
+    # streams makes a pool at workers 1000 (free-path: 2 one-stream chunks;
+    # nearest-neighbor: 911 chunks of at most 9 streams; bg-convergence: 33
+    # one-stream chunks, the billiard's on the flight's pool).
+    made, ran = pool_log
+    cap = experiments._BATCH // size
+    for streams, samples in ((cap, cap * size), (cap + 1, cap * size + 1)):
+        blobs, logs = [], []
+        for w in (1, 1000):
+            out = tmp_path / f"{samples}-w{w}"
+            run_experiment(cfg_for(out, experiment=experiment, samples=samples, workers=w, **kw))
+            blobs.append(read_outputs(out))
+            logs.append(ran[:])
+            ran.clear()
+        assert blobs[0] == blobs[1]
+        if streams == cap:
+            assert made == []
+            assert logs[0] == logs[1] == [(name, "caller", [(0, k) for k in range(cap)]) for name in kernels]
+        else:
+            assert made == [pool]
+            for name in kernels:
+                runs = [(where, s) for kernel, where, chunk in logs[1] if kernel == name for s in chunk]
+                assert sorted(s for _, s in runs) == [(0, k) for k in range(streams)]
+                assert {where for where, _ in runs} == {"caller", "pool"}
+
+
 def _fail_in_caller(blocks, caller_pid):
     if os.getpid() == caller_pid:
         raise RuntimeError("chunk failed in the caller")
     return (np.zeros(sum(m for _, m in blocks)),)
 
 
-def test_failure_in_callers_chunk_propagates_and_shuts_the_pool(tmp_path):
+def test_failure_in_callers_chunk_propagates_and_shuts_the_pool(tmp_path, monkeypatch):
+    # Batches of one replica: the 4 samples are 4 chunks, 2 of them in a pool.
+    monkeypatch.setattr(experiments, "_BATCH", 1)
     run = experiments._Runner(cfg_for(tmp_path, samples=4, workers=2))
     with pytest.raises(RuntimeError, match="chunk failed in the caller"):
         with run:
@@ -484,6 +540,16 @@ def test_cli_rejects_radii_with_no_positive_finite_intensity(tmp_path, capsys, c
     out = tmp_path / ("traj.csv" if command == "export" else "out")
     assert main([command, "--r", r, "--out", str(out)]) == 2
     assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r, t", [("700", "100"), ("1", "1500")])
+def test_cli_rejects_tube_mc_whose_enclosing_ball_overflows(tmp_path, capsys, r, t):
+    # The ball of radius t/2 + r around (0, e^(t/2)) has an area near
+    # pi e^(t/2 + r), which overflows near t/2 + r = 710.
+    out = tmp_path / "out"
+    assert main(["tube-mc", "--r", r, "--t", t, "--samples", "10", "--out", str(out)]) == 2
+    assert "enclosing ball" in capsys.readouterr().err
     assert not out.exists()
 
 
