@@ -18,9 +18,9 @@ obstacles), each drawing from its own stream as it would alone, so that
 no result depends on the chunk.  B and the caps never depend on the
 worker count or the sample count, and the runner returns per-stream
 results per level, in stream order, so reports are byte-identical for
-any worker count.  A call of at most one batch runs in the caller; the
-first larger call starts the run's one pool, of k = min(workers,
-chunks) - 1 workers, and the caller runs every (k+1)-th chunk itself.
+any worker count.  A call of at most one batch of blocks (B > 1) runs in
+the caller; the first call cut for the workers starts the run's one pool
+of k = min(workers, chunks) - 1, and the caller runs every (k+1)-th chunk.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -137,11 +137,11 @@ def _checked_lambda(sigma: float, r: float) -> float:
 
 
 def _check_tube(t: float, r: float) -> None:
-    """tube-mc's closed forms at (t, r): e^{t/2}, the area of the ball of
-    radius t/2 + r enclosing the tube and the tube's area must be finite."""
+    """The ball of radius t/2 + r enclosing tube-mc's tube must have a finite
+    area; then e^{t/2} and the tube's area are finite too."""
     try:
-        finite = all(map(math.isfinite, (math.exp(0.5 * t), ball_area(0.5 * t + r), tube_area(t, r))))
-    except OverflowError:
+        finite = math.isfinite(ball_area(0.5 * t + r))
+    except OverflowError:  # sinh overflows
         finite = False
     if not finite:
         raise ValidationError(f"t/2 + r = {0.5 * t + r} gives tube-mc an enclosing ball of infinite area")
@@ -290,11 +290,11 @@ class _Runner:
     entry per replica, in block order; ``run`` returns one such tuple per
     level, of views into shared arrays, whatever the chunks and the workers.
 
-    A call of at most one batch is one chunk in the caller.  At workers > 1
-    a larger one runs on one pool of k worker processes beside the caller,
-    k = min(workers, chunks) - 1 at the run's first such call: the caller
-    runs chunks 0, k+1, 2(k+1), ... itself while the pool runs the others,
-    and results go back in chunk order; later calls reuse that pool.
+    A call within one batch of blocks (size > 1) is one chunk in the caller.
+    At workers > 1 any other runs on one pool of k worker processes beside
+    the caller, k = min(workers, chunks) - 1 at the run's first such call:
+    the caller runs chunks 0, k+1, 2(k+1), ... itself while the pool runs
+    the others, and results go back in chunk order; later calls reuse it.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -312,15 +312,17 @@ class _Runner:
     def __call__(self, kernel, levels, *args, tag=_TAG_REPLICA, size=1):
         cfg = self.cfg
         total = -(-cfg.samples // size) * len(levels)
-        # A call of one batch or less is one chunk in the caller; a larger one
+        # A call within one batch of blocks (size > 1), which advance together,
+        # is one chunk in the caller.  Calls of one-replica streams (a field or
+        # a path each, dear enough for a pool at any size) and larger calls are
         # the fewest chunks of at most cap streams, in a multiple of workers.
         cap = max(1, _BATCH // size)
-        workers = cfg.workers if total > cap else 1
+        workers = cfg.workers if total > cap or size == 1 else 1
         count = workers * -(-total // (workers * cap))
         chunk = -(-total // count)
         chunks = [range(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         run = partial(_run_chunk, kernel, args, cfg.seed, tag, cfg.samples, size, levels)
-        if workers == 1:
+        if workers == 1 or len(chunks) == 1:
             parts = map(run, chunks)
         else:
             if self._pool is None:

@@ -172,6 +172,10 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch, pool_
     # Batches of one replica make these small runs span several chunks.
     made, ran = pool_log
     monkeypatch.setattr(experiments, "_BATCH", 1)
+    # nearest-neighbor at 1 sample: one chunk, in the caller, and no pool.
+    run_experiment(cfg_for(tmp_path / "0", experiment="nearest-neighbor", t=1.0, samples=1, workers=1000))
+    assert made == [] and ran == [("_nearest", "caller", [(0, 0)])]
+    ran.clear()
     run_experiment(
         cfg_for(tmp_path / "a", experiment="flight-baseline", r_levels=(), samples=2, workers=1000)
     )
@@ -205,16 +209,15 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch, pool_
 
 @pytest.mark.parametrize("experiment, kw, size, kernels, pool", [
     ("free-path", dict(), _FC_BLOCK, ["_first_collisions"], 1),
-    ("nearest-neighbor", dict(t=1.0), 1, ["_nearest"], 910),
     ("bg-convergence", dict(sigma=1.0, r_levels=(0.4,), t=1.0), _LAZY_BLOCK,
      ["_flight_disp", "_lorentz_disp"], 32),
 ])
 def test_pool_only_for_calls_of_more_than_one_batch(tmp_path, pool_log, experiment, kw, size, kernels, pool):
     # A batch is cap = _BATCH // size streams of one level.  A call of cap
-    # streams is one chunk in the caller, as at workers 1; a call of cap + 1
-    # streams makes a pool at workers 1000 (free-path: 2 one-stream chunks;
-    # nearest-neighbor: 911 chunks of at most 9 streams; bg-convergence: 33
-    # one-stream chunks, the billiard's on the flight's pool).
+    # blocks is one chunk in the caller, as at workers 1; a call of cap + 1
+    # blocks makes a pool at workers 1000 (free-path: 2 one-stream chunks;
+    # bg-convergence: 33 one-stream chunks, the billiard's on the flight's
+    # pool).
     made, ran = pool_log
     cap = experiments._BATCH // size
     for streams, samples in ((cap, cap * size), (cap + 1, cap * size + 1)):
@@ -237,15 +240,36 @@ def test_pool_only_for_calls_of_more_than_one_batch(tmp_path, pool_log, experime
                 assert {where for where, _ in runs} == {"caller", "pool"}
 
 
+@pytest.mark.parametrize("experiment, kw, kernel", [
+    ("nearest-neighbor", dict(t=1.0), "_nearest"),
+    ("flight-baseline", dict(sigma=2.0, r_levels=(), t=3.0), "_flight_count"),
+])
+def test_one_replica_streams_cut_for_the_workers(tmp_path, pool_log, experiment, kw, kernel):
+    # A call of one-replica streams is cut for the workers even within one
+    # batch: 3 samples are 3 one-stream chunks on a pool of 2 beside the
+    # caller.
+    made, ran = pool_log
+    blobs = []
+    for w in (1, 1000):
+        run_experiment(cfg_for(tmp_path / f"w{w}", experiment=experiment, samples=3, workers=w, **kw))
+        blobs.append(read_outputs(tmp_path / f"w{w}"))
+    assert blobs[0] == blobs[1]
+    assert made == [2]
+    assert ran == [
+        (kernel, "caller", [(0, 0), (0, 1), (0, 2)]),
+        (kernel, "caller", [(0, 0)]),
+        (kernel, "pool", [(0, 1)]),
+        (kernel, "pool", [(0, 2)]),
+    ]
+
+
 def _fail_in_caller(blocks, caller_pid):
     if os.getpid() == caller_pid:
         raise RuntimeError("chunk failed in the caller")
     return (np.zeros(sum(m for _, m in blocks)),)
 
 
-def test_failure_in_callers_chunk_propagates_and_shuts_the_pool(tmp_path, monkeypatch):
-    # Batches of one replica: the 4 samples are 4 chunks, 2 of them in a pool.
-    monkeypatch.setattr(experiments, "_BATCH", 1)
+def test_failure_in_callers_chunk_propagates_and_shuts_the_pool(tmp_path):
     run = experiments._Runner(cfg_for(tmp_path, samples=4, workers=2))
     with pytest.raises(RuntimeError, match="chunk failed in the caller"):
         with run:
