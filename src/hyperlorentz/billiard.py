@@ -404,6 +404,8 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
     block = np.repeat(np.arange(len(blocks)), sizes)
     radii = np.repeat(block_radii, sizes)
     cosh_radii = np.repeat([math.cosh(r) for r in block_radii], sizes)
+    # sinh r and e^{-r} of each replica, for the leg from a contact to its center.
+    sinh_radii, exp_radii = np.sinh(radii), np.exp(-radii)
     n = block.size
     # Round k, column col[i]: a, b, c, d (normalizing_coeffs of the start) and
     # length of segment k of replica i, and the center it first met, or nan.
@@ -427,17 +429,17 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
     def step(live, x, y, alpha, t_left, last):
         nonlocal hist
         m, cols = live.size, col[live]
-        radius, cosh_r = radii[live], cosh_radii[live]
+        cosh_r, sinh_r, exp_r = cosh_radii[live], sinh_radii[live], exp_radii[live]
         coeffs = normalizing_coeffs(x, y, alpha)
         gap, idx = np.full(m, math.inf), np.full(m, -1)
-        past = hist[:, :rounds, cols]
         if rounds:
-            th = _hit_times(*coeffs, *past[5:], cosh_r)  # (rounds, m), inf where none was met
+            th = _hit_times(*coeffs, *hist[5:, :rounds, cols], cosh_r)  # (rounds, m), inf where none was met
             th[last, np.arange(m)] = math.inf  # every live replica has turned, last >= 0
             idx = th.argmin(axis=0)
             gap = th[idx, np.arange(m)]
         bound = np.minimum(gap, t_left)
         if rounds == hist.shape[1]:  # grow, keeping the live replicas' columns only
+            past = hist[:, :rounds, cols]
             hist = np.concatenate((past, np.empty_like(past)), axis=1)
             col[live] = cols = np.arange(m)
         new = hist[:, rounds]
@@ -448,11 +450,22 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
             s_try += s[todo]
             ahead = s_try < bound[todo]
             todo, s_try, psi = todo[ahead], s_try[ahead], psi[ahead]
+            if not todo.size:
+                break
             s[todo] = s_try
-            *_, cx, cy = _tube_hit(x[todo], y[todo], alpha[todo], s_try, psi, radius[todo])
-            a, b, c, d, length = past[:5, :, todo]
-            explored = _cosh_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < cosh_r[todo]
-            fresh = ~explored.any(axis=0)
+            # The centers _tube_hit places: flow_xy over r from the contact,
+            # with this r's sinh and exponential computed once.
+            ix, iy, pre = flow_ahead(x[todo], y[todo], alpha[todo], s_try)
+            out = pre + psi
+            sh = sinh_r[todo]
+            denom = exp_r[todo] + (1.0 - np.sin(out)) * sh
+            cx, cy = ix + iy * sh * np.cos(out) / denom, iy / denom
+            if rounds:
+                a, b, c, d, length = hist[:5, :rounds, cols[todo]]
+                explored = _cosh_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < cosh_r[todo]
+                fresh = ~explored.any(axis=0)
+            else:  # nothing is explored before the first segment
+                fresh = np.ones(todo.size, dtype=bool)
             gap[todo[fresh]], idx[todo[fresh]] = s_try[fresh], rounds
             new[5:, cols[todo[fresh]]] = cx[fresh], cy[fresh]
             todo = todo[~fresh]

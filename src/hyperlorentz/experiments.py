@@ -45,7 +45,7 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sps
+import numpy.random  # noqa: F401  numpy loads it on first use; every run uses it, so load it with the package
 
 from .billiard import (
     Trajectory,
@@ -80,7 +80,7 @@ from .obstacles import (
 # drop them when its targets move to the batch entry points (ROADMAP D1).
 from .billiard import recollision_count, sample_first_collision  # noqa: F401
 from .geometry import hyp_distance  # noqa: F401
-from .stats import bootstrap_half_width_w1, ks_statistic, wasserstein1
+from .stats import _spearman_rho, bootstrap_half_width_w1, ks_statistic, wasserstein1
 
 __all__ = [
     "EXPERIMENTS",
@@ -137,14 +137,20 @@ def _checked_lambda(sigma: float, r: float) -> float:
 
 
 def _check_tube(t: float, r: float) -> None:
-    """The ball of radius t/2 + r enclosing tube-mc's tube must have a finite
-    area; then e^{t/2} and the tube's area are finite too."""
-    try:
-        finite = math.isfinite(ball_area(0.5 * t + r))
-    except OverflowError:  # sinh overflows
-        finite = False
-    if not finite:
-        raise ValidationError(f"t/2 + r = {0.5 * t + r} gives tube-mc an enclosing ball of infinite area")
+    """tube-mc needs 3t + 4r <= 740, so that its draws stay in float range.
+
+    It draws points at distance up to t/2 + r from (0, e^{t/2}) and squares
+    their coordinates.  The farthest land within about 1e-8 of straight up,
+    where sin rounds to 1 and the flow's denominator to e^{-distance}: x
+    reaches about 5e-9 e^{3t/2 + 2r}, whose square overflows once 3t + 4r
+    passes 747.9.  Heights stay below e^{t + r}, and the ball's and the
+    tube's areas are finite, well within the bound.
+    """
+    if not 3.0 * t + 4.0 * r <= 740.0:
+        raise ValidationError(
+            f"t = {t} and r = {r} give 3t + 4r = {3.0 * t + 4.0 * r:g}; tube-mc needs at most 740, "
+            "or points of its enclosing ball overflow"
+        )
 
 
 def exp_cdf(rate: float):
@@ -189,6 +195,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(value))
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
+        if self.experiment == "flight-baseline" and self.samples < 2:
+            raise ValidationError("flight-baseline needs samples >= 2 for its event-count variance")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
         for name, value in (("sigma", self.sigma), ("t", self.t)):
@@ -454,9 +462,10 @@ def _drive_deflection(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
         betas = betas[keep]
         n = int(keep.sum())
         ks = ks_statistic(betas, deflection_cdf)
-        rho = float(sps.spearmanr(times[keep], betas).statistic) if n > 2 else 0.0
+        rho = _spearman_rho(times[keep], betas) if n > 2 else 0.0
         levels += [
             LevelStat(r, lam, "ks_deflection", ks, None, n),
+            # Spearman's rho, not Kendall's tau: the name stays, so reports stay byte-identical.
             LevelStat(r, lam, "spearman_tau_beta", rho, None, n),
             LevelStat(r, lam, "censored_count", float((~keep).sum()), None, cfg.samples),
         ]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import InfeasibleFieldError
 from .geometry import SLICE, Point, ball_area, distance_xy, flow_xy
@@ -253,8 +252,11 @@ def nearest_neighbor_tail(eta, lam: float, k: int = 1):
 
     Equals the Poisson CDF at k-1 with mean 4*pi*lam*sinh^2(eta/2), i.e.
     sum_{j<k} e^{-mu} mu^j / j!, evaluated through the regularized upper
-    incomplete gamma function for numerical stability.
+    incomplete gamma function for numerical stability.  scipy is imported
+    here, not with the package, whose other users do not need it.
     """
+    from scipy import special
+
     if lam <= 0.0:
         raise ValueError(f"intensity must be positive, got {lam}")
     if k < 1:
@@ -270,6 +272,8 @@ def expected_T1(lam: float) -> float:
     This is int_0^inf exp(-2 pi lam (cosh t - 1)) dt, evaluated as the
     exponentially scaled Bessel function k0e, which cannot overflow.
     """
+    from scipy import special
+
     if lam <= 0.0:
         raise ValueError(f"intensity must be positive, got {lam}")
     return float(special.k0e(2.0 * math.pi * lam))

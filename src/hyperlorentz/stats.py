@@ -1,10 +1,17 @@
-"""Verification statistics: KS distance, empirical 1-Wasserstein, bootstrap."""
+"""Verification statistics: KS distance, empirical 1-Wasserstein, bootstrap,
+and Spearman's rank correlation.
+
+Only numpy is imported: scipy would cost every CLI run about a second to
+import.  ``_spearman_rho`` is the value ``scipy.stats.spearmanr`` gives,
+bit for bit, which the tests check against scipy.
+"""
 
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.quantile loads it on first use (via np.unique); load it with the package
 
 __all__ = ["ks_statistic", "wasserstein1", "bootstrap_half_width_w1"]
 
@@ -93,3 +100,28 @@ def bootstrap_half_width_w1(
         reps[start : start + m] = d.mean(axis=1)
     lo, hi = np.quantile(reps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
     return float((hi - lo) / 2.0)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of x, ties sharing the mean of their ranks (a half-integer,
+    exact in floating point)."""
+    order = np.argsort(x)
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    counts = np.diff(starts, append=x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 0.5 * (counts + 1), counts)
+    return ranks
+
+
+def _spearman_rho(x, y) -> float:
+    """Spearman's rank correlation of two equal-length 1-d samples without
+    NaN: the Pearson correlation of their average ranks, through the same
+    ``np.corrcoef`` call as ``scipy.stats.spearmanr``, so the two agree bit
+    for bit.  NaN for fewer than two pairs or a constant sample."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 2 or (x == x[0]).all() or (y == y[0]).all():
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])

@@ -74,11 +74,15 @@ def test_config_rejects_bad_values(tmp_path):
             with pytest.raises(ValidationError, match="positive and finite"):
                 cfg_for(tmp_path, experiment=experiment, r_levels=(0.5, r))
     cfg_for(tmp_path, experiment="flight-baseline", r_levels=(800.0,))  # r is unused there
-    # tube-mc's enclosing ball, radius t/2 + r, must have a finite area.
-    for r, t in ((700.0, 100.0), (1.0, 1500.0)):
-        with pytest.raises(ValidationError, match="infinite area"):
+    with pytest.raises(ValidationError, match="samples >= 2"):
+        cfg_for(tmp_path, experiment="flight-baseline", r_levels=(), samples=1)
+    cfg_for(tmp_path, experiment="flight-baseline", r_levels=(), samples=2)
+    # tube-mc's draws must square without overflow: 3t + 4r <= 740.
+    for r, t in ((700.0, 100.0), (1.0, 1500.0), (1.0, 245.4), (0.5, 246.0 + 1e-9)):
+        with pytest.raises(ValidationError, match="enclosing ball overflow"):
             cfg_for(tmp_path, experiment="tube-mc", r_levels=(0.5, r), t=t)
         cfg_for(tmp_path, experiment="free-path", r_levels=(0.5, r), t=t)
+    cfg_for(tmp_path, experiment="tube-mc", r_levels=(0.5,), t=246.0)
 
 
 def test_lambda_scaling_recorded_in_report(tmp_path):
@@ -546,6 +550,14 @@ def test_cli_validation_exit_code(tmp_path):
     assert main(["bg-convergence", "--r", "0.1,0.4", "--out", str(tmp_path)]) == 2
 
 
+def test_cli_rejects_flight_baseline_of_one_sample(tmp_path, capsys):
+    # One sample has no event-count variance: the report would hold NaN.
+    out = tmp_path / "out"
+    assert main(["flight-baseline", "--samples", "1", "--out", str(out)]) == 2
+    assert "samples >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("flag", ["--sigma", "--r", "--t"])
 @pytest.mark.parametrize("command", ["free-path", "flight-baseline", "export"])
@@ -567,14 +579,45 @@ def test_cli_rejects_radii_with_no_positive_finite_intensity(tmp_path, capsys, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("r, t", [("700", "100"), ("1", "1500")])
+@pytest.mark.parametrize("r, t", [("700", "100"), ("1", "1500"), ("1", "708"), ("1", "249")])
 def test_cli_rejects_tube_mc_whose_enclosing_ball_overflows(tmp_path, capsys, r, t):
-    # The ball of radius t/2 + r around (0, e^(t/2)) has an area near
-    # pi e^(t/2 + r), which overflows near t/2 + r = 710.
+    # Points of the ball of radius t/2 + r around (0, e^(t/2)) overflow
+    # when squared beyond 3t + 4r = 747.9; tube-mc takes 3t + 4r <= 740.
     out = tmp_path / "out"
     assert main(["tube-mc", "--r", r, "--t", t, "--samples", "10", "--out", str(out)]) == 2
-    assert "enclosing ball" in capsys.readouterr().err
+    assert "enclosing ball overflow" in capsys.readouterr().err
     assert not out.exists()
+
+
+class _ExtremeDraws:
+    """Stands in for a generator in experiments._tube: every draw on the edge
+    of the ball, in directions all round and packed within 3e-8 of straight
+    up and down, where flow_xy's coordinates are largest."""
+
+    def __init__(self):
+        near = np.linspace(-3e-8, 3e-8, 6001)
+        self.phi = np.concatenate((np.linspace(0.0, 2.0 * math.pi, 10_001), 0.5 * math.pi + near, 1.5 * math.pi + near))
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+    def uniform(self, low, high, size):
+        assert (low, high, size) == (0.0, 2.0 * math.pi, self.phi.size)
+        return self.phi
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [1e-3, 1.0, 50.0, 184.9])
+def test_tube_mc_bound_on_both_sides(tmp_path, r):
+    t = (740.0 - 4.0 * r) / 3.0
+    draws = _ExtremeDraws()
+    # At the bound, the most extreme draws run with no numpy warning...
+    experiments._tube([(draws, draws.phi.size, r)], t)
+    assert main(["tube-mc", "--r", str(r), "--t", repr(t), "--samples", "1000", "--out", str(tmp_path)]) == 0
+    # ...and past 747.9 they overflow, so the bound is needed.
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        experiments._tube([(draws, draws.phi.size, r)], (748.0 - 4.0 * r) / 3.0)
+    assert main(["tube-mc", "--r", str(r), "--t", repr(t + 1e-9), "--out", str(tmp_path / "x")]) == 2
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -133,3 +134,32 @@ def test_bootstrap_rejects_bad_arguments():
     for level in (0.0, 1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
             bootstrap_half_width_w1([1.0, 2.0], [1.0, 3.0], rng, level=level)
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 101, 1000, 10_000])
+def test_spearman_rho_is_scipys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    y = x + rng.gamma(1.0, 2.0, n)
+    samples = [
+        (x, y),
+        (x, -y),
+        (np.round(x, 1), y),  # ties in one sample
+        (rng.integers(0, 3, n).astype(float), np.floor(y)),  # ties in both
+        (rng.integers(0, 2, n) * 1.5, rng.normal(size=n)),
+        (np.arange(n, dtype=float), np.arange(n, dtype=float) ** 2),  # rho = 1
+    ]
+    for a, b in samples:
+        if (a == a[0]).all() or (b == b[0]).all():
+            continue
+        assert stats._spearman_rho(a, b) == float(sps.spearmanr(a, b).statistic)
+
+
+def test_spearman_rho_average_ranks_are_exact_half_integers():
+    ranks = stats._average_ranks(np.array([2.0, 1.0, 2.0, 3.0, 2.0, 1.0]))
+    assert ranks.tolist() == [4.0, 1.5, 4.0, 6.0, 4.0, 1.5]
+
+
+def test_spearman_rho_of_constant_input_is_nan():
+    for a, b in (([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), ([3.0, 1.0, 2.0], [5.0] * 3), ([0.0], [1.0])):
+        assert math.isnan(stats._spearman_rho(a, b))
