@@ -387,11 +387,12 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
     segment (the first covers the start ball).  Each step proposes first
     contacts along the current segment as :func:`sample_first_collisions`
     draws them in an empty plane, Exp(2 lam sinh r) gaps and sin psi
-    uniform, placed by :func:`_tube_hit`, and rejects those whose center is
-    explored: that thins them to the fresh field.  The first accepted one
-    races the exact hit times of the obstacles met so far, but the one just
-    left, so recollisions stay exact.  An obstacle is known by the round it
-    was first met in.
+    uniform, centers placed as :func:`_tube_hit` places them (the contact by
+    :func:`flow_ahead`, the center by :func:`flow_xy` over r from it), and
+    rejects those whose center is explored: that thins them to the fresh
+    field.  The first accepted one races the exact hit times of the
+    obstacles met so far, but the one just left, so recollisions stay exact.
+    An obstacle is known by the round it was first met in.
 
     Each round, every block with proposals left to make draws them from its
     own generator, in the order it would draw them alone, and a block with
@@ -404,8 +405,6 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
     block = np.repeat(np.arange(len(blocks)), sizes)
     radii = np.repeat(block_radii, sizes)
     cosh_radii = np.repeat([math.cosh(r) for r in block_radii], sizes)
-    # sinh r and e^{-r} of each replica, for the leg from a contact to its center.
-    sinh_radii, exp_radii = np.sinh(radii), np.exp(-radii)
     n = block.size
     # Round k, column col[i]: a, b, c, d (normalizing_coeffs of the start) and
     # length of segment k of replica i, and the center it first met, or nan.
@@ -429,7 +428,7 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
     def step(live, x, y, alpha, t_left, last):
         nonlocal hist
         m, cols = live.size, col[live]
-        cosh_r, sinh_r, exp_r = cosh_radii[live], sinh_radii[live], exp_radii[live]
+        cosh_r = cosh_radii[live]
         coeffs = normalizing_coeffs(x, y, alpha)
         gap, idx = np.full(m, math.inf), np.full(m, -1)
         if rounds:
@@ -453,13 +452,8 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
             if not todo.size:
                 break
             s[todo] = s_try
-            # The centers _tube_hit places: flow_xy over r from the contact,
-            # with this r's sinh and exponential computed once.
             ix, iy, pre = flow_ahead(x[todo], y[todo], alpha[todo], s_try)
-            out = pre + psi
-            sh = sinh_r[todo]
-            denom = exp_r[todo] + (1.0 - np.sin(out)) * sh
-            cx, cy = ix + iy * sh * np.cos(out) / denom, iy / denom
+            cx, cy = flow_xy(ix, iy, pre + psi, radii[live[todo]])
             if rounds:
                 a, b, c, d, length = hist[:5, :rounds, cols[todo]]
                 explored = _cosh_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < cosh_r[todo]
