@@ -13,6 +13,7 @@ variable; everything else is flags only.
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  argparse's gettext imports it for a call's first parser; load it with the package
 import os
 import sys
 
@@ -53,21 +54,33 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="hyperlorentz-out", help="output directory")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_export(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", choices=("halfplane", "disk"), default="halfplane")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, help="destination CSV file")
+    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--r", type=float, default=0.5)
+    p.add_argument("--t", type=float, default=5.0)
+
+
+_COMMANDS = (*EXPERIMENTS, "export")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with the sub-parser of ``command``
+    alone, whose metavar keeps the full parser's usage line."""
     parser = argparse.ArgumentParser(
         prog="hyperlorentz",
         description="Monte Carlo experiments for geodesic billiards among Poisson disk obstacles",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
-        _add_common(sub.add_parser(name, help=f"run the {name} experiment"))
-    pe = sub.add_parser("export", help="simulate one billiard trajectory and write it as CSV")
-    pe.add_argument("--model", choices=("halfplane", "disk"), default="halfplane")
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--out", required=True, help="destination CSV file")
-    pe.add_argument("--sigma", type=float, default=1.0)
-    pe.add_argument("--r", type=float, default=0.5)
-    pe.add_argument("--t", type=float, default=5.0)
+    # The metavar would rename "argument command" in the full parser's errors.
+    kw = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **kw)
+    for name in _COMMANDS if command is None else (command,):
+        if name == "export":
+            _add_export(sub.add_parser(name, help="simulate one billiard trajectory and write it as CSV"))
+        else:
+            _add_common(sub.add_parser(name, help=f"run the {name} experiment"))
     return parser
 
 
@@ -78,7 +91,11 @@ def _run_export(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A call builds only the sub-parser it runs.  With no command or a bad
+    # one, the full parser writes the usage and the error.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         if args.command == "export":
             _run_export(args)

@@ -21,6 +21,7 @@ results per level, in stream order, so reports are byte-identical for
 any worker count.  A call of at most one batch of blocks (B > 1) runs in
 the caller; the first call cut for the workers starts the run's one pool
 of k = min(workers, chunks) - 1, and the caller runs every (k+1)-th chunk.
+Only then is ``concurrent.futures`` imported.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -36,8 +37,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -274,6 +275,18 @@ def _derive_rng(seed: int, tag: int, level: int, index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
 
 
+def __getattr__(name):
+    # ``ProcessPoolExecutor`` is imported on first use: concurrent.futures
+    # loads multiprocessing, logging, socket and subprocess, which only a
+    # run that starts a pool needs.  Read through the module, so that a
+    # class set on it in its place is the one that makes the pools.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _run_chunk(kernel, args, seed, tag, samples, size, levels, streams):
     """One kernel call on the blocks of a range of streams i = L*n + k."""
     n = -(-samples // size)
@@ -337,7 +350,8 @@ class _Runner:
                 # A fork pool starts all its workers at once: no more than there
                 # is work for beside the caller.
                 self._pool_size = min(workers, len(chunks)) - 1
-                self._pool = ProcessPoolExecutor(max_workers=self._pool_size)
+                pool_class = sys.modules[__name__].ProcessPoolExecutor
+                self._pool = pool_class(max_workers=self._pool_size)
             step = self._pool_size + 1
             theirs = self._pool.map(run, [c for i, c in enumerate(chunks) if i % step])
             mine = iter([run(c) for c in chunks[::step]])
@@ -477,9 +491,16 @@ def _drive_tube_mc(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     columns = run(_tube, [(r,) for r in cfg.r_levels], cfg.t, size=_TUBE_BLOCK)
     for r, (hits,) in zip(cfg.r_levels, columns):
         draws = hits.size
-        p = np.count_nonzero(hits) / draws
+        count = np.count_nonzero(hits)
+        p = count / draws
         area = ball_area(0.5 * cfg.t + r)
-        hw = 1.96 * area * math.sqrt(p * (1.0 - p) / draws)
+        if 0 < count < draws:
+            hw = 1.96 * area * math.sqrt(p * (1.0 - p) / draws)
+        else:
+            # With no hit, or no miss, the binomial half-width is 0.  Report
+            # the one-sided 95 % bound on the share instead: 1 - 0.05^(1/draws),
+            # about 3/draws (the rule of three).
+            hw = -area * math.expm1(math.log(0.05) / draws)
         levels += [
             LevelStat(r, None, "tube_area_mc", float(area * p), float(hw), draws),
             LevelStat(r, None, "tube_area_formula", tube_area(cfg.t, r), None, 0),

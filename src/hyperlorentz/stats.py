@@ -3,15 +3,18 @@ and Spearman's rank correlation.
 
 Only numpy is imported: scipy would cost every CLI run about a second to
 import.  ``_spearman_rho`` is the value ``scipy.stats.spearmanr`` gives,
-bit for bit, which the tests check against scipy.
+bit for bit, which the tests check against scipy.  ``_quantiles`` is the
+value ``np.quantile`` gives by its default (linear) method, bit for bit,
+without ``np.quantile``'s ``np.unique``, which imports ``numpy.ma`` (about
+10 ms) on first use.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.quantile loads it on first use (via np.unique); load it with the package
 
 __all__ = ["ks_statistic", "wasserstein1", "bootstrap_half_width_w1"]
 
@@ -98,8 +101,35 @@ def bootstrap_half_width_w1(
         d -= b.take(idx[:, 1])
         np.abs(d, out=d)
         reps[start : start + m] = d.mean(axis=1)
-    lo, hi = np.quantile(reps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+    lo, hi = _quantiles(reps, ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
     return float((hi - lo) / 2.0)
+
+
+def _quantiles(x, qs) -> list:
+    """``np.quantile(x, q)`` for each q in [0, 1] of ``qs``, bit for bit, for
+    a nonempty 1-d float sample, by numpy's default (linear) method.
+
+    The virtual index v = (n - 1)q lies between the order statistics i =
+    floor(v) and i + 1, at weight t = v - i; from v >= n - 1 on, numpy takes
+    the last value, index -1, on both sides, so t = v + 1.  A copy of x is
+    partitioned at the same indices as numpy's (which orders -0.0 and 0.0
+    as numpy does), and numpy's ``_lerp`` interpolates from the upper value
+    when t >= 0.5.  A NaN anywhere makes every quantile NaN, as in numpy.
+    """
+    xs = np.array(x, dtype=float)
+    n = xs.size
+    vs = [(n - 1) * q for q in qs]
+    ends = [(int(v), int(v) + 1) if v < n - 1 else (-1, -1) for v in vs]
+    xs.partition(sorted({0, -1}.union(*ends)))
+    if math.isnan(xs[-1]):
+        return [xs[-1]] * len(qs)
+    out = []
+    for v, (i, j) in zip(vs, ends):
+        t = v - i
+        a, b = xs[i], xs[j]
+        d = b - a
+        out.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+    return out
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

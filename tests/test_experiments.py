@@ -369,6 +369,28 @@ def test_tube_mc_experiment(tmp_path):
     assert mc.n == 500_000
 
 
+@pytest.mark.parametrize("r, t, share", [(1.0, 245.33, 0.0), (0.5, 1e-6, 1.0)])
+def test_tube_mc_half_width_with_no_hit_or_no_miss(tmp_path, r, t, share):
+    # No draw hits a tube that is a share of about e^{-t/2} of its ball, and
+    # every draw hits one that fills it.  The binomial half-width would be 0;
+    # the run reports the one-sided 95 % bound, about 3/draws of the ball.
+    draws = 1000
+    rep = run_experiment(cfg_for(tmp_path, experiment="tube-mc", r_levels=(r,), t=t, samples=draws))
+    mc = rep.stat("tube_area_mc")
+    area = ball_area(0.5 * t + r)
+    assert mc.value == share * area
+    assert mc.half_width == pytest.approx(area * (1.0 - 0.05 ** (1.0 / draws)), rel=1e-12)
+    assert mc.half_width == pytest.approx(3.0 * area / draws, rel=0.01)
+
+
+def test_cli_tube_mc_without_a_hit_prints_a_nonzero_half_width(tmp_path, capsys):
+    argv = ["tube-mc", "--r", "1", "--t", "245.33", "--samples", "300000", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "r=1 tube_area_mc = 0 +/-1.6e+49 (n=300000)" in out
+    assert "r=1 tube_area_formula = 580.036 (n=0)" in out
+
+
 def test_bg_convergence_experiment(tmp_path):
     rep = run_experiment(
         cfg_for(

@@ -1,10 +1,15 @@
-"""The CLI imports numpy but not scipy, and runs import nothing more, but
-nearest-neighbor's closed forms, which load scipy.special on first use.
+"""The CLI imports numpy but not scipy, the process pool or numpy.ma, and
+runs import nothing more, but nearest-neighbor's closed forms, which load
+scipy.special on first use, and a run's first pool, which loads
+concurrent.futures.
 
 Importing scipy costs each CLI call about a second, several times the rest
-of its start-up.  Each check runs in a fresh interpreter, as a CLI call does.
+of its start-up; concurrent.futures, with multiprocessing, logging, socket
+and subprocess, and numpy.ma cost it 30-45 ms more.  Each check runs in a
+fresh interpreter, as a CLI call does.
 """
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -12,19 +17,24 @@ import sys
 from pathlib import Path
 
 import hyperlorentz
+from hyperlorentz import experiments
 
 SRC = str(Path(hyperlorentz.__file__).resolve().parent.parent)
 
+# Packages that no call pays for unless its run needs them.
+HEAVY = ("scipy", "concurrent", "multiprocessing", "logging", "numpy.ma")
+
 RUNS = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import hyperlorentz.cli as cli
 
 loaded = set(sys.modules)
-added = {"import": sorted(m for m in loaded if m.startswith("scipy"))}
+added = {"import": sorted(loaded)}
 for argv in json.loads(sys.argv[1]):
+    out = os.path.join(sys.argv[2], str(len(added)))
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([*argv, "--workers", "1", "--out", sys.argv[2]]) == 0
-    added[argv[0]] = sorted(set(sys.modules) - loaded)
+        assert cli.main([*argv, "--out", out]) == 0
+    added[" ".join(argv)] = sorted(set(sys.modules) - loaded)
     loaded |= set(sys.modules)
 print(json.dumps(added))
 """
@@ -38,6 +48,18 @@ from scipy import special
 print(json.dumps(sorted(set(sys.modules) - loaded)))
 """
 
+POOL = """
+import json, sys
+import hyperlorentz.cli
+from scipy import special
+
+loaded = set(sys.modules)
+from concurrent.futures import ProcessPoolExecutor
+with ProcessPoolExecutor(max_workers=1) as pool:
+    list(pool.map(abs, [-1, -2]))
+print(json.dumps(sorted(set(sys.modules) - loaded)))
+"""
+
 
 def _run(code, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
@@ -47,19 +69,48 @@ def _run(code, *args):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _heavy(modules):
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in HEAVY)]
+
+
 def test_cli_imports_no_scipy_and_runs_import_nothing_new(tmp_path):
     argvs = [
-        ["free-path", "--samples", "50"],
-        ["deflection", "--samples", "50"],
-        ["tube-mc", "--samples", "1000"],
-        ["bg-convergence", "--samples", "20", "--r", "0.4,0.2", "--t", "2"],
-        ["flight-baseline", "--samples", "50"],
-        ["nearest-neighbor", "--samples", "50"],
+        ["free-path", "--samples", "50", "--workers", "1"],
+        ["deflection", "--samples", "50", "--workers", "1"],
+        ["tube-mc", "--samples", "1000", "--workers", "1"],
+        ["bg-convergence", "--samples", "20", "--r", "0.4,0.2", "--t", "2", "--workers", "1"],
+        # At workers 2, a run of one batch of blocks a call starts no pool.
+        ["bg-convergence", "--samples", "20", "--r", "0.4,0.2", "--t", "2", "--workers", "2"],
+        ["flight-baseline", "--samples", "50", "--workers", "1"],
+        ["export", "--t", "2"],
+        ["nearest-neighbor", "--samples", "50", "--workers", "1"],
     ]
-    added = _run(RUNS, json.dumps(argvs), str(tmp_path))
-    assert added.pop("import") == []
-    nearest = added.pop("nearest-neighbor")
-    assert added == {argv[0]: [] for argv in argvs[:-1]}
+    added = _run(RUNS, json.dumps(argvs[:-2]), str(tmp_path))
+    imported = added.pop("import")
+    assert _heavy(imported) == []
+    # argparse's gettext imports locale on the first parse: it comes with the package.
+    assert "locale" in imported
+    assert added == {" ".join(argv): [] for argv in argvs[:-2]}
+    added = _run(RUNS, json.dumps(argvs[-2:]), str(tmp_path / "x"))
+    added.pop("import")
+    assert added.pop(" ".join(argvs[-2])) == []
     # nearest-neighbor adds scipy.special and what it imports, nothing else.
+    nearest = added.pop(" ".join(argvs[-1]))
     assert "scipy.special" in nearest
     assert set(nearest) <= set(_run(SCIPY_SPECIAL))
+
+
+def test_pool_run_imports_only_the_pool_and_writes_the_same_bytes(tmp_path):
+    # At workers 2, nearest-neighbor's three one-replica streams are two
+    # chunks, one of them on a pool of one worker.
+    argvs = [["nearest-neighbor", "--samples", "3", "--workers", str(w)] for w in (1, 2)]
+    added = _run(RUNS, json.dumps(argvs), str(tmp_path))
+    pool = added[" ".join(argvs[1])]
+    assert "concurrent.futures.process" in pool
+    assert set(pool) <= set(_run(POOL))
+    for name in ("report.json", "levels.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_pool_class_is_concurrent_futures_own():
+    assert experiments.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor

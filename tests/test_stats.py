@@ -136,6 +136,54 @@ def test_bootstrap_rejects_bad_arguments():
             bootstrap_half_width_w1([1.0, 2.0], [1.0, 3.0], rng, level=level)
 
 
+@pytest.mark.parametrize(
+    "n, seed, n_boot, level, expected",
+    [
+        (1, 0, 200, 0.95, 0.0),
+        (2, 1, 200, 0.95, 0.3863796272162965),
+        (7, 2, 50, 0.5, 0.32301418158946127),
+        (300, 3, 200, 0.95, 0.18574379035093108),
+        (1000, 4, 200, 0.9, 0.10355715808812019),
+        (5000, 5, 120, 0.99, 0.07760971852594586),
+    ],
+)
+def test_bootstrap_half_width_keeps_its_values(n, seed, n_boot, level, expected):
+    # The values bootstrap_half_width_w1 gave through np.quantile.
+    rng = np.random.default_rng(seed)
+    a = rng.gamma(2.0, 1.0, n)
+    b = rng.gamma(2.0, 1.2, n)
+    got = bootstrap_half_width_w1(a, b, np.random.default_rng(seed + 100), n_boot=n_boot, level=level)
+    assert got == expected
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1001, 10_000])
+def test_quantiles_are_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    levels = [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, *rng.uniform(0.5, 0.99, 4)]
+    qs = [0.0, 1.0, *[(1.0 - lv) / 2.0 for lv in levels], *[(1.0 + lv) / 2.0 for lv in levels]]
+    samples = [
+        rng.normal(size=n),
+        rng.gamma(2.0, 1.0, n),
+        np.round(rng.normal(size=n), 1),  # ties
+        rng.integers(0, 3, n).astype(float),  # mostly ties
+        rng.choice([-0.0, 0.0, 1.0], n),  # ties of both zeros, which numpy orders by partition
+        np.full(n, 2.5),
+    ]
+    for x in samples:
+        assert _bits(stats._quantiles(x, qs)) == _bits(np.quantile(x, qs))
+
+
+def test_quantiles_of_non_finite_samples_are_numpys():
+    with np.errstate(invalid="ignore"):
+        for x in ([1.0, math.nan, 2.0, 3.0], [math.inf, 1.0], [-math.inf, math.inf, 1.0], [-0.0]):
+            qs = [0.0, 0.3, 0.5, 0.9, 1.0]
+            assert _bits(stats._quantiles(x, qs)) == _bits(np.quantile(x, qs))
+
+
 @pytest.mark.parametrize("n", [3, 4, 10, 101, 1000, 10_000])
 def test_spearman_rho_is_scipys_bit_for_bit(n):
     rng = np.random.default_rng(n)
