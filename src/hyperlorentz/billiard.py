@@ -12,6 +12,10 @@ hyperbolic sense because half-plane angles agree with Euclidean angles.
 
 Trajectories are piecewise geodesics, right-continuous in direction at
 collision times.
+
+First contacts in a fresh field (Exp(2 lam sinh r) free paths, sin psi
+uniform) are drawn by :func:`_first_contacts` and placed by :func:`_tube_hit`
+for :func:`sample_first_collisions` and the lazy billiard alike.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .geometry import (
     ball_area,
     distance_xy,
     flow_ahead,
-    flow_angle,
     flow_xy,
     hyp_distance,
     mobius_xy,
@@ -62,6 +65,9 @@ __all__ = [
 DISC_TOL = 1e-15
 
 DEFAULT_MAX_EVENTS = 10**6
+
+#: The start of :func:`sample_first_collisions` and of every experiment.
+_START = State(Point(0.0, 1.0), Direction(0.5 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -206,6 +212,18 @@ def _runaway(max_events: int) -> RunawayError:
     return RunawayError(f"exceeded {max_events} events before the horizon")
 
 
+def _block_draws(block, live, count: int, draw):
+    """Draws for the live replicas of ``count`` blocks, ``block[i]`` being
+    replica i's block and ``live`` increasing: ``draw(k, m)``, a tuple of
+    arrays for block k's m live replicas from its generator, runs once for
+    each block that has any, in block order, so a block draws what it draws
+    alone.  Returns the tuple's arrays, concatenated in block order."""
+    if count == 1:  # one block: skip the grouping
+        return draw(0, live.size)
+    counts = np.bincount(block[live], minlength=count).tolist()
+    return tuple(map(np.concatenate, zip(*[draw(k, m) for k, m in enumerate(counts) if m])))
+
+
 def _run_events(s0: State, n: int, horizon: float, step, turn, max_events: int, record=None):
     """The event loop shared by the billiard and the random flight: n
     replicas start from s0 and advance together, one turn per round.
@@ -344,8 +362,8 @@ def position_at(traj: Trajectory, t: float) -> State:
     else:
         ev = traj.events[k - 1]
         base, t0 = State(ev.impact_point, ev.post_dir), ev.time
-    x, y = flow_xy(base.point.x, base.point.y, base.dir.alpha, t - t0)
-    return State(Point(float(x), float(y)), Direction(float(flow_angle(base.dir.alpha, t - t0))))
+    x, y, alpha = flow_ahead(base.point.x, base.point.y, base.dir.alpha, t - t0)
+    return State(Point(float(x), float(y)), Direction(float(alpha)))
 
 
 def recollision_count(traj: Trajectory) -> int:
@@ -386,21 +404,18 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
     complement of the explored set, the points within r of an earlier
     segment (the first covers the start ball).  Each step proposes first
     contacts along the current segment as :func:`sample_first_collisions`
-    draws them in an empty plane, Exp(2 lam sinh r) gaps and sin psi
-    uniform, centers placed as :func:`_tube_hit` places them (the contact by
-    :func:`flow_ahead`, the center by :func:`flow_xy` over r from it), and
-    rejects those whose center is explored: that thins them to the fresh
-    field.  The first accepted one races the exact hit times of the
-    obstacles met so far, but the one just left, so recollisions stay exact.
-    An obstacle is known by the round it was first met in.
+    draws and places them in an empty plane (:func:`_first_contacts`, then
+    :func:`_tube_hit`), and rejects those whose center is explored: that
+    thins them to the fresh field.  The first accepted one races the exact
+    hit times of the obstacles met so far, but the one just left, so
+    recollisions stay exact.  An obstacle is known by the round it was first
+    met in.
 
-    Each round, every block with proposals left to make draws them from its
-    own generator, in the order it would draw them alone, and a block with
-    none draws nothing: every replica follows the path it follows when its
-    block runs alone, bit for bit, and leaves its generator in the same state.
+    Proposals follow the rule of :func:`_block_draws`: every replica follows
+    the path it follows when its block runs alone, bit for bit, and leaves
+    its generator in the same state.
     """
     rngs, sizes, lams, block_radii = zip(*blocks)
-    scales = [1.0 / (2.0 * lam * math.sinh(r)) for lam, r in zip(lams, block_radii)]
     # The block, radius and cosh of the radius of each replica.
     block = np.repeat(np.arange(len(blocks)), sizes)
     radii = np.repeat(block_radii, sizes)
@@ -413,17 +428,8 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
     rounds = 0
     recollisions = np.zeros(n, dtype=np.int64)
 
-    def propose(owner):
-        """Exp(2 lam sinh r) gaps and psi for replicas of the blocks ``owner``
-        lists in increasing order, each block's from its own generator."""
-        counts = np.bincount(owner, minlength=len(blocks))
-        draws = [
-            (rngs[k].exponential(scales[k], m), rngs[k].uniform(-1.0, 1.0, m))
-            for k, m in enumerate(counts.tolist())
-            if m
-        ]
-        gaps, sin_psi = (np.concatenate(v) for v in zip(*draws))
-        return gaps, np.arcsin(sin_psi)
+    def contacts(k, m):
+        return _first_contacts(rngs[k], lams[k], block_radii[k], m)
 
     def step(live, x, y, alpha, t_left, last):
         nonlocal hist
@@ -445,15 +451,14 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
         new[5:, cols] = math.nan
         s, todo = np.zeros(m), np.arange(m)
         while todo.size:
-            s_try, psi = propose(block[live[todo]])
+            s_try, psi = _block_draws(block, live[todo], len(blocks), contacts)
             s_try += s[todo]
             ahead = s_try < bound[todo]
             todo, s_try, psi = todo[ahead], s_try[ahead], psi[ahead]
             if not todo.size:
                 break
             s[todo] = s_try
-            ix, iy, pre = flow_ahead(x[todo], y[todo], alpha[todo], s_try)
-            cx, cy = flow_xy(ix, iy, pre + psi, radii[live[todo]])
+            _, _, _, cx, cy = _tube_hit(x[todo], y[todo], alpha[todo], s_try, psi, radii[live[todo]])
             if rounds:
                 a, b, c, d, length = hist[:5, :rounds, cols[todo]]
                 explored = _cosh_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < cosh_r[todo]
@@ -490,11 +495,18 @@ class FirstCollision:
     censored: bool
 
 
+def _first_contacts(rng: np.random.Generator, lam: float, radius: float, m: int):
+    """(gap, psi) of m first contacts in an empty plane, drawn from rng:
+    the Exp(2 lam sinh r) gaps, then psi = arcsin U, U uniform on [-1, 1]."""
+    gap = rng.exponential(1.0 / (2.0 * lam * math.sinh(radius)), m)
+    return gap, np.arcsin(rng.uniform(-1.0, 1.0, m))
+
+
 def _tube_hit(x0, y0, alpha0, t, psi, r):
-    """(ix, iy, pre_alpha, cx, cy) of a hit at time t: the obstacle center lies
-    at distance r from the impact point, at angle psi to the incoming direction."""
-    ix, iy = flow_xy(x0, y0, alpha0, t)
-    pre_alpha = flow_angle(alpha0, t)
+    """(ix, iy, pre_alpha, cx, cy) of a hit at time t >= 0: the obstacle center
+    lies at distance r from the impact point, at angle psi to the incoming
+    direction."""
+    ix, iy, pre_alpha = flow_ahead(x0, y0, alpha0, t)
     return (ix, iy, pre_alpha, *flow_xy(ix, iy, pre_alpha + psi, r))
 
 
@@ -504,7 +516,6 @@ def sample_first_collisions(
     horizon: float,
     rng: np.random.Generator,
     size: int,
-    start: State | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First collisions of ``size`` particles, each in its own fresh field.
 
@@ -516,13 +527,11 @@ def sample_first_collisions(
     sinh r sin psi, psi being the angle at the impact point between the
     incoming direction and the center, sin psi is uniform on [-1, 1].  Free
     paths beyond ``horizon`` are censored at the horizon, deflection nan.
+    Neither law depends on the start, which is ``_START``.
     """
-    if start is None:
-        start = State(Point(0.0, 1.0), Direction(0.5 * math.pi))
-    free = rng.exponential(1.0 / (2.0 * lam * math.sinh(radius)), size)
-    psi = np.arcsin(rng.uniform(-1.0, 1.0, size))
+    free, psi = _first_contacts(rng, lam, radius, size)
     time, censored = np.minimum(free, horizon), free > horizon
-    ix, iy, pre, cx, cy = _tube_hit(start.point.x, start.point.y, start.dir.alpha, time, psi, radius)
+    ix, iy, pre, cx, cy = _tube_hit(_START.point.x, _START.point.y, _START.dir.alpha, time, psi, radius)
     beta = (_reflect_angle(ix, iy, pre, cx, cy, radius) - pre) % TWO_PI
     return time, np.where(censored, np.nan, beta), censored
 
@@ -532,9 +541,8 @@ def sample_first_collision(
     radius: float,
     horizon: float,
     rng: np.random.Generator,
-    start: State | None = None,
 ) -> FirstCollision:
     """First collision against a fresh Poisson field: one particle of
     :func:`sample_first_collisions`."""
-    time, deflection, censored = sample_first_collisions(lam, radius, horizon, rng, 1, start)
+    time, deflection, censored = sample_first_collisions(lam, radius, horizon, rng, 1)
     return FirstCollision(float(time[0]), float(deflection[0]), bool(censored[0]))

@@ -13,12 +13,13 @@ batch, 8192 replicas (or one stream), so a chunk may mix levels.  Each
 chunk is one kernel call on one block ``(rng, m, *level parameters)`` per
 stream, the one block type from the runner down to the engines.  The lazy
 billiard, the bg-convergence flight and nearest-neighbor advance the
-blocks of a chunk together (fields in batches of at most 16 384
-obstacles), each drawing from its own stream as it would alone, so that
-no result depends on the chunk.  B and the caps never depend on the
-worker count or the sample count, and the runner returns per-stream
-results per level, in stream order, so reports are byte-identical for
-any worker count.  A call of at most one batch of blocks (B > 1) runs in
+blocks of a chunk together (nearest-neighbor's fields in groups of
+max(1, floor(16 384 / expected obstacle count))), each drawing from its
+own stream as it would alone, so that no result depends on the chunk.  B
+and the caps never depend on the worker count or the sample count, and
+the runner returns per-stream results per level, in stream order, so
+reports are byte-identical for any worker count.  A call of blocks (B >
+1) of at most one batch of replicas, samples x levels <= 8192, runs in
 the caller; the first call cut for the workers starts the run's one pool
 of k = min(workers, chunks) - 1, and the caller runs every (k+1)-th chunk.
 Only then is ``concurrent.futures`` imported.
@@ -49,6 +50,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy loads it on first use; every run uses it, so load it with the package
 
 from .billiard import (
+    _START,
     Trajectory,
     _cosh_to_segment,
     _explore,
@@ -61,9 +63,7 @@ from .errors import ValidationError
 from .flight import FlightConfig, _flight_ends, sample_deflection, simulate_flight
 from .geometry import (
     TWO_PI,
-    Direction,
     Point,
-    State,
     ball_area,
     cayley,
     cayley_angle_shift,
@@ -113,12 +113,11 @@ _TAG_BOOT = 2
 _TAG_AUX = 3
 _TAG_EXPORT = 9
 
-_START = State(Point(0.0, 1.0), Direction(0.5 * math.pi))
-
 _TUBE_BLOCK = 200_000  # rejection draws per deterministic block
 _FC_BLOCK = 8192  # first-collision replicas per deterministic block
 _LAZY_BLOCK = 256  # bg-convergence flight paths or billiard fields per deterministic block
 _BATCH = 8192  # replicas per kernel call, unless one stream holds more
+_GROUP_POINTS = 16_384  # expected obstacles per _sample_fields call of _nearest
 
 
 def lambda_for(sigma: float, r: float) -> float:
@@ -240,7 +239,7 @@ class Report:
     seed: int
     elapsed_s: float | None
 
-    def to_json_dict(self, include_elapsed: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "experiment": self.experiment,
             "params": self.params,
@@ -256,7 +255,7 @@ class Report:
                 for s in self.levels
             ],
             "seed": self.seed,
-            "elapsed_s": self.elapsed_s if include_elapsed else None,
+            "elapsed_s": self.elapsed_s,
         }
 
     def stat(self, name: str, r: float | None = None) -> LevelStat:
@@ -311,11 +310,12 @@ class _Runner:
     entry per replica, in block order; ``run`` returns one such tuple per
     level, of views into shared arrays, whatever the chunks and the workers.
 
-    A call within one batch of blocks (size > 1) is one chunk in the caller.
-    At workers > 1 any other runs on one pool of k worker processes beside
-    the caller, k = min(workers, chunks) - 1 at the run's first such call:
-    the caller runs chunks 0, k+1, 2(k+1), ... itself while the pool runs
-    the others, and results go back in chunk order; later calls reuse it.
+    A call of blocks (size > 1) of at most ``_BATCH`` replicas over all its
+    levels runs every chunk in the caller.  At workers > 1 any other call
+    runs on one pool of k worker processes beside the caller, k =
+    min(workers, chunks) - 1 at the run's first such call: the caller runs
+    chunks 0, k+1, 2(k+1), ... itself while the pool runs the others, and
+    results go back in chunk order; later calls reuse it.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -333,12 +333,12 @@ class _Runner:
     def __call__(self, kernel, levels, *args, tag=_TAG_REPLICA, size=1):
         cfg = self.cfg
         total = -(-cfg.samples // size) * len(levels)
-        # A call within one batch of blocks (size > 1), which advance together,
-        # is one chunk in the caller.  Calls of one-replica streams (a field or
-        # a path each, dear enough for a pool at any size) and larger calls are
-        # the fewest chunks of at most cap streams, in a multiple of workers.
+        # A call of blocks (size > 1) of at most one batch of replicas runs in
+        # the caller.  Calls of one-replica streams (a field or a path each,
+        # dear enough for a pool at any size) and larger calls are the fewest
+        # chunks of at most cap streams, in a multiple of workers.
         cap = max(1, _BATCH // size)
-        workers = cfg.workers if total > cap or size == 1 else 1
+        workers = cfg.workers if size == 1 or cfg.samples * len(levels) > _BATCH else 1
         count = workers * -(-total // (workers * cap))
         chunk = -(-total // count)
         chunks = [range(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
@@ -379,7 +379,12 @@ def _first_collisions(blocks, horizon):
 def _nearest(blocks):
     parts = []
     for (lam, R), group in groupby(blocks, key=itemgetter(2, 3)):
-        for x, y, counts in _sample_fields(lam, BallRegion(_START.point, R), [rng for rng, *_ in group]):
+        region = BallRegion(_START.point, R)
+        rngs = [rng for rng, *_ in group]
+        # Fields in groups of about _GROUP_POINTS obstacles, which bounds memory.
+        size = max(1, int(_GROUP_POINTS // (lam * region.area)))
+        for lo in range(0, len(rngs), size):
+            x, y, counts = _sample_fields(lam, region, rngs[lo : lo + size])
             d = distance_xy(x, y, _START.point.x, _START.point.y)
             hit = counts > 0
             near = np.full(len(hit), R)
@@ -475,7 +480,8 @@ def _drive_deflection(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
         keep = ~censored
         betas = betas[keep]
         n = int(keep.sum())
-        ks = ks_statistic(betas, deflection_cdf)
+        # A level whose every replica is censored has no deflection to test.
+        ks = ks_statistic(betas, deflection_cdf) if n else math.nan
         rho = _spearman_rho(times[keep], betas) if n > 2 else 0.0
         levels += [
             LevelStat(r, lam, "ks_deflection", ks, None, n),
@@ -563,7 +569,7 @@ def _fmt(v) -> str:
 def _write_report(report: Report, out_dir: Path) -> None:
     """Write both files to temporaries in out_dir, then rename them into place,
     so a failed write leaves the previous pair untouched."""
-    payload = report.to_json_dict(include_elapsed=False)
+    payload = dict(report.to_json_dict(), elapsed_s=None)
     lines = ["r,lambda,stat_name,value,half_width,n"]
     for s in report.levels:
         lines.append(
@@ -634,21 +640,17 @@ def sample_trajectory(sigma: float, r: float, t: float, seed: int) -> Trajectory
     return simulate(_START, field, t)
 
 
-def export_trajectory(
-    traj: Trajectory, model: str, dest: str | Path, grid_step: float = 0.05
-) -> Path:
+def export_trajectory(traj: Trajectory, model: str, dest: str | Path) -> Path:
     """Write a trajectory as CSV rows t,x,y,alpha,event.
 
-    Rows sample a uniform time grid plus the exact event times (flagged
+    Rows sample a time grid of step 0.05 plus the exact event times (flagged
     event=1, carrying the post-collision direction).  model='disk' maps
     positions through the Cayley transform and turns directions by its
     conformal rotation.
     """
     if model not in ("halfplane", "disk"):
         raise ValidationError(f"model must be 'halfplane' or 'disk', got {model!r}")
-    if grid_step <= 0.0:
-        raise ValidationError(f"grid step must be positive, got {grid_step}")
-    times = [float(t) for t in np.arange(0.0, traj.horizon, grid_step)]
+    times = [float(t) for t in np.arange(0.0, traj.horizon, 0.05)]
     if not times or traj.horizon - times[-1] > 1e-12:
         times.append(traj.horizon)
     event_times = {ev.time for ev in traj.events}

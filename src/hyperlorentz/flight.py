@@ -6,6 +6,9 @@ angle with density sin(beta/2)/4 on [0, 2*pi].  This is the scaling limit
 of the billiard among small dense obstacles at fixed sigma = 2*lam*sinh(r),
 and its one-time density solves the associated linear Boltzmann equation,
 so simulating it doubles as solving that equation stochastically.
+
+Blocks of flights draw by the billiard's per-block rule, so a block of
+paths ends where it ends alone.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from .billiard import (
     DEFAULT_MAX_EVENTS,
     Trajectory,
+    _block_draws,
     _run_events,
     _trajectory,
     position_at,
@@ -57,27 +61,23 @@ def _rules(cfg: FlightConfig, blocks):
     """The arguments n, horizon, step and turn of :func:`_run_events` for
     flights in blocks (rng, n) of paths, in order.
 
-    Each round, every block with live paths draws, from its own generator,
-    an Exp(sigma) gap for each of its m live paths, then a deflection's
-    uniform for each that turns; a block with none draws nothing.  So a
-    path's draws are a gap, then, while it is inside the horizon, a uniform
-    and the next gap, and a block draws what it draws alone.
+    Each round, by the rule of :func:`_block_draws`, every block draws an
+    Exp(sigma) gap for each of its live paths, then a deflection's uniform
+    for each that turns.  So a path's draws are a gap, then, while it is
+    inside the horizon, a uniform and the next gap, and a block draws what
+    it draws alone.
     """
     rngs, sizes = zip(*blocks)
     block = np.repeat(np.arange(len(rngs)), sizes)
     scale = 1.0 / cfg.sigma
 
-    def draw(live, method, *args):
-        if len(rngs) == 1:  # one block, as in simulate_flight: skip the grouping
-            return method(rngs[0], *args, live.size)
-        counts = np.bincount(block[live], minlength=len(rngs)).tolist()
-        return np.concatenate([method(rng, *args, m) for rng, m in zip(rngs, counts) if m])
-
     def step(live, x, y, alpha, t_left, last):
-        return draw(live, np.random.Generator.exponential, scale), last
+        (gap,) = _block_draws(block, live, len(rngs), lambda k, m: (rngs[k].exponential(scale, m),))
+        return gap, last
 
     def turn(live, ix, iy, pre, idx):
-        return (pre + _deflection(draw(live, np.random.Generator.random))) % TWO_PI
+        (u,) = _block_draws(block, live, len(rngs), lambda k, m: (rngs[k].random(m),))
+        return (pre + _deflection(u)) % TWO_PI
 
     return block.size, cfg.horizon, step, turn
 

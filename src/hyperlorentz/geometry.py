@@ -20,10 +20,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: Batched callers feed long arrays to the kernels below in slices of at most
-#: this many elements, which bounds the memory their temporaries take.
-SLICE = 4096
-
 __all__ = [
     "Point",
     "Direction",

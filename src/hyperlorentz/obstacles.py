@@ -6,18 +6,21 @@ distance is inverted exactly from its CDF sinh^2(eta/2) / sinh^2(R/2) and
 the polar angle is uniform, so sampling is exact and rejection-free.
 Annuli are sampled the same way, which realizes conditioning on an empty
 exclusion ball exactly (Poisson counts over disjoint sets are independent).
+A field of more than ``COUNT_CAP`` expected points is refused, and
+``_sample_fields`` draws the fields of a group of generators in one call,
+each as :func:`sample_field` draws it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleFieldError
-from .geometry import SLICE, Point, ball_area, distance_xy, flow_xy
+from .geometry import Point, ball_area, distance_xy, flow_xy
 
 __all__ = [
     "BallRegion",
@@ -32,11 +35,11 @@ __all__ = [
 ]
 
 #: Refuse to sample fields whose expected point count exceeds this.
-DEFAULT_COUNT_CAP = 10**8
+COUNT_CAP = 10**8
 
-#: _sample_fields groups consecutive fields up to this many points (a larger
-#: field goes alone), which bounds the memory of a batch run on the group.
-_GROUP_POINTS = 16_384
+#: _sample_fields places points in slices of at most this many, which bounds
+#: the memory its temporaries take.
+SLICE = 4096
 
 # Centers of transported fields may land on the region boundary up to rounding.
 _REGION_TOL = 1e-9
@@ -174,7 +177,6 @@ def sample_field(
     exclusion: float,
     rng: np.random.Generator,
     radius: float | None = None,
-    count_cap: float = DEFAULT_COUNT_CAP,
 ) -> ObstacleField:
     """Sample a homogeneous Poisson field of intensity lam on an annulus.
 
@@ -191,56 +193,41 @@ def sample_field(
     if not (radius > 0.0):
         raise ValueError(f"obstacle radius must be positive, got {radius}")
     region = BallRegion(center, R, exclusion)
-    ((x, y, _),) = _sample_fields(lam, region, [rng], count_cap)
+    x, y, _ = _sample_fields(lam, region, [rng])
     return ObstacleField(np.column_stack((x, y)), radius, lam, region)
 
 
 def _sample_fields(
-    lam: float,
-    region: BallRegion,
-    rngs: Iterable[np.random.Generator],
-    count_cap: float = DEFAULT_COUNT_CAP,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    lam: float, region: BallRegion, rngs: Iterable[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample the centers of one field of :func:`sample_field` from each
     generator, in order, making the draws ``sample_field`` makes.
 
-    Consecutive fields come in batches (x, y, counts) of at most
-    ``_GROUP_POINTS`` points, field i's centers being the next ``counts[i]``
-    entries of (x, y); a larger field comes alone.
+    Returns (x, y, counts), field i's centers being the next ``counts[i]``
+    entries of (x, y).  The caller sizes the group: all its points are held
+    at once.
     """
     if not (lam > 0.0):
         raise ValueError(f"intensity must be positive, got {lam}")
     expected = lam * region.area
-    if expected > count_cap:
+    if expected > COUNT_CAP:
         raise InfeasibleFieldError(
-            f"expected obstacle count {expected:.3g} exceeds cap {count_cap:.3g}"
+            f"expected obstacle count {expected:.3g} exceeds cap {COUNT_CAP:.3g}"
         )
-
-    def batch(us, phis):
-        # All fields' points at once, a slice at a time, as sample_annulus places them.
-        u, phi = np.concatenate(us), np.concatenate(phis)
-        x, y = np.empty(u.size), np.empty(u.size)
-        for k in range(0, u.size, SLICE):
-            part = slice(k, k + SLICE)
-            eta = _radius_from_uniform(u[part], region.exclusion, region.outer)
-            x[part], y[part] = flow_xy(region.center.x, region.center.y, phi[part], eta)
-            _check_in_region(x[part], y[part], region)
-        return x, y, np.array(list(map(len, us)))
-
-    us: list[np.ndarray] = []
-    phis: list[np.ndarray] = []
-    points = 0
+    us, phis = [], []
     for rng in rngs:
         n = int(rng.poisson(expected))
-        if us and points + n > _GROUP_POINTS:
-            done = batch(us, phis)
-            us, phis, points = [], [], 0
-            yield done
         us.append(rng.random(n))
         phis.append(rng.uniform(0.0, 2.0 * math.pi, n))
-        points += n
-    if us:
-        yield batch(us, phis)
+    # All fields' points at once, a slice at a time, as sample_annulus places them.
+    u, phi = np.concatenate(us), np.concatenate(phis)
+    x, y = np.empty(u.size), np.empty(u.size)
+    for k in range(0, u.size, SLICE):
+        part = slice(k, k + SLICE)
+        eta = _radius_from_uniform(u[part], region.exclusion, region.outer)
+        x[part], y[part] = flow_xy(region.center.x, region.center.y, phi[part], eta)
+        _check_in_region(x[part], y[part], region)
+    return x, y, np.array(list(map(len, us)))
 
 
 # ---------------------------------------------------------------------------

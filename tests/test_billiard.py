@@ -39,12 +39,13 @@ from hyperlorentz.billiard import (
     _hit_times,
     _reflect_angle,
     _tube_hit,
+    sample_first_collisions,
 )
 from hyperlorentz.experiments import _derive_rng, exp_cdf
 from hyperlorentz.geometry import distance_xy, flow_angle, flow_xy, mobius_xy, normalizing_coeffs
 from hyperlorentz.obstacles import sample_annulus
 from hyperlorentz.stats import wasserstein1
-from util import angle_diff, random_mobius, random_state
+from util import angle_diff, fingerprint, random_mobius, random_state
 
 TWO_PI = 2.0 * math.pi
 ORIGIN = Point(0.0, 1.0)
@@ -676,6 +677,27 @@ def test_sample_first_collision_censoring():
     assert fc.censored and fc.time == 2.0 and math.isnan(fc.deflection)
 
 
+@pytest.mark.parametrize("lam, r, horizon, key, size, expected", [
+    (1.0, 0.5, 10.0, (5, 0, 0, 9), 1000, (
+        [["955.5788541027256", "0.9462939594169605", "0.052355986710249935"],
+         ["3116.3937317756354", "5.897200425867755", "3.1460676547245248"],
+         ["0.0", "0.0", "0.0"]],
+        ["0.8169581766577639"])),
+    (3.0, 0.02, 2.0, (7, 0, 1, 0), 8192, (
+        [["14497.853541533557", "2.0", "2.0"], ["5649.97124024603", "nan", "nan"], ["6411.0", "1.0", "1.0"]],
+        ["0.28956288285510934"])),
+    (0.2, 0.1, 1.0, (8, 0, 2, 3), 37, (
+        [["36.66361312983469", "1.0", "1.0"], ["2.8531136813290265", "nan", "nan"], ["36.0", "1.0", "1.0"]],
+        ["0.7365443039834184"])),
+])
+def test_sample_first_collisions_keeps_its_values(lam, r, horizon, key, size, expected):
+    # The times, deflections, censoring and generator end states that
+    # sample_first_collisions gave when it placed the contact by flow_xy and
+    # flow_angle from a start argument.
+    rng = _derive_rng(*key)
+    assert fingerprint(sample_first_collisions(lam, r, horizon, rng, size), [rng]) == expected
+
+
 # ---------------------------------------------------------------------------
 # lazy exploration
 # ---------------------------------------------------------------------------
@@ -788,6 +810,35 @@ def test_explore_blocks_together_match_each_block_alone():
     with pytest.raises(RunawayError) as merged:
         _explore(UP, t, blocks(), max_events=cap)
     assert str(merged.value) == str(solo.value)
+
+
+@pytest.mark.parametrize("t, expected", [
+    (1.0, (
+        [["0.33277730377005943", "-0.19067476121929688", "1.956084275282074e-16"],
+         ["1215.7463686181393", "0.9451174701774276", "2.718281828459045"],
+         ["638.0", "2.0", "0.0"], ["40.0", "0.0", "0.0"]],
+        ["0.08965071450511153", "0.1792418289856157", "0.7094937898624054", "0.9604642582594876",
+         "0.7137408411480458"])),
+    (4.0, (
+        [["118.73755003237335", "-0.7648965661283289", "6.464120316457742"],
+         ["2441.3821443593433", "0.21275205729899963", "5.135950251639649"],
+         ["2607.0", "4.0", "4.0"], ["404.0", "0.0", "0.0"]],
+        ["0.1862793048694189", "0.8261114546803133", "0.2665240455734117", "0.8086100660703437",
+         "0.8159121164815999"])),
+])
+def test_explore_keeps_its_values(t, expected):
+    # Blocks of three radii, a ragged block and a block of one, advanced
+    # together: the positions, counts and generator end states _explore gave
+    # with its own copy of the proposal draws and placement.
+    specs = [
+        ((31, 0, 0, 3), 100, 0.4),
+        ((31, 0, 1, 0), 256, 0.2),
+        ((31, 0, 2, 0), 256, 0.1),
+        ((31, 0, 2, 1), 37, 0.1),
+        ((31, 0, 1, 4), 1, 0.2),
+    ]
+    blocks = [(_derive_rng(*key), n, 1.0 / (2.0 * math.sinh(r)), r) for key, n, r in specs]
+    assert fingerprint(_explore(UP, t, blocks), [rng for rng, *_ in blocks]) == expected
 
 
 def test_explore_matches_simulate_in_full_fields():

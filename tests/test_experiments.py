@@ -267,6 +267,23 @@ def test_one_replica_streams_cut_for_the_workers(tmp_path, pool_log, experiment,
     ]
 
 
+def test_small_multi_level_calls_of_blocks_start_no_pool(tmp_path, pool_log):
+    # deflection at 3 levels of 500 samples is 3 one-stream chunks but 1 500
+    # replicas, within one batch: at workers 1000 it makes no pool, runs
+    # every chunk in the caller and writes the bytes of workers 1.
+    made, ran = pool_log
+    blobs, logs = [], []
+    for w in (1, 1000):
+        argv = ["deflection", "--samples", "500", "--r", "0.5,0.1,0.02", "--t", "12", "--workers", str(w)]
+        assert main([*argv, "--out", str(tmp_path / f"w{w}")]) == 0
+        blobs.append(read_outputs(tmp_path / f"w{w}"))
+        logs.append(ran[:])
+        ran.clear()
+    assert blobs[0] == blobs[1]
+    assert made == []
+    assert logs[0] == logs[1] == [("_first_collisions", "caller", [(L, 0)]) for L in range(3)]
+
+
 def _fail_in_caller(blocks, caller_pid):
     if os.getpid() == caller_pid:
         raise RuntimeError("chunk failed in the caller")
@@ -356,6 +373,31 @@ def test_deflection_experiment(tmp_path):
     for r in (0.5, 0.1):
         assert rep.stat("ks_deflection", r=r).value < 0.04
         assert abs(rep.stat("spearman_tau_beta", r=r).value) < 0.08
+
+
+def test_cli_deflection_with_every_replica_censored(tmp_path, capsys):
+    # At sigma t = 0.01 every one of 10 replicas is censored (probability
+    # about 0.9): the level has no deflection to test, so its KS statistic
+    # is NaN with n = 0, not an error.
+    assert main(["deflection", "--sigma", "0.01", "--t", "1", "--samples", "10", "--out", str(tmp_path)]) == 0
+    rows = {row["stat_name"]: row for row in json.loads((tmp_path / "report.json").read_text())["levels"]}
+    assert math.isnan(rows["ks_deflection"]["value"]) and rows["ks_deflection"]["n"] == 0
+    assert rows["spearman_tau_beta"]["value"] == 0.0 and rows["spearman_tau_beta"]["n"] == 0
+    assert rows["censored_count"]["value"] == 10.0 and rows["censored_count"]["n"] == 10
+    assert "ks_deflection = nan (n=0)" in capsys.readouterr().out
+
+
+def test_deflection_level_with_every_replica_censored_leaves_the_others(tmp_path):
+    # Of 4 replicas a level at seed 0, level 0 keeps 2 uncensored and level
+    # 1 none: level 1 reports NaN, and level 0 the rows it reports alone.
+    kw = dict(experiment="deflection", sigma=0.2, t=1.0, samples=4, seed=0)
+    both = run_experiment(cfg_for(tmp_path / "both", r_levels=(0.5, 0.1), **kw))
+    alone = run_experiment(cfg_for(tmp_path / "alone", r_levels=(0.5,), **kw))
+    assert both.levels[:3] == alone.levels
+    assert alone.stat("censored_count").value == 2.0
+    assert math.isnan(both.stat("ks_deflection", r=0.1).value)
+    assert both.stat("ks_deflection", r=0.1).n == 0
+    assert both.stat("censored_count", r=0.1).value == 4.0
 
 
 def test_tube_mc_experiment(tmp_path):

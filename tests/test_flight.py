@@ -23,7 +23,7 @@ from hyperlorentz import (
 from hyperlorentz.experiments import _derive_rng, deflection_cdf
 from hyperlorentz.flight import _flight_ends
 from hyperlorentz.geometry import flow_angle, flow_xy, geodesic_flow
-from util import random_mobius
+from util import fingerprint, random_mobius
 
 TWO_PI = 2.0 * math.pi
 START = State(Point(0.0, 1.0), Direction(math.pi / 2))
@@ -250,6 +250,27 @@ def mean_cosh_displacement(sigma, t):
     kappa = 2.0 * sigma / 3.0
     omega = math.hypot(1.0, kappa)
     return math.exp(-kappa * t) * (math.cosh(omega * t) + kappa / omega * math.sinh(omega * t))
+
+
+@pytest.mark.parametrize("sigma, t, expected", [
+    (1.0, 2.0, (
+        [["-8.400991465485209", "0.26465911784224816", "3.0684024492989934"],
+         ["1487.9251263171209", "0.5942827191896495", "4.752775840280018"],
+         ["1015.0", "2.0", "1.0"]],
+        ["0.5630383824279807", "0.8634463252380923", "0.4703280928663769", "0.8946389875550936"])),
+    (3.0, 5.0, (
+        [["-11.967264138682886", "-0.8776670514790902", "2.4290180976241804"],
+         ["654.9616062989135", "1.7257258498278778", "2.874385477194334"],
+         ["7918.0", "14.0", "18.0"]],
+        ["0.16606032274647853", "0.645854107932822", "0.372972905914559", "0.47201013461763985"])),
+])
+def test_flight_ends_keeps_its_values(sigma, t, expected):
+    # Two full blocks, a ragged one and a block of one, advanced together:
+    # the end points, turn counts and generator end states _flight_ends gave
+    # with its own copy of the per-block draw rule.
+    blocks = [(_derive_rng(41, 1, 0, k), n) for k, n in enumerate((256, 256, 19, 1))]
+    got = _flight_ends(START, FlightConfig(sigma, t), blocks)
+    assert fingerprint(got, [rng for rng, _ in blocks]) == expected
 
 
 def test_mean_cosh_displacement_solves_its_ode():

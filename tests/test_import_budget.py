@@ -77,6 +77,8 @@ def test_cli_imports_no_scipy_and_runs_import_nothing_new(tmp_path):
     argvs = [
         ["free-path", "--samples", "50", "--workers", "1"],
         ["deflection", "--samples", "50", "--workers", "1"],
+        # Nor does a multi-level call of blocks within one batch of replicas.
+        ["deflection", "--samples", "500", "--r", "0.5,0.1,0.02", "--t", "12", "--workers", "2"],
         ["tube-mc", "--samples", "1000", "--workers", "1"],
         ["bg-convergence", "--samples", "20", "--r", "0.4,0.2", "--t", "2", "--workers", "1"],
         # At workers 2, a run of one batch of blocks a call starts no pool.

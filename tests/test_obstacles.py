@@ -19,7 +19,7 @@ from hyperlorentz import (
     sample_uniform_in_ball,
     shot_noise,
 )
-from hyperlorentz import obstacles
+from hyperlorentz import experiments, obstacles
 from hyperlorentz.geometry import distance_xy
 from util import random_mobius
 
@@ -160,48 +160,48 @@ def test_field_cap_rejects_huge_configurations():
         sample_field(1e6, ORIGIN, 20.0, 0.0, rng, radius=0.5)
 
 
-@pytest.mark.parametrize("cap, mean", [(None, 7000.0), (None, 17000.0), (5, 2.0)])
-def test_batched_fields_equal_fields_drawn_alone(monkeypatch, cap, mean):
-    # _sample_fields over many generators yields, batch by batch, the very
-    # fields sample_field draws from fresh copies of the same streams, and
-    # leaves every generator where sample_field leaves it; both make the
-    # draws of a Poisson count and sample_annulus.  At the real cap
-    # fields come two to a batch, or alone when larger than the cap; at a
-    # cap of 5 points some fields are empty, some batches fill the cap
-    # exactly and some fields exceed it.
-    if cap is None:
-        cap = obstacles._GROUP_POINTS
-    monkeypatch.setattr(obstacles, "_GROUP_POINTS", cap)
-    region = BallRegion(ORIGIN, 3.0, 0.2)
-    lam = mean / region.area
+@pytest.mark.parametrize("mean, group", [(2.0, 48), (7000.0, 2), (17000.0, 1)])
+def test_fields_of_nearests_groups_equal_fields_drawn_alone(monkeypatch, mean, group):
+    # _nearest hands _sample_fields its generators in groups of
+    # max(1, floor(16 384 / expected count)); each call gives, field by
+    # field, the very fields sample_field draws from fresh copies of the
+    # same streams, and leaves every generator where sample_field leaves
+    # it; both make the draws of a Poisson count and sample_annulus.  At a
+    # mean of 2 points some fields are empty.
+    R = 3.0
+    lam = mean / BallRegion(ORIGIN, R).area
+    calls = []
+
+    def spy(*args):
+        out = obstacles._sample_fields(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(experiments, "_sample_fields", spy)
 
     def streams():
         return [np.random.Generator(np.random.Philox(key=i)) for i in range(48)]
 
-    ref_rngs, solo_rngs, batch_rngs = streams(), streams(), streams()
-    ref = [obstacles.sample_annulus(ORIGIN, 0.2, 3.0, rng, rng.poisson(lam * region.area))
+    ref_rngs, solo_rngs, group_rngs = streams(), streams(), streams()
+    ref = [obstacles.sample_annulus(ORIGIN, 0.0, R, rng, rng.poisson(lam * BallRegion(ORIGIN, R).area))
            for rng in ref_rngs]
-    solo = [sample_field(lam, ORIGIN, 3.0, 0.2, rng) for rng in solo_rngs]
+    solo = [sample_field(lam, ORIGIN, R, 0.0, rng, radius=0.5) for rng in solo_rngs]
     assert all(np.array_equal(a, f.centers) for a, f in zip(ref, solo))
-    batches = list(obstacles._sample_fields(lam, region, batch_rngs))
-    counts = [c.tolist() for _, _, c in batches]
-    assert [n for c in counts for n in c] == [len(f) for f in solo]
-    x = np.concatenate([x for x, _, _ in batches])
-    y = np.concatenate([y for _, y, _ in batches])
-    centers = np.concatenate([f.centers for f in solo])
-    assert np.array_equal(x, centers[:, 0]) and np.array_equal(y, centers[:, 1])
-    for a, b, c in zip(ref_rngs, solo_rngs, batch_rngs):  # same state: same next draws
+    near, censored = experiments._nearest([(rng, 1, lam, R) for rng in group_rngs])
+    assert [len(counts) for _, _, counts in calls] == [group] * (48 // group)
+    fields = iter(solo)
+    for x, y, counts in calls:
+        for part, field in zip(np.split(np.column_stack((x, y)), np.cumsum(counts)[:-1]), fields):
+            assert np.array_equal(part, field.centers)
+    assert next(fields, None) is None
+    for a, b, c in zip(ref_rngs, solo_rngs, group_rngs):  # same state: same next draws
         draws = a.random(8)
         assert np.array_equal(draws, b.random(8)) and np.array_equal(draws, c.random(8))
-    # Batches are greedy: at most cap points unless a lone field, and no
-    # batch could have taken the next batch's first field.
-    assert all(sum(c) <= cap or len(c) == 1 for c in counts)
-    assert all(sum(c) + d[0] > cap for c, d in zip(counts, counts[1:]))
-    sizes = [len(f) for f in solo]
-    if cap == 5:
-        assert 0 in sizes and max(sizes) > cap and any(sum(c) == cap for c in counts)
-    else:
-        assert len(batches) > 1
+    for f, d, empty in zip(solo, near, censored):
+        assert empty == (len(f) == 0)
+        assert d == (radial_distances(ORIGIN, f.centers).min() if len(f) else R)
+    if mean == 2.0:
+        assert any(len(f) == 0 for f in solo)
 
 
 def test_field_region_invariant_enforced():

@@ -30,3 +30,13 @@ def angle_diff(a: float, b: float) -> float:
     """Smallest absolute difference between two angles."""
     d = (a - b) % (2.0 * math.pi)
     return min(d, 2.0 * math.pi - d)
+
+
+def fingerprint(columns, rngs) -> tuple[list, list]:
+    """reprs of the finite sum, first and last entry of each column, and of
+    each generator's next uniform draw, which tells its state apart."""
+    sums = []
+    for col in map(np.asarray, columns):
+        finite = col[np.isfinite(col)]
+        sums.append([repr(float(v)) for v in (finite.sum(), col[0], col[-1])])
+    return sums, [repr(float(rng.random())) for rng in rngs]
