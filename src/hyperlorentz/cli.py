@@ -28,7 +28,10 @@ from .experiments import (
 
 
 def _r_levels(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(","))
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers separated by commas, got {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -4,25 +4,24 @@ Every experiment runs ``samples`` independent replicas per level through
 one runner, ``_Runner``: stream k of level L is a counter-based Philox
 stream keyed by the tuple (seed, tag, L, k) and covers replicas [kB,
 (k+1)B) for a fixed block size B.  free-path and deflection draw blocks of
-B = 8192 replicas from one stream, tube-mc counts blocks of 200 000 draws,
-and bg-convergence draws blocks of B = 256 flights and of 256 billiards in
-fields explored lazily.  nearest-neighbor and flight-baseline keep one
-stream per replica (B = 1).  The runner numbers the streams of all of a
-call's levels, level by level, and cuts them into chunks of at most one
-batch, 8192 replicas (or one stream), so a chunk may mix levels.  Each
-chunk is one kernel call on one block ``(rng, m, *level parameters)`` per
-stream, the one block type from the runner down to the engines.  The lazy
-billiard, the bg-convergence flight and nearest-neighbor advance the
-blocks of a chunk together (nearest-neighbor's fields in groups of
-max(1, floor(16 384 / expected obstacle count))), each drawing from its
-own stream as it would alone, so that no result depends on the chunk.  B
-and the caps never depend on the worker count or the sample count, and
-the runner returns per-stream results per level, in stream order, so
-reports are byte-identical for any worker count.  A call of blocks (B >
-1) of at most one batch of replicas, samples x levels <= 8192, runs in
-the caller; the first call cut for the workers starts the run's one pool
-of k = min(workers, chunks) - 1, and the caller runs every (k+1)-th chunk.
-Only then is ``concurrent.futures`` imported.
+B = 8192 replicas from one stream, nearest-neighbor blocks of B = 8192
+fields, tube-mc blocks of 200 000 draws, and bg-convergence blocks of B =
+256 flights and of 256 billiards in fields explored lazily.
+flight-baseline keeps one stream per replica (B = 1).  The runner numbers
+the streams of all of a call's levels, level by level, and cuts them into
+chunks of at most one batch, 8192 replicas (or one stream), so a chunk
+may mix levels.  Each chunk is one kernel call on one block ``(rng, m,
+*level parameters)`` per stream, the one block type from the runner down
+to the engines.  The lazy billiard and the bg-convergence flight advance
+the blocks of a chunk together, each drawing from its own stream as it
+would alone, so that no result depends on the chunk.  B and the caps
+never depend on the worker count or the sample count, and the runner
+returns per-stream results per level, in stream order, so reports are
+byte-identical for any worker count.  A call of blocks (B > 1) of at most
+one batch of replicas, samples x levels <= 8192, runs in the caller; the
+first call cut for the workers starts the run's one pool of k =
+min(workers, chunks) - 1, and the caller runs every (k+1)-th chunk.  Only
+then is ``concurrent.futures`` imported.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -42,8 +41,6 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +67,6 @@ from .geometry import (
     distance_xy,
 )
 from .obstacles import (
-    BallRegion,
-    _sample_fields,
     expected_T1,
     nearest_neighbor_tail,
     sample_annulus,
@@ -114,10 +109,9 @@ _TAG_AUX = 3
 _TAG_EXPORT = 9
 
 _TUBE_BLOCK = 200_000  # rejection draws per deterministic block
-_FC_BLOCK = 8192  # first-collision replicas per deterministic block
+_FC_BLOCK = 8192  # first-collision replicas or nearest-neighbor fields per deterministic block
 _LAZY_BLOCK = 256  # bg-convergence flight paths or billiard fields per deterministic block
 _BATCH = 8192  # replicas per kernel call, unless one stream holds more
-_GROUP_POINTS = 16_384  # expected obstacles per _sample_fields call of _nearest
 
 
 def lambda_for(sigma: float, r: float) -> float:
@@ -334,7 +328,7 @@ class _Runner:
         cfg = self.cfg
         total = -(-cfg.samples // size) * len(levels)
         # A call of blocks (size > 1) of at most one batch of replicas runs in
-        # the caller.  Calls of one-replica streams (a field or a path each,
+        # the caller.  Calls of one-replica streams (flight-baseline's paths,
         # dear enough for a pool at any size) and larger calls are the fewest
         # chunks of at most cap streams, in a multiple of workers.
         cap = max(1, _BATCH // size)
@@ -367,30 +361,26 @@ def _columns(parts):
 
 # Kernels: kernel(blocks, *args) -> tuple of columns over the replicas of a
 # chunk's blocks (rng, m, *level parameters), one block per stream, in
-# order.  _first_collisions, _lorentz_disp, _flight_disp and _tube run a
-# block of m replicas per stream, _lorentz_disp's in fields revealed along
-# their paths; _nearest runs one replica per stream and advances its streams
-# together, and _flight_count one path at a time.
+# order.  _first_collisions, _nearest, _lorentz_disp, _flight_disp and
+# _tube run a block of m replicas per stream, _lorentz_disp's in fields
+# revealed along their paths; _flight_count runs one path per stream.
 
 def _first_collisions(blocks, horizon):
     return _columns([sample_first_collisions(lam, r, horizon, rng, m) for rng, m, lam, r in blocks])
 
 
 def _nearest(blocks):
+    """Distance from the start to the nearest point of each of m fields on
+    the ball of radius R, or R (censored) for an empty field."""
     parts = []
-    for (lam, R), group in groupby(blocks, key=itemgetter(2, 3)):
-        region = BallRegion(_START.point, R)
-        rngs = [rng for rng, *_ in group]
-        # Fields in groups of about _GROUP_POINTS obstacles, which bounds memory.
-        size = max(1, int(_GROUP_POINTS // (lam * region.area)))
-        for lo in range(0, len(rngs), size):
-            x, y, counts = _sample_fields(lam, region, rngs[lo : lo + size])
-            d = distance_xy(x, y, _START.point.x, _START.point.y)
-            hit = counts > 0
-            near = np.full(len(hit), R)
-            if d.size:
-                near[hit] = np.minimum.reduceat(d, (np.cumsum(counts) - counts)[hit])
-            parts.append((near, ~hit))
+    for rng, m, lam, R in blocks:
+        counts = rng.poisson(lam * ball_area(R), m)
+        pts = sample_annulus(_START.point, 0.0, R, rng, int(counts.sum()))
+        d = distance_xy(pts[:, 0], pts[:, 1], _START.point.x, _START.point.y)
+        hit = counts > 0
+        near = np.full(m, R)
+        near[hit] = np.minimum.reduceat(d, (np.cumsum(counts) - counts)[hit])
+        parts.append((near, ~hit))
     return _columns(parts)
 
 
@@ -458,7 +448,7 @@ def _drive_nearest_neighbor(cfg: ExperimentConfig, run: _Runner) -> list[LevelSt
     lams = _lambdas(cfg)
     # Balls large enough that Pr(T1 > R) ~ e^-30; censoring is negligible.
     balls = [2.0 * math.asinh(math.sqrt(30.0 / (4.0 * math.pi * lam))) for lam in lams]
-    columns = run(_nearest, list(zip(lams, balls)))
+    columns = run(_nearest, list(zip(lams, balls)), size=_FC_BLOCK)
     for r, lam, (t1, censored) in zip(cfg.r_levels, lams, columns):
         n = cfg.samples
         ks = ks_statistic(t1, t1_cdf(lam))
@@ -480,9 +470,10 @@ def _drive_deflection(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
         keep = ~censored
         betas = betas[keep]
         n = int(keep.sum())
-        # A level whose every replica is censored has no deflection to test.
+        # A level whose every replica is censored has no deflection to test,
+        # and one of at most 2 uncensored replicas no rank correlation.
         ks = ks_statistic(betas, deflection_cdf) if n else math.nan
-        rho = _spearman_rho(times[keep], betas) if n > 2 else 0.0
+        rho = _spearman_rho(times[keep], betas) if n > 2 else math.nan
         levels += [
             LevelStat(r, lam, "ks_deflection", ks, None, n),
             # Spearman's rho, not Kendall's tau: the name stays, so reports stay byte-identical.

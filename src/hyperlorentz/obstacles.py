@@ -6,9 +6,9 @@ distance is inverted exactly from its CDF sinh^2(eta/2) / sinh^2(R/2) and
 the polar angle is uniform, so sampling is exact and rejection-free.
 Annuli are sampled the same way, which realizes conditioning on an empty
 exclusion ball exactly (Poisson counts over disjoint sets are independent).
-A field of more than ``COUNT_CAP`` expected points is refused, and
-``_sample_fields`` draws the fields of a group of generators in one call,
-each as :func:`sample_field` draws it alone.
+:func:`sample_annulus` places every point the package samples, and a field
+is a Poisson count of its points.  A field of more than ``COUNT_CAP``
+expected points is refused.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
 #: Refuse to sample fields whose expected point count exceeds this.
 COUNT_CAP = 10**8
 
-#: _sample_fields places points in slices of at most this many, which bounds
+#: sample_annulus places points in slices of at most this many, which bounds
 #: the memory its temporaries take.
 SLICE = 4096
 
@@ -90,17 +90,13 @@ class ObstacleField:
             raise ValueError(f"obstacle radius must be positive, got {self.radius}")
         if not (self.intensity > 0.0):
             raise ValueError(f"intensity must be positive, got {self.intensity}")
-        _check_in_region(centers[:, 0], centers[:, 1], self.region)
+        region = self.region
+        d = distance_xy(centers[:, 0], centers[:, 1], region.center.x, region.center.y)
+        if np.any(d <= region.exclusion - _REGION_TOL) or np.any(d > region.outer + _REGION_TOL):
+            raise ValueError("field has centers outside its sampling region")
 
     def __len__(self) -> int:
         return len(self.centers)
-
-
-def _check_in_region(x, y, region: BallRegion) -> None:
-    if len(x):
-        d = distance_xy(x, y, region.center.x, region.center.y)
-        if np.any(d <= region.exclusion - _REGION_TOL) or np.any(d > region.outer + _REGION_TOL):
-            raise ValueError("field has centers outside its sampling region")
 
 
 @dataclass(frozen=True)
@@ -149,10 +145,14 @@ def sample_annulus(
     flowing from the center along a uniformly random direction for the
     inverted radial distance, which is exact in polar geodesic coordinates.
     """
-    eta = _radius_from_uniform(rng.random(size), lo, hi)
+    u = rng.random(size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size)
-    x, y = flow_xy(center.x, center.y, phi, eta)
-    return np.column_stack((x, y))
+    pts = np.empty((size, 2))
+    for k in range(0, size, SLICE):
+        part = slice(k, k + SLICE)
+        eta = _radius_from_uniform(u[part], lo, hi)
+        pts[part, 0], pts[part, 1] = flow_xy(center.x, center.y, phi[part], eta)
+    return pts
 
 
 def sample_uniform_in_ball(
@@ -193,20 +193,6 @@ def sample_field(
     if not (radius > 0.0):
         raise ValueError(f"obstacle radius must be positive, got {radius}")
     region = BallRegion(center, R, exclusion)
-    x, y, _ = _sample_fields(lam, region, [rng])
-    return ObstacleField(np.column_stack((x, y)), radius, lam, region)
-
-
-def _sample_fields(
-    lam: float, region: BallRegion, rngs: Iterable[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample the centers of one field of :func:`sample_field` from each
-    generator, in order, making the draws ``sample_field`` makes.
-
-    Returns (x, y, counts), field i's centers being the next ``counts[i]``
-    entries of (x, y).  The caller sizes the group: all its points are held
-    at once.
-    """
     if not (lam > 0.0):
         raise ValueError(f"intensity must be positive, got {lam}")
     expected = lam * region.area
@@ -214,20 +200,8 @@ def _sample_fields(
         raise InfeasibleFieldError(
             f"expected obstacle count {expected:.3g} exceeds cap {COUNT_CAP:.3g}"
         )
-    us, phis = [], []
-    for rng in rngs:
-        n = int(rng.poisson(expected))
-        us.append(rng.random(n))
-        phis.append(rng.uniform(0.0, 2.0 * math.pi, n))
-    # All fields' points at once, a slice at a time, as sample_annulus places them.
-    u, phi = np.concatenate(us), np.concatenate(phis)
-    x, y = np.empty(u.size), np.empty(u.size)
-    for k in range(0, u.size, SLICE):
-        part = slice(k, k + SLICE)
-        eta = _radius_from_uniform(u[part], region.exclusion, region.outer)
-        x[part], y[part] = flow_xy(region.center.x, region.center.y, phi[part], eta)
-        _check_in_region(x[part], y[part], region)
-    return x, y, np.array(list(map(len, us)))
+    centers = sample_annulus(center, exclusion, R, rng, int(rng.poisson(expected)))
+    return ObstacleField(centers, radius, lam, region)
 
 
 # ---------------------------------------------------------------------------

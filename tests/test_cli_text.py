@@ -40,6 +40,12 @@ usage: hyperlorentz deflection [-h] [--sigma SIGMA] [--r F[,F...]] [--t T]
                                [--workers WORKERS] [--out OUT]
 """
 
+FREE_PATH_USAGE = """\
+usage: hyperlorentz free-path [-h] [--sigma SIGMA] [--r F[,F...]] [--t T]
+                              [--samples SAMPLES] [--seed SEED]
+                              [--workers WORKERS] [--out OUT]
+"""
+
 DEFLECTION_HELP = (
     DEFLECTION_USAGE
     + """
@@ -98,6 +104,22 @@ CASES = [
         2,
         "",
         DEFLECTION_USAGE + "hyperlorentz deflection: error: argument --workers: invalid int value: 'x'\n",
+    ),
+    (
+        ["free-path", "--r", "a"],
+        None,
+        2,
+        "",
+        FREE_PATH_USAGE
+        + "hyperlorentz free-path: error: argument --r: expected numbers separated by commas, got 'a'\n",
+    ),
+    (
+        ["free-path", "--r", "0.5,"],
+        None,
+        2,
+        "",
+        FREE_PATH_USAGE
+        + "hyperlorentz free-path: error: argument --r: expected numbers separated by commas, got '0.5,'\n",
     ),
 ]
 

@@ -113,13 +113,12 @@ def test_block_reports_identical_across_worker_counts(tmp_path, monkeypatch):
     # Several blocks and a ragged last one, run serially in one chunk a
     # batch (workers 1) or on a pool (workers 3, with batches of 256
     # replicas so that every call spans several chunks): for the
-    # per-replica experiments 12 chunks, and at workers 1 chunks whose
-    # fields fill more than one batch of obstacles.
+    # per-replica flight-baseline 12 chunks.
     for experiment, kw in {
         "free-path": dict(samples=2 * _FC_BLOCK + 7),
         "deflection": dict(samples=2 * _FC_BLOCK + 7),
         "bg-convergence": dict(sigma=1.0, r_levels=(0.4, 0.1), t=4.0, samples=2 * _LAZY_BLOCK + 7),
-        "nearest-neighbor": dict(t=1.0, samples=3001),
+        "nearest-neighbor": dict(t=1.0, samples=2 * _FC_BLOCK + 7),
         "flight-baseline": dict(sigma=2.0, r_levels=(), t=3.0, samples=3001),
     }.items():
         blobs = []
@@ -215,13 +214,14 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch, pool_
     ("free-path", dict(), _FC_BLOCK, ["_first_collisions"], 1),
     ("bg-convergence", dict(sigma=1.0, r_levels=(0.4,), t=1.0), _LAZY_BLOCK,
      ["_flight_disp", "_lorentz_disp"], 32),
+    ("nearest-neighbor", dict(t=1.0), _FC_BLOCK, ["_nearest"], 1),
 ])
 def test_pool_only_for_calls_of_more_than_one_batch(tmp_path, pool_log, experiment, kw, size, kernels, pool):
     # A batch is cap = _BATCH // size streams of one level.  A call of cap
     # blocks is one chunk in the caller, as at workers 1; a call of cap + 1
-    # blocks makes a pool at workers 1000 (free-path: 2 one-stream chunks;
-    # bg-convergence: 33 one-stream chunks, the billiard's on the flight's
-    # pool).
+    # blocks makes a pool at workers 1000 (free-path and nearest-neighbor:
+    # 2 one-stream chunks; bg-convergence: 33 one-stream chunks, the
+    # billiard's on the flight's pool).
     made, ran = pool_log
     cap = experiments._BATCH // size
     for streams, samples in ((cap, cap * size), (cap + 1, cap * size + 1)):
@@ -244,18 +244,16 @@ def test_pool_only_for_calls_of_more_than_one_batch(tmp_path, pool_log, experime
                 assert {where for where, _ in runs} == {"caller", "pool"}
 
 
-@pytest.mark.parametrize("experiment, kw, kernel", [
-    ("nearest-neighbor", dict(t=1.0), "_nearest"),
-    ("flight-baseline", dict(sigma=2.0, r_levels=(), t=3.0), "_flight_count"),
-])
-def test_one_replica_streams_cut_for_the_workers(tmp_path, pool_log, experiment, kw, kernel):
-    # A call of one-replica streams is cut for the workers even within one
-    # batch: 3 samples are 3 one-stream chunks on a pool of 2 beside the
-    # caller.
+def test_one_replica_streams_cut_for_the_workers(tmp_path, pool_log):
+    # A call of one-replica streams (flight-baseline's) is cut for the
+    # workers even within one batch: 3 samples are 3 one-stream chunks on a
+    # pool of 2 beside the caller.
     made, ran = pool_log
+    kernel = "_flight_count"
+    kw = dict(experiment="flight-baseline", sigma=2.0, r_levels=(), t=3.0, samples=3)
     blobs = []
     for w in (1, 1000):
-        run_experiment(cfg_for(tmp_path / f"w{w}", experiment=experiment, samples=3, workers=w, **kw))
+        run_experiment(cfg_for(tmp_path / f"w{w}", workers=w, **kw))
         blobs.append(read_outputs(tmp_path / f"w{w}"))
     assert blobs[0] == blobs[1]
     assert made == [2]
@@ -378,11 +376,11 @@ def test_deflection_experiment(tmp_path):
 def test_cli_deflection_with_every_replica_censored(tmp_path, capsys):
     # At sigma t = 0.01 every one of 10 replicas is censored (probability
     # about 0.9): the level has no deflection to test, so its KS statistic
-    # is NaN with n = 0, not an error.
+    # and its rank correlation are NaN with n = 0, not an error.
     assert main(["deflection", "--sigma", "0.01", "--t", "1", "--samples", "10", "--out", str(tmp_path)]) == 0
     rows = {row["stat_name"]: row for row in json.loads((tmp_path / "report.json").read_text())["levels"]}
     assert math.isnan(rows["ks_deflection"]["value"]) and rows["ks_deflection"]["n"] == 0
-    assert rows["spearman_tau_beta"]["value"] == 0.0 and rows["spearman_tau_beta"]["n"] == 0
+    assert math.isnan(rows["spearman_tau_beta"]["value"]) and rows["spearman_tau_beta"]["n"] == 0
     assert rows["censored_count"]["value"] == 10.0 and rows["censored_count"]["n"] == 10
     assert "ks_deflection = nan (n=0)" in capsys.readouterr().out
 
@@ -393,8 +391,10 @@ def test_deflection_level_with_every_replica_censored_leaves_the_others(tmp_path
     kw = dict(experiment="deflection", sigma=0.2, t=1.0, samples=4, seed=0)
     both = run_experiment(cfg_for(tmp_path / "both", r_levels=(0.5, 0.1), **kw))
     alone = run_experiment(cfg_for(tmp_path / "alone", r_levels=(0.5,), **kw))
-    assert both.levels[:3] == alone.levels
+    assert list(map(repr, both.levels[:3])) == list(map(repr, alone.levels))  # NaN-safe
     assert alone.stat("censored_count").value == 2.0
+    # Two uncensored replicas have no rank correlation to report either.
+    assert math.isnan(alone.stat("spearman_tau_beta").value) and alone.stat("spearman_tau_beta").n == 2
     assert math.isnan(both.stat("ks_deflection", r=0.1).value)
     assert both.stat("ks_deflection", r=0.1).n == 0
     assert both.stat("censored_count", r=0.1).value == 4.0

@@ -51,7 +51,6 @@ print(json.dumps(sorted(set(sys.modules) - loaded)))
 POOL = """
 import json, sys
 import hyperlorentz.cli
-from scipy import special
 
 loaded = set(sys.modules)
 from concurrent.futures import ProcessPoolExecutor
@@ -85,27 +84,31 @@ def test_cli_imports_no_scipy_and_runs_import_nothing_new(tmp_path):
         ["bg-convergence", "--samples", "20", "--r", "0.4,0.2", "--t", "2", "--workers", "2"],
         ["flight-baseline", "--samples", "50", "--workers", "1"],
         ["export", "--t", "2"],
+        # nearest-neighbor's fields are blocks too: within one batch, no pool.
+        ["nearest-neighbor", "--samples", "50", "--workers", "2"],
         ["nearest-neighbor", "--samples", "50", "--workers", "1"],
     ]
-    added = _run(RUNS, json.dumps(argvs[:-2]), str(tmp_path))
+    added = _run(RUNS, json.dumps(argvs[:-3]), str(tmp_path))
     imported = added.pop("import")
     assert _heavy(imported) == []
     # argparse's gettext imports locale on the first parse: it comes with the package.
     assert "locale" in imported
-    assert added == {" ".join(argv): [] for argv in argvs[:-2]}
-    added = _run(RUNS, json.dumps(argvs[-2:]), str(tmp_path / "x"))
+    assert added == {" ".join(argv): [] for argv in argvs[:-3]}
+    added = _run(RUNS, json.dumps(argvs[-3:]), str(tmp_path / "x"))
     added.pop("import")
-    assert added.pop(" ".join(argvs[-2])) == []
+    assert added.pop(" ".join(argvs[-3])) == []
     # nearest-neighbor adds scipy.special and what it imports, nothing else.
-    nearest = added.pop(" ".join(argvs[-1]))
+    nearest = added.pop(" ".join(argvs[-2]))
     assert "scipy.special" in nearest
     assert set(nearest) <= set(_run(SCIPY_SPECIAL))
+    assert "concurrent.futures.process" not in nearest
+    assert added == {" ".join(argvs[-1]): []}
 
 
 def test_pool_run_imports_only_the_pool_and_writes_the_same_bytes(tmp_path):
-    # At workers 2, nearest-neighbor's three one-replica streams are two
+    # At workers 2, flight-baseline's three one-replica streams are two
     # chunks, one of them on a pool of one worker.
-    argvs = [["nearest-neighbor", "--samples", "3", "--workers", str(w)] for w in (1, 2)]
+    argvs = [["flight-baseline", "--samples", "3", "--workers", str(w)] for w in (1, 2)]
     added = _run(RUNS, json.dumps(argvs), str(tmp_path))
     pool = added[" ".join(argvs[1])]
     assert "concurrent.futures.process" in pool

@@ -21,7 +21,7 @@ from hyperlorentz import (
 )
 from hyperlorentz import experiments, obstacles
 from hyperlorentz.geometry import distance_xy
-from util import random_mobius
+from util import fingerprint, random_mobius
 
 ORIGIN = Point(0.0, 1.0)
 TWO_PI = 2.0 * math.pi
@@ -160,48 +160,92 @@ def test_field_cap_rejects_huge_configurations():
         sample_field(1e6, ORIGIN, 20.0, 0.0, rng, radius=0.5)
 
 
-@pytest.mark.parametrize("mean, group", [(2.0, 48), (7000.0, 2), (17000.0, 1)])
-def test_fields_of_nearests_groups_equal_fields_drawn_alone(monkeypatch, mean, group):
-    # _nearest hands _sample_fields its generators in groups of
-    # max(1, floor(16 384 / expected count)); each call gives, field by
-    # field, the very fields sample_field draws from fresh copies of the
-    # same streams, and leaves every generator where sample_field leaves
-    # it; both make the draws of a Poisson count and sample_annulus.  At a
-    # mean of 2 points some fields are empty.
-    R = 3.0
-    lam = mean / BallRegion(ORIGIN, R).area
-    calls = []
+def philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
 
-    def spy(*args):
-        out = obstacles._sample_fields(*args)
-        calls.append(out)
-        return out
 
-    monkeypatch.setattr(experiments, "_sample_fields", spy)
+@pytest.mark.parametrize("mean", [2.0, 7000.0, 17000.0])
+def test_field_is_a_poisson_count_of_annulus_points(mean):
+    # sample_field draws a Poisson count and then sample_annulus's points,
+    # and leaves the generator where those two draws leave it.  At a mean
+    # of 2 points some fields are empty.
+    R, exclusion = 3.0, 0.25
+    area = BallRegion(ORIGIN, R, exclusion).area
+    lam = mean / area
+    empty = 0
+    for key in range(12):
+        ref_rng, rng = philox(key), philox(key)
+        ref = obstacles.sample_annulus(ORIGIN, exclusion, R, ref_rng, ref_rng.poisson(lam * area))
+        field = sample_field(lam, ORIGIN, R, exclusion, rng)
+        assert np.array_equal(ref, field.centers)
+        assert np.array_equal(ref_rng.random(8), rng.random(8))  # same state: same next draws
+        empty += len(field) == 0
+    assert empty > 0 if mean == 2.0 else empty == 0
 
-    def streams():
-        return [np.random.Generator(np.random.Philox(key=i)) for i in range(48)]
 
-    ref_rngs, solo_rngs, group_rngs = streams(), streams(), streams()
-    ref = [obstacles.sample_annulus(ORIGIN, 0.0, R, rng, rng.poisson(lam * BallRegion(ORIGIN, R).area))
-           for rng in ref_rngs]
-    solo = [sample_field(lam, ORIGIN, R, 0.0, rng, radius=0.5) for rng in solo_rngs]
-    assert all(np.array_equal(a, f.centers) for a, f in zip(ref, solo))
-    near, censored = experiments._nearest([(rng, 1, lam, R) for rng in group_rngs])
-    assert [len(counts) for _, _, counts in calls] == [group] * (48 // group)
-    fields = iter(solo)
-    for x, y, counts in calls:
-        for part, field in zip(np.split(np.column_stack((x, y)), np.cumsum(counts)[:-1]), fields):
-            assert np.array_equal(part, field.centers)
-    assert next(fields, None) is None
-    for a, b, c in zip(ref_rngs, solo_rngs, group_rngs):  # same state: same next draws
-        draws = a.random(8)
-        assert np.array_equal(draws, b.random(8)) and np.array_equal(draws, c.random(8))
-    for f, d, empty in zip(solo, near, censored):
-        assert empty == (len(f) == 0)
-        assert d == (radial_distances(ORIGIN, f.centers).min() if len(f) else R)
-    if mean == 2.0:
-        assert any(len(f) == 0 for f in solo)
+def test_nearest_equals_a_loop_over_its_fields():
+    # Each block (rng, m, lam, R) draws its m counts, then all their points
+    # by one sample_annulus call; a field's nearest distance is the least
+    # of its points', or R (censored) for an empty field.  Ragged blocks of
+    # two levels, at 2 and 5 points a field, so some fields are empty; the
+    # 1000-field blocks hold more than a SLICE of points.
+    levels = [(2.0 / ball_area(3.0), 3.0), (5.0 / ball_area(1.5), 1.5)]
+    keyed = [(k, m, lam, R) for k, m in enumerate([1, 7, 1000, 37]) for lam, R in levels]
+    blocks = [(philox(k), m, lam, R) for k, m, lam, R in keyed]
+    near, censored = experiments._nearest(blocks)
+    ref_near, ref_censored = [], []
+    for (k, m, lam, R), (block_rng, *_) in zip(keyed, blocks):
+        rng = philox(k)
+        counts = rng.poisson(lam * ball_area(R), m)
+        pts = obstacles.sample_annulus(ORIGIN, 0.0, R, rng, counts.sum())
+        for field in np.split(pts, np.cumsum(counts)[:-1]):
+            ref_near.append(radial_distances(ORIGIN, field).min() if len(field) else R)
+            ref_censored.append(len(field) == 0)
+        assert np.array_equal(rng.random(8), block_rng.random(8))  # same state: same next draws
+    assert np.array_equal(near, ref_near) and np.array_equal(censored, ref_censored)
+    assert 0 < censored.sum() < len(censored)
+
+
+# sample_annulus places its points in slices of SLICE; these values are
+# those of the sampler that placed them all at once, and of sample_field
+# when it placed its points in a loop of its own.
+ANNULUS = {
+    1: ([["0.83384211922731", "0.83384211922731", "0.83384211922731"],
+         ["0.25236293229600454", "0.25236293229600454", "0.25236293229600454"]], ["0.1561347780434731"]),
+    4095: ([["1764.6893378579593", "0.6537941652644399", "0.9588662906596916"],
+            ["7084.9139374402885", "0.10108425321574112", "0.1799104404144826"]], ["0.4587710404607567"]),
+    4096: ([["1895.454443918902", "-1.2637921763237556", "-0.0024529751863087146"],
+            ["7433.920008019854", "0.3465659553574799", "0.5746597133274205"]], ["0.6864424897126421"]),
+    4097: ([["1223.54957398035", "-0.726933540854517", "-3.4866905375561235"],
+            ["7098.4890828474245", "0.2796550267355934", "5.061396732643433"]], ["0.23221051767821121"]),
+    8197: ([["2635.574662430484", "-1.4666743897700747", "-0.4679500852585568"],
+            ["14657.249063262472", "0.19601077517158472", "0.5390584872506443"]], ["0.7662423027488944"]),
+}
+FIELD = {
+    4095: (4174, [["1944.3616500674575", "1.118712767033746", "2.1048330436370852"],
+                  ["7307.670664873429", "0.18479200037613544", "1.124354005035946"]], ["0.9411854027205251"]),
+    4096: (4077, [["1670.1514172852967", "0.09396014496374916", "1.488322435268714"],
+                  ["7279.0109028060215", "0.09718267386147038", "0.14229048214699602"]], ["0.6925869027904045"]),
+    8197: (8327, [["2721.6411821236693", "4.338069564679352", "-2.9543138906211777"],
+                  ["14851.531727021009", "0.9651122617340795", "1.808862680477031"]], ["0.0821206816770309"]),
+}
+
+
+def test_annulus_and_field_points_keep_their_bits_at_slice_edges():
+    assert obstacles.SLICE == 4096
+    center = Point(0.3, 1.7)
+    for size, expected in ANNULUS.items():
+        rng = philox(size)
+        pts = obstacles.sample_annulus(center, 0.25, 3.0, rng, size)
+        assert fingerprint([pts[:, 0], pts[:, 1]], [rng]) == expected
+    rng = philox(0)
+    assert obstacles.sample_annulus(center, 0.25, 3.0, rng, 0).shape == (0, 2)
+    assert repr(float(rng.random())) == "0.011546754286331562"
+    for mean, (count, *expected) in FIELD.items():
+        rng = philox(mean)
+        field = sample_field(mean / (ball_area(3.0) - ball_area(0.25)), center, 3.0, 0.25, rng)
+        assert len(field) == count
+        assert fingerprint([field.centers[:, 0], field.centers[:, 1]], [rng]) == tuple(expected)
 
 
 def test_field_region_invariant_enforced():
