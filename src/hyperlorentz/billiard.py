@@ -423,7 +423,11 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
     n = block.size
     # Round k, column col[i]: a, b, c, d (normalizing_coeffs of the start) and
     # length of segment k of replica i, and the center it first met, or nan.
-    hist = np.empty((7, 32, n))
+    # Room for 8 rounds at first (3.5 MiB at 8 192 replicas, below the 4 MiB
+    # from which numpy asks for huge pages); when it is full, step doubles it
+    # and compacts it to the live replicas' columns, under a tenth of them
+    # at round 8 when sigma t = 4.
+    hist = np.empty((7, 8, n))
     col = np.arange(n)
     rounds = 0
     recollisions = np.zeros(n, dtype=np.int64)

@@ -88,6 +88,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _run_export(args: argparse.Namespace) -> None:
+    if os.path.isdir(args.out):
+        raise ValidationError(f"export writes a CSV file, but --out {args.out} is a directory")
     traj = sample_trajectory(args.sigma, args.r, args.t, args.seed)
     dest = export_trajectory(traj, args.model, args.out)
     print(f"wrote {dest} ({len(traj.events)} collision events, model={args.model})")

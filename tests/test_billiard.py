@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -839,6 +840,46 @@ def test_explore_keeps_its_values(t, expected):
     ]
     blocks = [(_derive_rng(*key), n, 1.0 / (2.0 * math.sinh(r)), r) for key, n, r in specs]
     assert fingerprint(_explore(UP, t, blocks), [rng for rng, *_ in blocks]) == expected
+
+
+def test_explore_keeps_its_values_across_history_growth():
+    # A dense block whose longest replica runs past 128 rounds beside a
+    # sparse one whose replicas all end early: the history grows at rounds
+    # 8, 16, 32, 64 and 128, each time down to the live columns, and the
+    # positions, counts and generator end states are those _explore gave
+    # with room for 32 rounds at first.
+    specs = [  # (stream, n, r, sigma)
+        ((41, 0, 0, 0), 200, 0.4, 1.0),
+        ((41, 0, 1, 0), 50, 0.1, 12.0),
+        ((41, 0, 1, 1), 3, 0.1, 12.0),
+    ]
+    blocks = [(_derive_rng(*key), n, sigma / (2.0 * math.sinh(r)), r) for key, n, r, sigma in specs]
+    got = _explore(UP, 6.0, blocks)
+    assert [int(got[2][s].max()) for s in (slice(200), slice(200, 250), slice(250, None))] == [21, 237, 96]
+    assert fingerprint(got, [rng for rng, *_ in blocks]) == (
+        [["-154.15043499009022", "-0.22569349311014258", "-0.2094945052166029"],
+         ["865.7836419411378", "0.9366433224399272", "0.9101024399039401"],
+         ["4969.0", "8.0", "96.0"], ["3478.0", "2.0", "85.0"]],
+        ["0.3853424362017861", "0.45192808467832024", "0.23494322720456362"],
+    )
+
+
+def test_explore_memory_is_bounded_on_the_benchmark_config():
+    # bg-convergence's benchmark call: sigma = 1, t = 4, three levels of
+    # 1 000 replicas in blocks of 256, 256, 256 and 232.  With room for 32
+    # rounds at first (5.1 MiB) the call peaked at 6.5 MiB; room for 8 takes
+    # 1.3 MiB, and the call 2.6 MiB.
+    blocks = []
+    for level, r in enumerate((0.4, 0.2, 0.1)):
+        lam = 1.0 / (2.0 * math.sinh(r))
+        blocks += [(_derive_rng(3, 1, level, k), m, lam, r) for k, m in enumerate((256, 256, 256, 232))]
+    tracemalloc.start()
+    try:
+        _explore(UP, 4.0, blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_explore_matches_simulate_in_full_fields():

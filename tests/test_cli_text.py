@@ -6,6 +6,7 @@ the parser that held every command, at an 80-column terminal.
 
 import pytest
 
+from hyperlorentz import cli
 from hyperlorentz.cli import main
 
 USAGE = """\
@@ -135,3 +136,12 @@ def test_cli_text(monkeypatch, capsys, argv, workers, code, out, err):
         main(argv)
     assert exc.value.code == code
     assert capsys.readouterr() == (out, err)
+
+
+def test_export_to_a_directory_exits_2_before_sampling(monkeypatch, capsys, tmp_path):
+    def sample(*args):
+        raise AssertionError("sampled a path it cannot write")
+
+    monkeypatch.setattr(cli, "sample_trajectory", sample)
+    assert main(["export", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: export writes a CSV file, but --out {tmp_path} is a directory\n")

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from hyperlorentz import bootstrap_half_width_w1, ks_statistic, stats, wasserstein1
+from util import fingerprint
 
 UNIFORM = lambda x: np.clip(x, 0.0, 1.0)
 
@@ -121,6 +122,49 @@ def test_bootstrap_memory_is_bounded_at_large_n():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("n, limit_mb", [(1000, 1.5), (10_000, 6.0)])
+def test_bootstrap_memory_is_a_draw_plus_two_slices(n, limit_mb):
+    # One group's index draw (0.8 MiB at n = 1 000, 4 MiB at 10 000) plus two
+    # slice buffers: 1 and 4.4 MiB.  Gathering whole groups peaked at 5.4 and
+    # 27.9 MiB, and holding a group's draw while the next one is made, at 8 MiB.
+    rng = np.random.default_rng(8)
+    a = rng.normal(0.0, 1.0, n)
+    b = rng.normal(0.1, 1.0, n)
+    tracemalloc.start()
+    try:
+        bootstrap_half_width_w1(a, b, np.random.default_rng(9), n_boot=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
+
+
+@pytest.mark.parametrize(
+    "n, seed, n_boot, level, expected, next_draw",
+    [
+        # one resample wider than a slice, in one group and in three
+        (9000, 11, 30, 0.95, 0.04598856025471884, 0.05521360879502535),
+        (20_000, 12, 120, 0.9, 0.02385228389502439, 0.539825363264382),
+        # a last slice that is partial, in one group and in each of three
+        (1000, 13, 205, 0.95, 0.1487006466831425, 0.0076571941430050305),
+        (3000, 14, 700, 0.8, 0.05064022945211938, 0.3629044787335104),
+        # the uint8 indices of the stable sort
+        (256, 15, 300, 0.95, 0.22664934778035883, 0.4445638994189297),
+        (1, 16, 9000, 0.95, 0.0, 0.17236976587136033),
+        (2, 17, 5000, 0.95, 1.4293010696118766, 0.30658947614063337),
+    ],
+)
+def test_bootstrap_keeps_its_values_at_slice_edges(n, seed, n_boot, level, expected, next_draw):
+    # The values and generator end states of the bootstrap that gathered
+    # whole groups at once.
+    rng = np.random.default_rng(seed)
+    a = rng.gamma(2.0, 1.0, n)
+    b = rng.gamma(2.0, 1.2, n)
+    boot = np.random.default_rng(seed + 100)
+    assert bootstrap_half_width_w1(a, b, boot, n_boot=n_boot, level=level) == expected
+    assert fingerprint([], [boot]) == ([], [repr(next_draw)])
 
 
 def test_bootstrap_rejects_bad_arguments():
