@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .geometry import (
     Direction,
     Point,
     State,
+    _Record,
     ball_area,
     distance_xy,
     flow_ahead,
@@ -70,8 +70,7 @@ DEFAULT_MAX_EVENTS = 10**6
 _START = State(Point(0.0, 1.0), Direction(0.5 * math.pi))
 
 
-@dataclass(frozen=True)
-class Obstacle:
+class Obstacle(_Record):
     """A reflecting disk: hyperbolic center and hyperbolic radius."""
 
     center: Point
@@ -82,8 +81,7 @@ class Obstacle:
             raise ValueError(f"obstacle radius must be positive, got {self.radius}")
 
 
-@dataclass(frozen=True)
-class CollisionEvent:
+class CollisionEvent(_Record):
     """One reflection: when, where, and how the direction turned."""
 
     time: float
@@ -99,8 +97,7 @@ class CollisionEvent:
         object.__setattr__(self, "deflection", self.deflection % TWO_PI)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """A piecewise-geodesic path: initial state plus ordered collisions."""
 
     initial: State
@@ -490,8 +487,7 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
 # Annealed first-collision sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FirstCollision:
+class FirstCollision(_Record):
     """Outcome of shooting one particle into a fresh obstacle field."""
 
     time: float

@@ -39,7 +39,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -47,6 +46,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy loads it on first use; every run uses it, so load it with the package
 
 from .billiard import (
+    DEFAULT_MAX_EVENTS,
     _START,
     Trajectory,
     _cosh_to_segment,
@@ -61,6 +61,7 @@ from .flight import FlightConfig, _flight_ends, sample_deflection, simulate_flig
 from .geometry import (
     TWO_PI,
     Point,
+    _Record,
     ball_area,
     cayley,
     cayley_angle_shift,
@@ -165,8 +166,9 @@ def t1_cdf(lam: float):
 # Configuration and report types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
+    """One CLI run: the experiment, its parameters, seed, workers and output."""
+
     experiment: str
     sigma: float
     r_levels: tuple[float, ...]
@@ -196,6 +198,13 @@ class ExperimentConfig:
         for name, value in (("sigma", self.sigma), ("t", self.t)):
             if not (0.0 < value < math.inf):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
+        # A flight turns Poisson(sigma t) times, and a run stops at the event cap.
+        flights = self.experiment in ("flight-baseline", "bg-convergence")
+        if flights and self.sigma * self.t >= DEFAULT_MAX_EVENTS:
+            raise ValidationError(
+                f"sigma * t = {self.sigma * self.t:g} is the mean number of turns of a flight; "
+                f"{self.experiment} needs it below the cap of {DEFAULT_MAX_EVENTS} events a path"
+            )
         if not all(math.isfinite(r) for r in self.r_levels):
             raise ValidationError("r levels must be finite")
         if self.experiment != "flight-baseline":
@@ -213,8 +222,7 @@ class ExperimentConfig:
             raise ValidationError("bg-convergence needs strictly decreasing r levels")
 
 
-@dataclass(frozen=True)
-class LevelStat:
+class LevelStat(_Record):
     """One named statistic, with its sample count; r/lam where they apply."""
 
     r: float | None
@@ -225,13 +233,16 @@ class LevelStat:
     n: int
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
+    """What a run reports: its experiment, parameters, statistics and seed."""
+
     experiment: str
     params: dict
     levels: tuple[LevelStat, ...]
     seed: int
     elapsed_s: float | None
+
+    __hash__ = None  # params is a dict
 
     def to_json_dict(self) -> dict:
         return {

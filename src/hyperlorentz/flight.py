@@ -13,8 +13,6 @@ paths ends where it ends alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .billiard import (
@@ -26,13 +24,12 @@ from .billiard import (
     position_at,
 )
 # flow_xy is unused here but stays importable: perfbench/tracing.py patches it.
-from .geometry import TWO_PI, State, flow_xy, hyp_distance  # noqa: F401
+from .geometry import TWO_PI, State, _Record, flow_xy, hyp_distance  # noqa: F401
 
 __all__ = ["FlightConfig", "sample_deflection", "simulate_flight", "flight_displacement"]
 
 
-@dataclass(frozen=True)
-class FlightConfig:
+class FlightConfig(_Record):
     """Collision rate and time horizon of a random flight."""
 
     sigma: float

@@ -14,7 +14,6 @@ box the results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,8 +139,98 @@ def mobius_angle_shift(a, b, c, d, x, y):
 # Value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Point:
+def _initializer(fields: tuple, post_init: bool):
+    """The ``__init__`` of a record class with these fields: a closure, so
+    that a call reads them without looking them up on the class."""
+    n = len(fields)
+
+    def __init__(self, *args, **kwargs):
+        values = self.__dict__
+        if not kwargs and len(args) == n:
+            i = 0
+            for name in fields:
+                values[name] = args[i]
+                i += 1
+        elif not args and tuple(kwargs) == fields:
+            values.update(kwargs)
+        else:
+            values.update(self._bind(args, kwargs))
+        if post_init:
+            self.__post_init__()
+
+    return __init__
+
+
+class _Record:
+    """Base of the package's immutable value types.
+
+    A subclass's fields are those it inherits, then its own annotated
+    names, in order, and a class value is a field's default.  A record is
+    built by position or keyword, then ``__post_init__`` runs; it may still
+    set fields through ``object.__setattr__``, and nothing else can.
+    Records of one class compare and hash as the tuples of their fields,
+    print as ``Name(field=value, ...)``, and pickle and copy through their
+    ``__dict__``.  The methods are written once, here: a subclass only
+    records its field names and defaults.
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        inherited = getattr(cls, "_fields", ())
+        fields = inherited + tuple(name for name in cls.__annotations__ if name not in inherited)
+        cls._fields = cls.__match_args__ = fields
+        cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        cls.__init__ = _initializer(fields, hasattr(cls, "__post_init__"))
+
+    def _bind(self, args, kwargs) -> dict:
+        """Field values, in field order, of a call that mixes positions and
+        keywords or leaves defaults, or the TypeError that a
+        ``def __init__(self, <fields>)`` would raise."""
+        fields, defaults = self._fields, self._defaults
+        call = f"{type(self).__qualname__}.__init__()"
+        if len(args) > len(fields):
+            low = len(fields) - len(defaults) + 1
+            takes = f"from {low} to {len(fields) + 1}" if defaults else len(fields) + 1
+            raise TypeError(f"{call} takes {takes} positional arguments but {len(args) + 1} were given")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{call} got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [repr(name) for name in fields if name not in values and name not in defaults]
+        if missing:
+            listed = " and ".join(missing)
+            if len(missing) > 2:
+                listed = ", ".join(missing[:-1]) + ", and " + missing[-1]
+            plural = "s" if len(missing) > 1 else ""
+            raise TypeError(f"{call} missing {len(missing)} required positional argument{plural}: {listed}")
+        return {name: values[name] if name in values else defaults[name] for name in fields}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Point(_Record):
     """A position in the open upper half-plane."""
 
     x: float
@@ -158,8 +247,7 @@ class Point:
         return complex(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(_Record):
     """A direction of motion, stored as an angle normalized into [0, 2*pi)."""
 
     alpha: float
@@ -177,16 +265,14 @@ class Direction:
         return (math.cos(self.alpha), math.sin(self.alpha))
 
 
-@dataclass(frozen=True)
-class State:
+class State(_Record):
     """Position plus direction: the full state of a unit-speed particle."""
 
     point: Point
     dir: Direction
 
 
-@dataclass(frozen=True)
-class MobiusMap:
+class MobiusMap(_Record):
     """Isometry z -> (az+b)/(cz+d) with real coefficients and det = 1.
 
     Coefficients are renormalized to unit determinant on construction;
@@ -209,8 +295,7 @@ class MobiusMap:
                 object.__setattr__(self, name, getattr(self, name) * s)
 
 
-@dataclass(frozen=True)
-class HypCircle:
+class HypCircle(_Record):
     """A hyperbolic circle: hyperbolic center plus hyperbolic radius."""
 
     center: Point

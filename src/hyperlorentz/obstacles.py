@@ -14,13 +14,12 @@ expected points is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleFieldError
-from .geometry import Point, ball_area, distance_xy, flow_xy
+from .geometry import Point, _Record, ball_area, distance_xy, flow_xy
 
 __all__ = [
     "BallRegion",
@@ -45,8 +44,7 @@ SLICE = 4096
 _REGION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BallRegion:
+class BallRegion(_Record):
     """Sampling region: a ball (or annulus, if exclusion > 0) around a center."""
 
     center: Point
@@ -66,8 +64,7 @@ class BallRegion:
         return ball_area(self.outer) - ball_area(self.exclusion)
 
 
-@dataclass(frozen=True)
-class ObstacleField:
+class ObstacleField(_Record):
     """A sampled Poisson configuration of disk centers with common radius.
 
     ``centers`` is an (n, 2) array of half-plane coordinates, ordered as
@@ -95,12 +92,19 @@ class ObstacleField:
         if np.any(d <= region.exclusion - _REGION_TOL) or np.any(d > region.outer + _REGION_TOL):
             raise ValueError("field has centers outside its sampling region")
 
+    # Fields compare by value, centers elementwise; an array cannot be hashed.
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.centers, other.centers) and self._values()[1:] == other._values()[1:]
+
     def __len__(self) -> int:
         return len(self.centers)
 
 
-@dataclass(frozen=True)
-class PotentialProfile:
+class PotentialProfile(_Record):
     """A compactly supported interaction profile phi(eta).
 
     phi must be nonnegative and vanish beyond the support radius; both are

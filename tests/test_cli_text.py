@@ -145,3 +145,25 @@ def test_export_to_a_directory_exits_2_before_sampling(monkeypatch, capsys, tmp_
     monkeypatch.setattr(cli, "sample_trajectory", sample)
     assert main(["export", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr() == ("", f"error: export writes a CSV file, but --out {tmp_path} is a directory\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flight-baseline", "--samples", "2", "--sigma", "1e6", "--t", "1"],
+        ["flight-baseline", "--sigma", "4e5", "--t", "3"],
+        ["bg-convergence", "--samples", "2", "--sigma", "1e6", "--t", "1", "--r", "0.4"],
+    ],
+)
+def test_flights_past_the_event_cap_exit_2_before_sampling(monkeypatch, capsys, argv):
+    def run(cfg):
+        raise AssertionError("ran a flight that cannot end within the event cap")
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    assert main(argv) == 2
+    mean = "1e+06" if argv[4] == "1e6" else "1.2e+06"
+    assert capsys.readouterr() == (
+        "",
+        f"error: sigma * t = {mean} is the mean number of turns of a flight; "
+        f"{argv[0]} needs it below the cap of 1000000 events a path\n",
+    )

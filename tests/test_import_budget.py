@@ -60,6 +60,26 @@ print(json.dumps(sorted(set(sys.modules) - loaded)))
 """
 
 
+# What the CLI imports anyway, before the package: numpy, json, argparse and
+# locale (argparse's gettext loads it on the first parse).
+BASE = """
+import json, sys
+import numpy, json, argparse, locale
+
+loaded = set(sys.modules)
+import hyperlorentz.cli
+
+records = sorted(
+    f"{module.__name__}.{name}"
+    for module in list(sys.modules.values())
+    if module is not None and module.__name__.startswith("hyperlorentz")
+    for name, value in vars(module).items()
+    if isinstance(value, type) and hasattr(value, "__dataclass_fields__")
+)
+print(json.dumps({"added": sorted(set(sys.modules) - loaded), "records": records}))
+"""
+
+
 def _run(code, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
@@ -119,3 +139,11 @@ def test_pool_run_imports_only_the_pool_and_writes_the_same_bytes(tmp_path):
 
 def test_pool_class_is_concurrent_futures_own():
     assert experiments.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+
+
+def test_cli_import_generates_no_record_code():
+    # The package's records share one base class: importing them loads no
+    # code generator and builds no per-class methods.
+    found = _run(BASE)
+    assert "dataclasses" not in found["added"]
+    assert found["records"] == []
