@@ -406,7 +406,8 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
     thins them to the fresh field.  The first accepted one races the exact
     hit times of the obstacles met so far, but the one just left, so
     recollisions stay exact.  An obstacle is known by the round it was first
-    met in.
+    met in.  The history of segments and centers holds the live replicas
+    only, so its size follows them.
 
     Proposals follow the rule of :func:`_block_draws`: every replica follows
     the path it follows when its block runs alone, bit for bit, and leaves
@@ -418,38 +419,30 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
     radii = np.repeat(block_radii, sizes)
     cosh_radii = np.repeat([math.cosh(r) for r in block_radii], sizes)
     n = block.size
-    # Round k, column col[i]: a, b, c, d (normalizing_coeffs of the start) and
-    # length of segment k of replica i, and the center it first met, or nan.
-    # Room for 8 rounds at first (3.5 MiB at 8 192 replicas, below the 4 MiB
-    # from which numpy asks for huge pages); when it is full, step doubles it
-    # and compacts it to the live replicas' columns, under a tenth of them
-    # at round 8 when sigma t = 4.
-    hist = np.empty((7, 8, n))
-    col = np.arange(n)
-    rounds = 0
+    # hist[:, k, j]: a, b, c, d (normalizing_coeffs of the start) and length
+    # of segment k of the j-th live replica, and the center it first met, or
+    # nan.  step fills the next round's row for the replicas it sees; turn
+    # appends it for those that turn and drops the columns of those that stop.
+    hist = np.empty((7, 0, n))
+    seen = new = None  # the replicas step saw last, in order, and their row
     recollisions = np.zeros(n, dtype=np.int64)
 
     def contacts(k, m):
         return _first_contacts(rngs[k], lams[k], block_radii[k], m)
 
     def step(live, x, y, alpha, t_left, last):
-        nonlocal hist
-        m, cols = live.size, col[live]
+        nonlocal seen, new
+        m, rounds = live.size, hist.shape[1]
         cosh_r = cosh_radii[live]
         coeffs = normalizing_coeffs(x, y, alpha)
         gap, idx = np.full(m, math.inf), np.full(m, -1)
         if rounds:
-            th = _hit_times(*coeffs, *hist[5:, :rounds, cols], cosh_r)  # (rounds, m), inf where none was met
+            th = _hit_times(*coeffs, *hist[5:], cosh_r)  # (rounds, m), inf where none was met
             th[last, np.arange(m)] = math.inf  # every live replica has turned, last >= 0
             idx = th.argmin(axis=0)
             gap = th[idx, np.arange(m)]
         bound = np.minimum(gap, t_left)
-        if rounds == hist.shape[1]:  # grow, keeping the live replicas' columns only
-            past = hist[:, :rounds, cols]
-            hist = np.concatenate((past, np.empty_like(past)), axis=1)
-            col[live] = cols = np.arange(m)
-        new = hist[:, rounds]
-        new[5:, cols] = math.nan
+        seen, new = live, np.full((7, m), math.nan)
         s, todo = np.zeros(m), np.arange(m)
         while todo.size:
             s_try, psi = _block_draws(block, live[todo], len(blocks), contacts)
@@ -460,24 +453,22 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
                 break
             s[todo] = s_try
             _, _, _, cx, cy = _tube_hit(x[todo], y[todo], alpha[todo], s_try, psi, radii[live[todo]])
-            if rounds:
-                a, b, c, d, length = hist[:5, :rounds, cols[todo]]
-                explored = _cosh_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < cosh_r[todo]
-                fresh = ~explored.any(axis=0)
-            else:  # nothing is explored before the first segment
-                fresh = np.ones(todo.size, dtype=bool)
+            a, b, c, d, length = hist[:5, :, todo]  # empty in round 0: nothing is explored yet
+            explored = _cosh_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < cosh_r[todo]
+            fresh = ~explored.any(axis=0)
             gap[todo[fresh]], idx[todo[fresh]] = s_try[fresh], rounds
-            new[5:, cols[todo[fresh]]] = cx[fresh], cy[fresh]
+            new[5:, todo[fresh]] = cx[fresh], cy[fresh]
             todo = todo[~fresh]
-        new[:5, cols] = *coeffs, gap
+        new[:5] = *coeffs, gap
         return gap, idx
 
     def turn(live, ix, iy, pre, idx):
-        nonlocal rounds
-        recollisions[live] += idx < rounds
-        cols = col[live]
-        rounds += 1
-        return _reflect_angle(ix, iy, pre, hist[5, idx, cols], hist[6, idx, cols], radii[live])
+        nonlocal hist
+        recollisions[live] += idx < hist.shape[1]
+        # live is seen less those that stopped, both increasing
+        kept = slice(None) if live.size == seen.size else np.searchsorted(seen, live)
+        hist = np.concatenate((hist[:, :, kept], new[:, None, kept]), axis=1)
+        return _reflect_angle(ix, iy, pre, *hist[5:, idx, np.arange(live.size)], radii[live])
 
     x, y, events = _run_events(s0, n, t_max, step, turn, max_events, record)
     return x, y, events, recollisions

@@ -68,7 +68,8 @@ class ObstacleField(_Record):
     """A sampled Poisson configuration of disk centers with common radius.
 
     ``centers`` is an (n, 2) array of half-plane coordinates, ordered as
-    drawn.  The field is immutable after sampling.
+    drawn.  The field is immutable after sampling: it keeps its own copy of
+    the centers, marked read-only.
     """
 
     centers: np.ndarray
@@ -77,9 +78,10 @@ class ObstacleField(_Record):
     region: BallRegion
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=float)
+        centers = np.array(self.centers, dtype=float)
         if centers.size == 0:
             centers = centers.reshape(0, 2)
+        centers.flags.writeable = False
         if centers.ndim != 2 or centers.shape[1] != 2:
             raise ValueError(f"centers must be an (n, 2) array, got shape {centers.shape}")
         object.__setattr__(self, "centers", centers)
@@ -102,6 +104,11 @@ class ObstacleField(_Record):
 
     def __len__(self) -> int:
         return len(self.centers)
+
+    def __setstate__(self, state):
+        # pickle and deepcopy hand over centers in a new, writable array
+        self.__dict__.update(state)
+        self.centers.flags.writeable = False
 
 
 class PotentialProfile(_Record):

@@ -826,6 +826,12 @@ def test_explore_blocks_together_match_each_block_alone():
          ["2607.0", "4.0", "4.0"], ["404.0", "0.0", "0.0"]],
         ["0.1862793048694189", "0.8261114546803133", "0.2665240455734117", "0.8086100660703437",
          "0.8159121164815999"])),
+    (10.0, (  # long paths: the history holds many rounds of few replicas
+        [["3376.145507292456", "-1.4525741136848942", "8.700122207892338"],
+         ["11644.74958664868", "0.09030124942493774", "0.6031314843985559"],
+         ["6550.0", "7.0", "11.0"], ["1366.0", "4.0", "1.0"]],
+        ["0.8923748004824924", "0.8935725643789747", "0.9335945274327996", "0.602016166090009",
+         "0.9095688839218949"])),
 ])
 def test_explore_keeps_its_values(t, expected):
     # Blocks of three radii, a ragged block and a block of one, advanced
@@ -844,10 +850,10 @@ def test_explore_keeps_its_values(t, expected):
 
 def test_explore_keeps_its_values_across_history_growth():
     # A dense block whose longest replica runs past 128 rounds beside a
-    # sparse one whose replicas all end early: the history grows at rounds
-    # 8, 16, 32, 64 and 128, each time down to the live columns, and the
-    # positions, counts and generator end states are those _explore gave
-    # with room for 32 rounds at first.
+    # sparse one whose replicas all end early, so the history drops all but
+    # a few columns and then holds a few replicas over more than 200 rounds:
+    # the positions, counts and generator end states are those _explore gave
+    # when its history had room for 32 rounds of every replica at first.
     specs = [  # (stream, n, r, sigma)
         ((41, 0, 0, 0), 200, 0.4, 1.0),
         ((41, 0, 1, 0), 50, 0.1, 12.0),
@@ -864,22 +870,26 @@ def test_explore_keeps_its_values_across_history_growth():
     )
 
 
-def test_explore_memory_is_bounded_on_the_benchmark_config():
-    # bg-convergence's benchmark call: sigma = 1, t = 4, three levels of
-    # 1 000 replicas in blocks of 256, 256, 256 and 232.  With room for 32
-    # rounds at first (5.1 MiB) the call peaked at 6.5 MiB; room for 8 takes
-    # 1.3 MiB, and the call 2.6 MiB.
+@pytest.mark.parametrize("sizes, bound_mib", [
+    pytest.param([(256, 256, 256, 232)] * 3, 2.25, id="benchmark-call"),  # 1 000 replicas a level
+    pytest.param([(256,) * 11, (256,) * 11, (256,) * 10], 6.0, id="runner-batch"),  # 8 192 replicas
+])
+def test_explore_memory_is_bounded_on_the_benchmark_config(sizes, bound_mib):
+    # t = 4.  The history holds a row a round for the live replicas only,
+    # and under a tenth of them are live by round 8: the two calls peak at
+    # 1.7 and 4.7 MiB.  With room for 8 rounds of every replica from the
+    # start, they peaked at 2.6 and 7.2 MiB.
     blocks = []
-    for level, r in enumerate((0.4, 0.2, 0.1)):
+    for level, r in enumerate((0.4, 0.2, 0.1)):  # sizes[level]: the block sizes of radius r
         lam = 1.0 / (2.0 * math.sinh(r))
-        blocks += [(_derive_rng(3, 1, level, k), m, lam, r) for k, m in enumerate((256, 256, 256, 232))]
+        blocks += [(_derive_rng(3, 1, level, k), m, lam, r) for k, m in enumerate(sizes[level])]
     tracemalloc.start()
     try:
         _explore(UP, 4.0, blocks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < bound_mib * 2**20
 
 
 def test_explore_matches_simulate_in_full_fields():

@@ -435,6 +435,27 @@ def test_fields_compare_by_value_and_are_unhashable():
         hash(a)
 
 
+def test_a_field_keeps_its_own_read_only_centers():
+    arr = np.array([[0.0, 1.0], [0.5, 1.25]])
+    field = ObstacleField(arr, 0.1, 1.0, REGION)
+    arr[0, 1] = 99.0
+    assert field.centers is not arr
+    assert field.centers.tolist() == [[0.0, 1.0], [0.5, 1.25]]
+    with pytest.raises(ValueError, match="read-only"):
+        field.centers[0, 0] = 1.0
+
+
+def test_field_centers_stay_read_only_when_sampled_copied_and_pickled():
+    field = sample_field(1.0, Point(0.0, 1.0), 2.0, 0.1, np.random.default_rng(0))
+    copies = [copy.copy(field), copy.deepcopy(field)]
+    copies += [pickle.loads(pickle.dumps(field, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for record in [field, *copies]:
+        assert not record.centers.flags.writeable
+        assert record == field and repr(record) == repr(field)
+        with pytest.raises(ValueError, match="read-only"):
+            record.centers[0, 0] = 1.0
+
+
 def test_reports_compare_by_value_and_are_unhashable():
     report = Report("deflection", {"sigma": 1.0}, (LEVEL,), 7, 0.5)
     assert report == Report("deflection", {"sigma": 1.0}, (LEVEL,), 7, 0.5)
