@@ -387,15 +387,15 @@ def _cosh_to_segment(x, y, length):
     return (ssq + w * w) / (2.0 * y * w)
 
 
-def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVENTS, record=None):
-    """Run blocks of billiards from s0 up to t_max, advanced together.  Block
-    (rng, n, lam, radius) holds n replicas, each in its own Poisson field of
-    intensity lam and obstacle radius radius revealed only where its path
-    explores it: the law of :func:`simulate` in the field :func:`sample_field`
-    draws on the annulus r < d <= t_max + r.  Returns (x, y, events,
-    recollisions) over the blocks' replicas in order, each replica's position
-    at t_max and numbers of collisions and recollisions; ``record`` is passed
-    to :func:`_run_events`.
+def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=None):
+    """Run blocks (rng, n, lam, radius) of billiards from ``_START`` to t_max,
+    advanced together, each replica in its own Poisson field of intensity
+    lam and obstacle radius radius revealed only where its path explores it:
+    the law of :func:`simulate` in the field :func:`sample_field` draws on
+    the annulus r < d <= t_max + r.  Returns (x, y, events, recollisions)
+    over the blocks' replicas in order, each replica's position at t_max and
+    numbers of collisions and recollisions; ``record`` is passed to
+    :func:`_run_events`.
 
     Given the path so far, the centers not yet met are Poisson on the
     complement of the explored set, the points within r of an earlier
@@ -470,7 +470,7 @@ def _explore(s0: State, t_max: float, blocks, max_events: int = DEFAULT_MAX_EVEN
         hist = np.concatenate((hist[:, :, kept], new[:, None, kept]), axis=1)
         return _reflect_angle(ix, iy, pre, *hist[5:, idx, np.arange(live.size)], radii[live])
 
-    x, y, events = _run_events(s0, n, t_max, step, turn, max_events, record)
+    x, y, events = _run_events(_START, n, t_max, step, turn, max_events, record)
     return x, y, events, recollisions
 
 
@@ -518,11 +518,13 @@ def sample_first_collisions(
     sinh r sin psi, psi being the angle at the impact point between the
     incoming direction and the center, sin psi is uniform on [-1, 1].  Free
     paths beyond ``horizon`` are censored at the horizon, deflection nan.
-    Neither law depends on the start, which is ``_START``.
+    Neither law depends on where the hit happens, so the contact is placed
+    at ``_START`` itself: flowing the free path first would only add the
+    flow's rounding, which grows as e^{2t}.
     """
     free, psi = _first_contacts(rng, lam, radius, size)
     time, censored = np.minimum(free, horizon), free > horizon
-    ix, iy, pre, cx, cy = _tube_hit(_START.point.x, _START.point.y, _START.dir.alpha, time, psi, radius)
+    ix, iy, pre, cx, cy = _tube_hit(_START.point.x, _START.point.y, _START.dir.alpha, 0.0, psi, radius)
     beta = (_reflect_angle(ix, iy, pre, cx, cy, radius) - pre) % TWO_PI
     return time, np.where(censored, np.nan, beta), censored
 

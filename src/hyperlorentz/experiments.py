@@ -11,10 +11,10 @@ flight-baseline keeps one stream per replica (B = 1).  The runner numbers
 the streams of all of a call's levels, level by level, and cuts them into
 chunks of at most one batch, 8192 replicas (or one stream), so a chunk
 may mix levels.  Each chunk is one kernel call on one block ``(rng, m,
-*level parameters)`` per stream, the one block type from the runner down
-to the engines.  The lazy billiard and the bg-convergence flight advance
-the blocks of a chunk together, each drawing from its own stream as it
-would alone, so that no result depends on the chunk.  B and the caps
+*level parameters)`` per stream.  bg-convergence's kernels are the engines
+themselves, the lazy billiard and the block flight: they advance the
+blocks of a chunk together, each drawing from its own stream as it would
+alone, so that no result depends on the chunk.  B and the caps
 never depend on the worker count or the sample count, and the runner
 returns per-stream results per level, in stream order, so reports are
 byte-identical for any worker count.  A call of blocks (B > 1) of at most
@@ -77,7 +77,7 @@ from .obstacles import (
 # drop them when its targets move to the batch entry points (ROADMAP D1).
 from .billiard import recollision_count, sample_first_collision  # noqa: F401
 from .geometry import hyp_distance  # noqa: F401
-from .stats import _spearman_rho, bootstrap_half_width_w1, ks_statistic, wasserstein1
+from .stats import _ks_censored, _spearman_rho, bootstrap_half_width_w1, ks_statistic, wasserstein1
 
 __all__ = [
     "EXPERIMENTS",
@@ -372,9 +372,9 @@ def _columns(parts):
 
 # Kernels: kernel(blocks, *args) -> tuple of columns over the replicas of a
 # chunk's blocks (rng, m, *level parameters), one block per stream, in
-# order.  _first_collisions, _nearest, _lorentz_disp, _flight_disp and
-# _tube run a block of m replicas per stream, _lorentz_disp's in fields
-# revealed along their paths; _flight_count runs one path per stream.
+# order.  _first_collisions, _nearest, _tube and bg-convergence's engines,
+# billiard._explore and flight._flight_ends, run a block of m replicas per
+# stream; _flight_count runs one path per stream.
 
 def _first_collisions(blocks, horizon):
     return _columns([sample_first_collisions(lam, r, horizon, rng, m) for rng, m, lam, r in blocks])
@@ -393,16 +393,6 @@ def _nearest(blocks):
         near[hit] = np.minimum.reduceat(d, (np.cumsum(counts) - counts)[hit])
         parts.append((near, ~hit))
     return _columns(parts)
-
-
-def _lorentz_disp(blocks, t):
-    x, y, events, recollisions = _explore(_START, t, blocks)
-    return distance_xy(_START.point.x, _START.point.y, x, y), recollisions, events
-
-
-def _flight_disp(blocks, sigma, t):
-    x, y, _ = _flight_ends(_START, FlightConfig(sigma, t), blocks)
-    return (distance_xy(_START.point.x, _START.point.y, x, y),)
 
 
 def _flight_count(blocks, sigma, t):
@@ -444,7 +434,8 @@ def _drive_free_path(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
     columns = run(_first_collisions, list(zip(lams, cfg.r_levels)), cfg.t, size=_FC_BLOCK)
     for r, lam, (times, _, censored) in zip(cfg.r_levels, lams, columns):
         n = cfg.samples
-        ks = ks_statistic(times, exp_cdf(cfg.sigma))
+        # Censored replicas are known only to fly past t: test the law below t.
+        ks = _ks_censored(times[~censored], n, exp_cdf(cfg.sigma), cfg.t)
         mean, hw = _mean_hw(times)
         levels += [
             LevelStat(r, lam, "ks_exp", ks, None, n),
@@ -517,12 +508,15 @@ def _drive_tube_mc(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
 
 
 def _drive_bg_convergence(cfg: ExperimentConfig, run: _Runner) -> list[LevelStat]:
+    x0, y0 = _START.point.x, _START.point.y
     # The flight is one level with no parameters of its own.
-    [(flight,)] = run(_flight_disp, [()], cfg.sigma, cfg.t, tag=_TAG_FLIGHT, size=_LAZY_BLOCK)
+    [(x, y, _)] = run(_flight_ends, [()], FlightConfig(cfg.sigma, cfg.t), tag=_TAG_FLIGHT, size=_LAZY_BLOCK)
+    flight = distance_xy(x0, y0, x, y)
     levels = []
     lams = _lambdas(cfg)
-    columns = run(_lorentz_disp, list(zip(lams, cfg.r_levels)), cfg.t, size=_LAZY_BLOCK)
-    for li, (r, lam, (disp, recollisions, events)) in enumerate(zip(cfg.r_levels, lams, columns)):
+    columns = run(_explore, list(zip(lams, cfg.r_levels)), cfg.t, size=_LAZY_BLOCK)
+    for li, (r, lam, (x, y, events, recollisions)) in enumerate(zip(cfg.r_levels, lams, columns)):
+        disp = distance_xy(x0, y0, x, y)
         w1 = wasserstein1(disp, flight)
         hw = bootstrap_half_width_w1(disp, flight, _derive_rng(cfg.seed, _TAG_BOOT, li, 0))
         n = cfg.samples

@@ -17,6 +17,7 @@ import numpy as np
 
 from .billiard import (
     DEFAULT_MAX_EVENTS,
+    _START,
     Trajectory,
     _block_draws,
     _run_events,
@@ -54,15 +55,37 @@ def _deflection(u):
     return 4.0 * np.arcsin(np.sqrt(u))
 
 
-def _rules(cfg: FlightConfig, blocks):
-    """The arguments n, horizon, step and turn of :func:`_run_events` for
-    flights in blocks (rng, n) of paths, in order.
+def simulate_flight(
+    s0: State,
+    cfg: FlightConfig,
+    rng: np.random.Generator,
+    max_events: int = DEFAULT_MAX_EVENTS,
+) -> Trajectory:
+    """Sample one random-flight path up to the horizon.
 
-    Each round, by the rule of :func:`_block_draws`, every block draws an
+    Exp(sigma) gaps and :func:`sample_deflection` turns, drawn alternately
+    from rng, a gap first; turn events carry obstacle index -1.  A recorded
+    run of :func:`_flight_ends` on one block of one path.
+    """
+    record: list = []
+    _flight_ends([(rng, 1)], cfg, max_events, record, s0)
+    return _trajectory(s0, cfg.horizon, record)
+
+
+def _flight_ends(blocks, cfg: FlightConfig, max_events: int = DEFAULT_MAX_EVENTS, record=None, s0=_START):
+    """Flights from s0 in blocks (rng, n) of n paths that draw from rng,
+    advanced together: bg-convergence's flight kernel, and with one recorded
+    block of one path :func:`simulate_flight`.  ``record`` is passed to
+    :func:`_run_events`.
+
+    Returns (x, y, events) arrays over the blocks' paths in order: the
+    position at the horizon and the number of turns of each path.  Each
+    round, by the rule of :func:`_block_draws`, every block draws an
     Exp(sigma) gap for each of its live paths, then a deflection's uniform
     for each that turns.  So a path's draws are a gap, then, while it is
-    inside the horizon, a uniform and the next gap, and a block draws what
-    it draws alone.
+    inside the horizon, a uniform and the next gap: every path ends, bit for
+    bit, where it ends when its block runs alone, and leaves its generator
+    in the same state.
     """
     rngs, sizes = zip(*blocks)
     block = np.repeat(np.arange(len(rngs)), sizes)
@@ -76,42 +99,7 @@ def _rules(cfg: FlightConfig, blocks):
         (u,) = _block_draws(block, live, len(rngs), lambda k, m: (rngs[k].random(m),))
         return (pre + _deflection(u)) % TWO_PI
 
-    return block.size, cfg.horizon, step, turn
-
-
-def simulate_flight(
-    s0: State,
-    cfg: FlightConfig,
-    rng: np.random.Generator,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> Trajectory:
-    """Sample one random-flight path up to the horizon.
-
-    Exp(sigma) gaps and :func:`sample_deflection` turns, drawn alternately
-    from rng, a gap first; turn events carry obstacle index -1.  A run of
-    :func:`_flight_ends` with one block of one path, recorded.
-    """
-    record: list = []
-    _run_events(s0, *_rules(cfg, [(rng, 1)]), max_events, record)
-    return _trajectory(s0, cfg.horizon, record)
-
-
-def _flight_ends(
-    s0: State,
-    cfg: FlightConfig,
-    blocks,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flights from s0 in blocks (rng, n) of n paths that draw from rng,
-    advanced together.
-
-    Returns (x, y, events) arrays over the blocks' paths in order: the
-    position at the horizon and the number of turns of each path.  Every
-    path ends, bit for bit, where it ends when its block runs alone, and
-    leaves its generator in the same state; a block of one is
-    :func:`simulate_flight`'s path.
-    """
-    return _run_events(s0, *_rules(cfg, blocks), max_events)
+    return _run_events(s0, block.size, cfg.horizon, step, turn, max_events, record)
 
 
 def flight_displacement(traj: Trajectory, t: float) -> float:

@@ -25,15 +25,26 @@ def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     Standard one-sample form: the maximum over order statistics x_(i) of
     both i/n - F(x_(i)) and F(x_(i)) - (i-1)/n.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = len(x)
-    if n == 0:
+    x = np.asarray(samples, dtype=float)
+    if x.size == 0:
         raise ValueError("KS statistic needs at least one sample")
+    return _ks_censored(x, x.size, cdf, None)
+
+
+def _ks_censored(x, n: int, cdf, horizon) -> float:
+    """KS distance on [0, horizon) for n samples of which only x, those
+    below the horizon, are known: the empirical CDF counts x over n.  Beyond
+    the order statistics of x the sup takes the left limit at the horizon,
+    F(horizon) - k/n, while k = len(x) < n.
+    """
+    x = np.sort(x)
+    k = len(x)
     f = np.asarray(cdf(x), dtype=float)
-    i = np.arange(1, n + 1, dtype=float)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1.0) / n)
-    return float(max(d_plus, d_minus, 0.0))
+    i = np.arange(1, k + 1, dtype=float)
+    d_plus = np.max(i / n - f, initial=0.0)
+    d_minus = np.max(f - (i - 1.0) / n, initial=0.0)
+    edge = float(cdf(horizon)) - k / n if k < n else 0.0
+    return float(max(d_plus, d_minus, edge, 0.0))
 
 
 def wasserstein1(a, b) -> float:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import tracemalloc
@@ -37,6 +38,7 @@ from hyperlorentz.billiard import (
     DISC_TOL,
     _cosh_to_segment,
     _explore,
+    _first_contacts,
     _hit_times,
     _reflect_angle,
     _tube_hit,
@@ -672,6 +674,20 @@ def test_sample_first_collision_matches_full_field():
     assert sps.ks_2samp(lazy_b[np.isfinite(lazy_b)], full_b[np.isfinite(full_b)]).pvalue > 0.01
 
 
+@pytest.mark.parametrize("sigma, horizon", [(1.0, 2.0), (0.001, 3000.0)])
+def test_sample_first_collisions_deflection_is_pi_plus_twice_psi(sigma, horizon):
+    # The contact angle psi rebuilt from a copy of the generator gives the
+    # deflection in closed form, beta = pi + 2 psi (mod 2 pi), also after
+    # free paths in the thousands, which no flow from the start survives.
+    for r in (0.5, 5.0, 500.0):
+        rng = _derive_rng(13, 0, 0, 0)
+        lam = sigma / (2.0 * math.sinh(r))
+        _, psi = _first_contacts(copy.deepcopy(rng), lam, r, 4000)
+        _, beta, censored = sample_first_collisions(lam, r, horizon, rng, 4000)
+        d = (beta - (math.pi + 2.0 * psi))[~censored] % (2.0 * math.pi)
+        assert np.minimum(d, 2.0 * math.pi - d).max() < 1e-14
+
+
 def test_sample_first_collision_censoring():
     # a nearly empty field: almost every run is censored at the horizon
     fc = sample_first_collision(1e-6, 0.1, 2.0, _derive_rng(6, 0, 0, 0))
@@ -681,7 +697,7 @@ def test_sample_first_collision_censoring():
 @pytest.mark.parametrize("lam, r, horizon, key, size, expected", [
     (1.0, 0.5, 10.0, (5, 0, 0, 9), 1000, (
         [["955.5788541027256", "0.9462939594169605", "0.052355986710249935"],
-         ["3116.3937317756354", "5.897200425867755", "3.1460676547245248"],
+         ["3116.3937317756354", "5.897200425867756", "3.1460676547245248"],
          ["0.0", "0.0", "0.0"]],
         ["0.8169581766577639"])),
     (3.0, 0.02, 2.0, (7, 0, 1, 0), 8192, (
@@ -692,9 +708,10 @@ def test_sample_first_collision_censoring():
         ["0.7365443039834184"])),
 ])
 def test_sample_first_collisions_keeps_its_values(lam, r, horizon, key, size, expected):
-    # The times, deflections, censoring and generator end states that
+    # The times, censoring and generator end states that
     # sample_first_collisions gave when it placed the contact by flow_xy and
-    # flow_angle from a start argument.
+    # flow_angle from a start argument; the deflections it gives with the
+    # contact at the start itself (the first moved in its last digit).
     rng = _derive_rng(*key)
     assert fingerprint(sample_first_collisions(lam, r, horizon, rng, size), [rng]) == expected
 
@@ -739,7 +756,7 @@ def test_explore_fresh_centers_unexplored_and_obstacle_left_never_next():
     cosh_r = math.cosh(r)
     record = []
     rng = _derive_rng(17, 0, 0, 0)
-    _, _, events, recollisions = _explore(UP, t, [(rng, n, lam, r)], max_events=1000, record=record)
+    _, _, events, recollisions = _explore([(rng, n, lam, r)], t, max_events=1000, record=record)
     paths = [[] for _ in range(n)]
     for rows in record:
         for i, *row in zip(*(v.tolist() for v in rows)):
@@ -795,21 +812,21 @@ def test_explore_blocks_together_match_each_block_alone():
 
     alone, states = [], []
     for block in blocks():
-        alone.append(_explore(UP, t, [block]))
+        alone.append(_explore([block], t))
         states.append(repr(block[0].bit_generator.state))  # holds arrays: compare reprs
     longest = [int(events.max()) for _, _, events, _ in alone]
     assert longest[0] >= 20 and longest[0] > max(longest[1:])
     together = blocks()
-    got = _explore(UP, t, together)
+    got = _explore(together, t)
     for want, col in zip(zip(*alone), got):
         assert np.array_equal(np.concatenate(want), col)
     assert [repr(block[0].bit_generator.state) for block in together] == states
 
     cap = longest[0] - 1
     with pytest.raises(RunawayError) as solo:
-        _explore(UP, t, blocks()[:1], max_events=cap)
+        _explore(blocks()[:1], t, max_events=cap)
     with pytest.raises(RunawayError) as merged:
-        _explore(UP, t, blocks(), max_events=cap)
+        _explore(blocks(), t, max_events=cap)
     assert str(merged.value) == str(solo.value)
 
 
@@ -845,7 +862,7 @@ def test_explore_keeps_its_values(t, expected):
         ((31, 0, 1, 4), 1, 0.2),
     ]
     blocks = [(_derive_rng(*key), n, 1.0 / (2.0 * math.sinh(r)), r) for key, n, r in specs]
-    assert fingerprint(_explore(UP, t, blocks), [rng for rng, *_ in blocks]) == expected
+    assert fingerprint(_explore(blocks, t), [rng for rng, *_ in blocks]) == expected
 
 
 def test_explore_keeps_its_values_across_history_growth():
@@ -860,7 +877,7 @@ def test_explore_keeps_its_values_across_history_growth():
         ((41, 0, 1, 1), 3, 0.1, 12.0),
     ]
     blocks = [(_derive_rng(*key), n, sigma / (2.0 * math.sinh(r)), r) for key, n, r, sigma in specs]
-    got = _explore(UP, 6.0, blocks)
+    got = _explore(blocks, 6.0)
     assert [int(got[2][s].max()) for s in (slice(200), slice(200, 250), slice(250, None))] == [21, 237, 96]
     assert fingerprint(got, [rng for rng, *_ in blocks]) == (
         [["-154.15043499009022", "-0.22569349311014258", "-0.2094945052166029"],
@@ -885,7 +902,7 @@ def test_explore_memory_is_bounded_on_the_benchmark_config(sizes, bound_mib):
         blocks += [(_derive_rng(3, 1, level, k), m, lam, r) for k, m in enumerate(sizes[level])]
     tracemalloc.start()
     try:
-        _explore(UP, 4.0, blocks)
+        _explore(blocks, 4.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -911,7 +928,7 @@ def test_explore_matches_simulate_in_full_fields():
             )
         lazy = np.empty((3, n))
         for k in range(n // 256):
-            x, y, ev, rc = _explore(UP, t, [(_derive_rng(seed, 1, 0, k), 256, lam, r)])
+            x, y, ev, rc = _explore([(_derive_rng(seed, 1, 0, k), 256, lam, r)], t)
             lazy[:, 256 * k : 256 * (k + 1)] = distance_xy(ORIGIN.x, ORIGIN.y, x, y), ev, rc > 0
         w1 = wasserstein1(full[0], lazy[0])
         rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import multiprocessing
@@ -204,7 +205,7 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch, pool_
     def streams_of(kernel, place):
         return sorted(s for name, where, streams in ran if (name, where) == (kernel, place) for s in streams)
 
-    for kernel, levels in (("_flight_disp", 1), ("_lorentz_disp", 3)):
+    for kernel, levels in (("_flight_ends", 1), ("_explore", 3)):
         assert streams_of(kernel, "caller") == [(L, 0) for L in range(levels)]
         assert streams_of(kernel, "pool") == [(L, k) for L in range(levels) for k in (1, 2)]
     assert len(ran) == 3 + 9
@@ -213,7 +214,7 @@ def test_one_pool_per_run_no_larger_than_its_chunks(tmp_path, monkeypatch, pool_
 @pytest.mark.parametrize("experiment, kw, size, kernels, pool", [
     ("free-path", dict(), _FC_BLOCK, ["_first_collisions"], 1),
     ("bg-convergence", dict(sigma=1.0, r_levels=(0.4,), t=1.0), _LAZY_BLOCK,
-     ["_flight_disp", "_lorentz_disp"], 32),
+     ["_flight_ends", "_explore"], 32),
     ("nearest-neighbor", dict(t=1.0), _FC_BLOCK, ["_nearest"], 1),
 ])
 def test_pool_only_for_calls_of_more_than_one_batch(tmp_path, pool_log, experiment, kw, size, kernels, pool):
@@ -354,6 +355,17 @@ def test_free_path_experiment(tmp_path):
     assert rep.stat("censored_count").value == 0.0
 
 
+def test_free_path_ks_exp_tests_the_censored_law(tmp_path):
+    # At sigma t = 2 about e^-2 of the replicas fly past t and are recorded
+    # at t.  Compared below t only, ks_exp lies in the 0.999 Kolmogorov band
+    # (DKW, c = sqrt(ln(2000) / 2)); against the uncensored CDF it would
+    # read at least e^-2 at any sample count.
+    for seed, samples in ((0, 1000), (3, 20_000)):
+        rep = run_experiment(cfg_for(tmp_path, sigma=1.0, t=2.0, samples=samples, seed=seed))
+        assert rep.stat("censored_count").value > 0.1 * samples
+        assert rep.stat("ks_exp").value < math.sqrt(math.log(2000.0) / 2.0) / math.sqrt(samples)
+
+
 def test_nearest_neighbor_experiment(tmp_path):
     rep = run_experiment(
         cfg_for(tmp_path, experiment="nearest-neighbor", t=1.0, samples=3000, workers=2)
@@ -383,6 +395,22 @@ def test_cli_deflection_with_every_replica_censored(tmp_path, capsys):
     assert math.isnan(rows["spearman_tau_beta"]["value"]) and rows["spearman_tau_beta"]["n"] == 0
     assert rows["censored_count"]["value"] == 10.0 and rows["censored_count"]["n"] == 10
     assert "ks_deflection = nan (n=0)" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma, t", [(0.02, 200.0), (0.001, 3000.0)])
+def test_cli_deflection_after_long_free_paths(tmp_path, sigma, t):
+    # Free paths of hundreds or thousands: the deflection law does not
+    # depend on where the hit happens, so its KS distance lies in the 0.999
+    # Kolmogorov band and its rank correlation with the free path in the
+    # 0.999 normal band of independence, with no numpy warning on the way.
+    args = ["--sigma", str(sigma), "--r", "0.5", "--t", str(t), "--samples", "4000"]
+    assert main(["deflection", *args, "--out", str(tmp_path)]) == 0
+    rows = {row["stat_name"]: row for row in json.loads((tmp_path / "report.json").read_text())["levels"]}
+    ks, rho, n = rows["ks_deflection"]["value"], rows["spearman_tau_beta"]["value"], rows["ks_deflection"]["n"]
+    assert n > 3500
+    assert ks < math.sqrt(math.log(2000.0) / 2.0) / math.sqrt(n)
+    assert abs(rho) < 3.29 / math.sqrt(n - 1)
 
 
 def test_deflection_level_with_every_replica_censored_leaves_the_others(tmp_path):
@@ -471,7 +499,7 @@ def test_bg_convergence_long_time(tmp_path):
     cfg = cfg_for(tmp_path, experiment="bg-convergence", sigma=1.0, r_levels=(0.1,), t=10.0, samples=1024)
     mean = run_experiment(cfg).stat("mean_collisions", r=0.1).value
     with experiments._Runner(cfg) as run:
-        [(*_, events)] = run(experiments._lorentz_disp, [(lambda_for(1.0, 0.1), 0.1)], 10.0, size=_LAZY_BLOCK)
+        [(*_, events, _)] = run(experiments._explore, [(lambda_for(1.0, 0.1), 0.1)], 10.0, size=_LAZY_BLOCK)
     assert mean == events.mean()
     assert abs(mean - 10.0) < 4.0 * events.std(ddof=1) / math.sqrt(events.size)
 
@@ -483,6 +511,31 @@ def test_flight_baseline_experiment(tmp_path):
     assert rep.stat("event_count_mean").value == pytest.approx(6.0, rel=0.05)
     assert rep.stat("event_count_var").value == pytest.approx(6.0, rel=0.10)
     assert rep.stat("ks_deflection").value < 0.03
+
+
+_PINNED = {
+    "bg-convergence": (
+        "d5b1dd1eb3c64a9a6d4246f05af1cc727a3fba757cf3fb1d23721a7434c0e507",
+        "e239b90b0b0b78ebca3fdbf9185560b3d9a3a8d8bd577fc31b46c1f729670e60",
+    ),
+    "flight-baseline": (
+        "61598883e99a0d7b42ac510d2b5d367327f22c4373da746efce0386e0e148dc5",
+        "72e73f2673079914684fb4dbcab2cf79f9f7403c524e7cf2d0a1399d4dea902d",
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment, kw, workers", [
+    ("bg-convergence", dict(sigma=1.0, r_levels=(0.4, 0.2, 0.1), t=4.0, samples=600), 1),
+    ("bg-convergence", dict(sigma=1.0, r_levels=(0.4, 0.2, 0.1), t=4.0, samples=600), 2),
+    ("flight-baseline", dict(sigma=2.0, r_levels=(0.5,), t=3.0, samples=2000), 1),
+])
+def test_flight_reports_keep_their_bytes(tmp_path, experiment, kw, workers):
+    # sha256 of report.json and levels.csv at seed 19, the files the CLI
+    # writes for these flags: how the drivers reach the billiard and flight
+    # engines may change, these bytes may not.
+    run_experiment(cfg_for(tmp_path, experiment=experiment, seed=19, workers=workers, **kw))
+    assert tuple(hashlib.sha256(b).hexdigest() for b in read_outputs(tmp_path)) == _PINNED[experiment]
 
 
 def test_unwritable_output_dir():

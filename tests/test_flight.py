@@ -193,7 +193,7 @@ def test_flight_batch_matches_one_path_at_a_time():
     want = [reference_flight(START, cfg, rng, 10**6) for rng in rngs()]
     counts = [w[2] for w in want]
     assert min(counts) == 0 and max(counts) >= 6
-    x, y, events = _flight_ends(START, cfg, [(rng, 1) for rng in rngs()])
+    x, y, events = _flight_ends([(rng, 1) for rng in rngs()], cfg)
     assert list(zip(x, y, events)) == want
     for rng, (wx, wy, wn) in zip(rngs(), want):
         traj = simulate_flight(START, cfg, rng)
@@ -202,12 +202,12 @@ def test_flight_batch_matches_one_path_at_a_time():
     # Every path leaves its generator where the plain loop does.
     for ref, rng in zip(rngs(), rngs()):
         reference_flight(START, cfg, ref, 10**6)
-        _flight_ends(START, cfg, [(rng, 1)])
+        _flight_ends([(rng, 1)], cfg)
         assert ref.random() == rng.random()
 
     cap = max(counts) - 1
     with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
-        _flight_ends(START, cfg, [(rng, 1) for rng in rngs()], cap)
+        _flight_ends([(rng, 1) for rng in rngs()], cfg, cap)
     with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
         simulate_flight(START, cfg, rngs()[counts.index(max(counts))], cap)
 
@@ -225,12 +225,12 @@ def test_flight_blocks_together_match_each_block_alone():
 
     alone, states = [], []
     for block in blocks():
-        alone.append(_flight_ends(START, cfg, [block]))
+        alone.append(_flight_ends([block], cfg))
         states.append(repr(block[0].bit_generator.state))  # holds arrays: compare reprs
     longest = [int(events.max()) for *_, events in alone]
     assert min(longest) >= 1
     together = blocks()
-    got = _flight_ends(START, cfg, together)
+    got = _flight_ends(together, cfg)
     for want, col in zip(zip(*alone), got):
         assert np.array_equal(np.concatenate(want), col)
     assert [repr(block[0].bit_generator.state) for block in together] == states
@@ -238,9 +238,9 @@ def test_flight_blocks_together_match_each_block_alone():
     k = longest.index(max(longest))
     cap = longest[k] - 1
     with pytest.raises(RunawayError) as solo:
-        _flight_ends(START, cfg, blocks()[k : k + 1], cap)
+        _flight_ends(blocks()[k : k + 1], cfg, cap)
     with pytest.raises(RunawayError) as merged:
-        _flight_ends(START, cfg, blocks(), cap)
+        _flight_ends(blocks(), cfg, cap)
     assert str(merged.value) == str(solo.value)
 
 
@@ -269,7 +269,7 @@ def test_flight_ends_keeps_its_values(sigma, t, expected):
     # the end points, turn counts and generator end states _flight_ends gave
     # with its own copy of the per-block draw rule.
     blocks = [(_derive_rng(41, 1, 0, k), n) for k, n in enumerate((256, 256, 19, 1))]
-    got = _flight_ends(START, FlightConfig(sigma, t), blocks)
+    got = _flight_ends(blocks, FlightConfig(sigma, t))
     assert fingerprint(got, [rng for rng, _ in blocks]) == expected
 
 
@@ -292,7 +292,7 @@ def test_block_flight_matches_closed_form_moments():
     zs = []
     for (sigma, t), seed in zip(((1.0, 2.0), (2.0, 3.0), (1.0, 4.0)), itertools.count(70)):
         blocks = [(_derive_rng(seed, 0, 0, k), min(size, n - k * size)) for k in range(-(-n // size))]
-        x, y, events = _flight_ends(START, FlightConfig(sigma, t), blocks)
+        x, y, events = _flight_ends(blocks, FlightConfig(sigma, t))
         assert x.size == n
         cosh_d = (x * x + y * y + 1.0) / (2.0 * y)  # from (0, 1)
         counts = events.astype(float)

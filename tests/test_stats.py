@@ -40,6 +40,27 @@ def test_ks_matches_scipy():
         assert mine == pytest.approx(float(ref), abs=1e-12)
 
 
+def test_ks_censored_hand_evaluated_cases():
+    # Of n samples only x, those below the horizon, are known.  {0.5} of 2,
+    # horizon 0.8: D- = F(0.5) - 0 = 0.5 beats the left limit 0.8 - 1/2.
+    assert stats._ks_censored(np.array([0.5]), 2, UNIFORM, 0.8) == 0.5
+    # {0.1} of 4, horizon 0.9: the left limit F(0.9) - 1/4 = 0.65 is the sup.
+    assert stats._ks_censored(np.array([0.1]), 4, UNIFORM, 0.9) == pytest.approx(0.65, abs=1e-15)
+    # None of 3 known below 0.4: the empirical CDF is 0 up to the horizon.
+    assert stats._ks_censored(np.array([]), 3, UNIFORM, 0.4) == 0.4
+
+
+def test_ks_censored_without_censoring_is_the_standard_form_bit_for_bit():
+    rng = np.random.default_rng(5)
+    cdf = lambda v: -np.expm1(-np.asarray(v))
+    for n in (1, 2, 17, 1000):
+        x = rng.exponential(1.0, n)
+        s = np.sort(x)
+        f, i = cdf(s), np.arange(1.0, n + 1.0)
+        textbook = float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n), 0.0))
+        assert stats._ks_censored(x, n, cdf, 2.0 * x.max()) == ks_statistic(x, cdf) == textbook
+
+
 def test_ks_empty_raises():
     with pytest.raises(ValueError):
         ks_statistic([], UNIFORM)
