@@ -60,15 +60,11 @@ def wasserstein1(a, b) -> float:
     return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
 
 
-# Index cells (2 x resamples x n) drawn per group of bootstrap resamples,
-# with at least one resample a group: the cap fixes how the draws are laid
-# out in the stream, and a group's indices are the largest array a call
-# holds (at most 8 MB for n up to 2**20).
-_BOOT_CELLS = 1 << 21
-# Cells (resamples x n) a group is sorted, gathered and averaged in at a
-# time, with at least one resample a slice: the two gather buffers stay at
-# 64 kB each, or one resample each for n above this.
-_BOOT_SLICE = 1 << 13
+# Index cells (resamples x 2 x n) a bootstrap draws, sorts, gathers and
+# averages at once, with at least one resample a group: the cap fixes how
+# the draws are laid out in the stream and bounds a call's working memory
+# to a group's indices plus two gather buffers (under 1 MiB up to n = 10**4).
+_BOOT_CELLS = 1 << 16
 
 
 def bootstrap_half_width_w1(
@@ -83,14 +79,12 @@ def bootstrap_half_width_w1(
     Both samples are resampled with replacement independently.  Both are
     sorted once; a resample of a sorted sample, gathered at sorted indices,
     is already sorted, so each replicate is the mean absolute difference of
-    two gathered rows.  The resamples are drawn in groups of at most
-    ``_BOOT_CELLS`` index cells (or one resample), with one
-    ``rng.integers`` call a group, of shape (resamples, 2, n) in the
-    smallest unsigned dtype that holds n - 1: resample k's index row for
-    ``a``, then its row for ``b``.  A group is then sorted, gathered and
-    averaged ``_BOOT_SLICE`` cells (or one resample) at a time into two
-    buffers made once a call, so the working memory is a group's indices
-    plus two slices, whatever n is.
+    two gathered rows.  The resamples are taken in groups of at most
+    ``_BOOT_CELLS`` index cells (or one resample).  A group is one
+    ``rng.integers`` call of shape (resamples, 2, n), uint16 while
+    n <= 2**16 and uint32 above: resample k's index row for ``a``, then its
+    row for ``b``.  It is sorted, gathered into two buffers made once a
+    call, and averaged before the next group is drawn.
 
     The interval ignores W1's upward bias: W1 between two finite samples is
     positive even when they share one law, and for two gamma samples of one
@@ -107,26 +101,20 @@ def bootstrap_half_width_w1(
     if not 0.0 < level < 1.0:
         raise ValueError(f"bootstrap level must lie strictly between 0 and 1, got {level}")
     n = a.size
-    dtype = np.min_scalar_type(n - 1)
-    # numpy radix-sorts 8-bit keys under the stable kind; its default sort is slow on them.
-    kind = "stable" if dtype.itemsize == 1 else None
-    rows = max(1, _BOOT_CELLS // (2 * n))
-    per = max(1, _BOOT_SLICE // n)
-    da, db = np.empty((per, n)), np.empty((per, n))
+    dtype = np.uint16 if n <= 1 << 16 else np.uint32
+    rows = min(n_boot, max(1, _BOOT_CELLS // (2 * n)))
+    da, db = np.empty((rows, n)), np.empty((rows, n))
     reps = np.empty(n_boot)
     for start in range(0, n_boot, rows):
         idx = rng.integers(0, n, (min(rows, n_boot - start), 2, n), dtype=dtype)
-        for k in range(0, len(idx), per):
-            part = idx[k : k + per]
-            part.sort(axis=-1, kind=kind)
-            d, e = da[: len(part)], db[: len(part)]
-            # Every index is in range; mode "raise" would gather into a hidden copy first.
-            a.take(part[:, 0], out=d, mode="clip")
-            b.take(part[:, 1], out=e, mode="clip")
-            d -= e
-            np.abs(d, out=d)
-            reps[start + k : start + k + len(part)] = d.mean(axis=1)
-        del idx, part  # free this group's draw before the next is made
+        idx.sort(axis=-1)
+        d, e = da[: len(idx)], db[: len(idx)]
+        # Every index is in range; mode "raise" would gather into a hidden copy first.
+        a.take(idx[:, 0], out=d, mode="clip")
+        b.take(idx[:, 1], out=e, mode="clip")
+        d -= e
+        np.abs(d, out=d)
+        reps[start : start + len(idx)] = d.mean(axis=1)
     lo, hi = _quantiles(reps, ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
     return float((hi - lo) / 2.0)
 

@@ -515,8 +515,8 @@ def test_flight_baseline_experiment(tmp_path):
 
 _PINNED = {
     "bg-convergence": (
-        "d5b1dd1eb3c64a9a6d4246f05af1cc727a3fba757cf3fb1d23721a7434c0e507",
-        "e239b90b0b0b78ebca3fdbf9185560b3d9a3a8d8bd577fc31b46c1f729670e60",
+        "d1e4f8203b8d8b84178e249724897ce16a60875a7d2e7dee6e826fe87fce3450",
+        "dce12c29a747dda5715fc8c4bf6598bd5b517368629e5b478012f72ed43b43e2",
     ),
     "flight-baseline": (
         "61598883e99a0d7b42ac510d2b5d367327f22c4373da746efce0386e0e148dc5",

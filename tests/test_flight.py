@@ -22,7 +22,7 @@ from hyperlorentz import (
 )
 from hyperlorentz.experiments import _derive_rng, deflection_cdf
 from hyperlorentz.flight import _flight_ends
-from hyperlorentz.geometry import flow_angle, flow_xy, geodesic_flow
+from hyperlorentz.geometry import distance_xy, flow_angle, flow_xy, geodesic_flow
 from util import fingerprint, random_mobius
 
 TWO_PI = 2.0 * math.pi
@@ -71,11 +71,22 @@ def test_flight_zero_rate_limit_is_geodesic():
         assert flight_displacement(traj, 5.0) == pytest.approx(5.0, abs=1e-10)
 
 
+def flight_ends(s0, cfg, streams):
+    """End points x, y and turn counts from the batch engine, one block of
+    one path a stream: bit for bit what simulate_flight gives on them."""
+    return _flight_ends([(rng, 1) for rng in streams], cfg, s0=s0)
+
+
+def displacements(s0, cfg, streams):
+    """Distances from the start at the horizon, as flight_displacement reads them."""
+    x, y, _ = flight_ends(s0, cfg, streams)
+    return distance_xy(s0.point.x, s0.point.y, x, y)
+
+
 def test_flight_event_counts_poisson():
     sigma, t, n = 2.0, 3.0, 20_000
-    counts = np.empty(n)
-    for i in range(n):
-        counts[i] = len(simulate_flight(START, FlightConfig(sigma, t), _derive_rng(4, 0, 0, i)).events)
+    *_, events = flight_ends(START, FlightConfig(sigma, t), (_derive_rng(4, 0, 0, i) for i in range(n)))
+    counts = events.astype(float)
     assert counts.mean() == pytest.approx(sigma * t, rel=0.03)
     assert counts.var(ddof=1) == pytest.approx(sigma * t, rel=0.05)
 
@@ -113,13 +124,8 @@ def test_flight_isometry_invariance_of_displacement():
     m = random_mobius(rng)
     moved = mobius_transport(m, START)
     cfg = FlightConfig(1.0, 2.0)
-    base = np.empty(5000)
-    transported = np.empty(5000)
-    for i in range(5000):
-        base[i] = flight_displacement(simulate_flight(START, cfg, _derive_rng(8, 0, 0, i)), 2.0)
-        transported[i] = flight_displacement(
-            simulate_flight(moved, cfg, _derive_rng(8, 1, 0, i)), 2.0
-        )
+    base = displacements(START, cfg, (_derive_rng(8, 0, 0, i) for i in range(5000)))
+    transported = displacements(moved, cfg, (_derive_rng(8, 1, 0, i) for i in range(5000)))
     # zero-event runs put an atom at exactly t; round so both samples agree
     # on its location instead of splitting it by ~1e-15 of float noise
     assert sps.ks_2samp(np.round(base, 9), np.round(transported, 9)).pvalue > 0.01
@@ -129,9 +135,7 @@ def test_flight_displacement_reproducible_across_seeds():
     cfg = FlightConfig(1.0, 2.0)
     means = []
     for block in (0, 1):
-        d = np.empty(20_000)
-        for i in range(len(d)):
-            d[i] = flight_displacement(simulate_flight(START, cfg, _derive_rng(9, block, 0, i)), 2.0)
+        d = displacements(START, cfg, (_derive_rng(9, block, 0, i) for i in range(20_000)))
         means.append((d.mean(), d.std(ddof=1) / math.sqrt(len(d))))
     (m1, se1), (m2, se2) = means
     assert abs(m1 - m2) < 3.0 * math.hypot(se1, se2)
@@ -210,6 +214,18 @@ def test_flight_batch_matches_one_path_at_a_time():
         _flight_ends([(rng, 1) for rng in rngs()], cfg, cap)
     with pytest.raises(RunawayError, match=f"^exceeded {cap} events before the horizon$"):
         simulate_flight(START, cfg, rngs()[counts.index(max(counts))], cap)
+
+
+def test_one_path_blocks_read_what_simulate_flight_reads():
+    # The counts and displacements the statistical tests above read through
+    # the batch engine, from the start and from a moved start, bit for bit.
+    cfg = FlightConfig(1.0, 2.0)
+    for s0 in (START, mobius_transport(random_mobius(np.random.default_rng(7)), START)):
+        trajs = [simulate_flight(s0, cfg, _derive_rng(14, 0, 0, i)) for i in range(100)]
+        *_, events = flight_ends(s0, cfg, (_derive_rng(14, 0, 0, i) for i in range(100)))
+        assert events.tolist() == [len(traj.events) for traj in trajs]
+        got = displacements(s0, cfg, (_derive_rng(14, 0, 0, i) for i in range(100)))
+        assert got.tolist() == [flight_displacement(traj, 2.0) for traj in trajs]
 
 
 def test_flight_blocks_together_match_each_block_alone():
