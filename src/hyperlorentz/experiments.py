@@ -148,6 +148,23 @@ def _check_tube(t: float, r: float) -> None:
         )
 
 
+def _check_reflection(experiment: str, r: float) -> None:
+    """deflection and bg-convergence reflect off radius-r obstacles, which
+    needs cosh r above 1, that is r > 2^-26.
+
+    The reflection's normal at an impact (x, y) on the disk of center
+    (cx, cy) is (x - cx, y - cy cosh r), a difference of coordinates about
+    y r apart, which rounding swamps as r shrinks.  Where cosh r rounds
+    to 1, the hit solve registers no contact and the lazy billiard never
+    counts a disk as explored.
+    """
+    if math.cosh(r) == 1.0:
+        raise ValidationError(
+            f"r = {r} is too small for {experiment}: cosh r rounds to 1, so its reflections cannot be "
+            "resolved; it needs r > 2^-26, about 1.49e-08"
+        )
+
+
 def exp_cdf(rate: float):
     return lambda x: -np.expm1(-rate * np.asarray(x, dtype=float))
 
@@ -216,6 +233,8 @@ class ExperimentConfig(_Record):
                 _checked_lambda(self.sigma, r)
                 if self.experiment == "tube-mc":
                     _check_tube(self.t, r)
+                elif self.experiment in ("deflection", "bg-convergence"):
+                    _check_reflection(self.experiment, r)
         if self.experiment == "bg-convergence" and any(
             r2 >= r1 for r1, r2 in zip(self.r_levels, self.r_levels[1:])
         ):
@@ -586,13 +605,10 @@ def _write_report(report: Report, out_dir: Path) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Run one experiment and write report.json / levels.csv to output_dir.
-
-    The written files depend only on (experiment, params, seed); the worker
-    count affects wall clock only.
-    """
-    out_dir = Path(cfg.output_dir)
+def _writable_dir(path: str | Path) -> Path:
+    """The directory path, made if need be, once a file has been written
+    in it: a run checks where it writes before it samples."""
+    out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         probe = out_dir / ".write-probe"
@@ -600,7 +616,16 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         probe.unlink()
     except OSError as exc:
         raise ValidationError(f"output directory {out_dir} is not writable: {exc}") from exc
+    return out_dir
 
+
+def run_experiment(cfg: ExperimentConfig) -> Report:
+    """Run one experiment and write report.json / levels.csv to output_dir.
+
+    The written files depend only on (experiment, params, seed); the worker
+    count affects wall clock only.
+    """
+    out_dir = _writable_dir(cfg.output_dir)
     t0 = time.perf_counter()
     with _Runner(cfg) as run:
         levels = _DRIVERS[cfg.experiment](cfg, run)

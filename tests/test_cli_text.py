@@ -138,13 +138,26 @@ def test_cli_text(monkeypatch, capsys, argv, workers, code, out, err):
     assert capsys.readouterr() == (out, err)
 
 
-def test_export_to_a_directory_exits_2_before_sampling(monkeypatch, capsys, tmp_path):
+@pytest.mark.parametrize(
+    "out, err",
+    [
+        ("", "export writes a CSV file, but --out {out} is a directory\n"),
+        # A regular file where the destination's directory should be.
+        ("file/a.csv", "output directory {dir} is not writable: [Errno 17] File exists: '{dir}'\n"),
+        ("file/sub/a.csv", "output directory {dir} is not writable: [Errno 20] Not a directory: '{dir}'\n"),
+    ],
+    ids=["directory", "file-as-parent", "file-as-grandparent"],
+)
+def test_export_to_a_directory_exits_2_before_sampling(monkeypatch, capsys, tmp_path, out, err):
     def sample(*args):
         raise AssertionError("sampled a path it cannot write")
 
     monkeypatch.setattr(cli, "sample_trajectory", sample)
-    assert main(["export", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr() == ("", f"error: export writes a CSV file, but --out {tmp_path} is a directory\n")
+    (tmp_path / "file").write_text("kept")
+    out = str(tmp_path / out) if out else str(tmp_path)
+    assert main(["export", "--out", out]) == 2
+    assert capsys.readouterr() == ("", "error: " + err.format(out=out, dir=out.rpartition("/")[0]))
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 @pytest.mark.parametrize(

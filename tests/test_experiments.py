@@ -696,6 +696,20 @@ def test_cli_rejects_radii_with_no_positive_finite_intensity(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r", ["1e-9", "1e-17", "1e-300", "2e-8"])
+@pytest.mark.parametrize("command", ["deflection", "bg-convergence"])
+def test_cli_rejects_radii_too_small_to_reflect(tmp_path, capsys, command, r):
+    # Below 2^-26 cosh r rounds to 1, and the reflection's normal is lost.
+    out = tmp_path / "out"
+    code = main([command, "--r", r, "--t", "2", "--samples", "50", "--out", str(out)])
+    if r == "2e-8":
+        assert code == 0 and (out / "report.json").exists()
+    else:
+        assert code == 2
+        assert "cosh r rounds to 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("r, t", [("700", "100"), ("1", "1500"), ("1", "708"), ("1", "249")])
 def test_cli_rejects_tube_mc_whose_enclosing_ball_overflows(tmp_path, capsys, r, t):
     # Points of the ball of radius t/2 + r around (0, e^(t/2)) overflow

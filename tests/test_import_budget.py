@@ -143,7 +143,7 @@ def test_pool_class_is_concurrent_futures_own():
 
 def test_cli_import_generates_no_record_code():
     # The package's records share one base class: importing them loads no
-    # code generator and builds no per-class methods.
+    # dataclasses, and no class of the package carries dataclass fields.
     found = _run(BASE)
     assert "dataclasses" not in found["added"]
     assert found["records"] == []

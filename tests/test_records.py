@@ -9,6 +9,7 @@ that these records replaced, so a record keeps the behavior its users saw.
 """
 
 import copy
+import inspect
 import math
 import pickle
 import re
@@ -149,6 +150,10 @@ UNHASHABLE = (ObstacleField, Report)
 def test_record_builds_by_position_and_keyword(cls, names, args, text):
     names = tuple(names.split())
     assert cls.__match_args__ == names
+    params = inspect.signature(cls).parameters
+    assert list(params) == list(names)
+    for name, param in params.items():
+        assert param.default is getattr(cls, name, inspect.Parameter.empty)
     by_position = cls(*args)
     by_keyword = cls(**dict(zip(names, args)))
     mixed = cls(args[0], **dict(zip(names[1:], args[1:])))
