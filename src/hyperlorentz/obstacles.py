@@ -222,33 +222,35 @@ def sample_field(
 def nearest_neighbor_tail(eta, lam: float, k: int = 1):
     """Pr(distance to the k-th nearest field point > eta).
 
-    Equals the Poisson CDF at k-1 with mean 4*pi*lam*sinh^2(eta/2), i.e.
-    sum_{j<k} e^{-mu} mu^j / j!, evaluated through the regularized upper
-    incomplete gamma function for numerical stability.  scipy is imported
-    here, not with the package, whose other users do not need it.
+    Equals the Poisson CDF at k-1 with mean mu = 4*pi*lam*sinh^2(eta/2),
+    sum_{j<k} e^{-mu} mu^j / j!, summed term by term; k is an integer >= 1.
     """
-    from scipy import special
-
     if lam <= 0.0:
         raise ValueError(f"intensity must be positive, got {lam}")
-    if k < 1:
-        raise ValueError(f"neighbor order must be >= 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"neighbor order must be an integer >= 1, got {k!r}")
     mu = 4.0 * math.pi * lam * np.sinh(np.asarray(eta, dtype=float) / 2.0) ** 2
-    out = special.gammaincc(k, mu)
+    term = out = np.exp(-mu)
+    for j in range(1, k):
+        term = term * mu / j
+        out = out + term
     return float(out) if np.isscalar(eta) else out
 
 
 def expected_T1(lam: float) -> float:
     """Mean distance to the nearest field point: e^{2 pi lam} K0(2 pi lam).
 
-    This is int_0^inf exp(-2 pi lam (cosh t - 1)) dt, evaluated as the
-    exponentially scaled Bessel function k0e, which cannot overflow.
+    This is the integral of the k = 1 tail over eta >= 0, taken by the
+    trapezoid rule up to where the tail falls below e^-40.  The tail is even
+    and analytic in eta, so the rule converges geometrically in its step.
     """
-    from scipy import special
-
     if lam <= 0.0:
         raise ValueError(f"intensity must be positive, got {lam}")
-    return float(special.k0e(2.0 * math.pi * lam))
+    top = 2.0 * math.asinh(math.sqrt(40.0 / (4.0 * math.pi * lam)))
+    h = min(0.25, top / 32.0)
+    eta = h * np.arange(math.ceil(top / h) + 1)
+    # the tail is 1 at eta = 0, whose trapezoid weight is h / 2
+    return h * (float(nearest_neighbor_tail(eta, lam).sum()) - 0.5)
 
 
 def shot_noise(

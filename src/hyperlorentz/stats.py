@@ -1,9 +1,10 @@
 """Verification statistics: KS distance, empirical 1-Wasserstein, bootstrap,
 and Spearman's rank correlation.
 
-Only numpy is imported: scipy would cost every CLI run about a second to
-import.  ``_spearman_rho`` is the value ``scipy.stats.spearmanr`` gives,
-bit for bit, which the tests check against scipy.  ``_quantiles`` is the
+Only numpy is imported, as everywhere in the package: scipy would cost
+every CLI run about a second to import, and only the tests use it.
+``_spearman_rho`` is the value ``scipy.stats.spearmanr`` gives, bit for
+bit, which the tests check against scipy.  ``_quantiles`` is the
 value ``np.quantile`` gives by its default (linear) method, bit for bit,
 without ``np.quantile``'s ``np.unique``, which imports ``numpy.ma`` (about
 10 ms) on first use.

@@ -24,6 +24,7 @@ from hyperlorentz import (
     normalizing_map,
     rotate_direction,
 )
+from hyperlorentz.billiard import _START
 from hyperlorentz.geometry import distance_xy, flow_ahead, flow_angle, flow_xy
 from util import angle_diff, random_mobius, random_point, random_state
 
@@ -227,6 +228,14 @@ def test_flow_ahead_is_flow_xy_and_flow_angle_bit_for_bit():
     want_x, want_y = flow_xy(x, y, alpha, t)
     assert np.array_equal(ix, want_x) and np.array_equal(iy, want_y)
     assert np.array_equal(pre, flow_angle(alpha, t))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP D13")
+@pytest.mark.parametrize("t", [40.0, 60.0, 100.0])
+def test_flow_from_start_stays_on_its_geodesic(t):
+    # _START points straight up; its flow must end t from where it began
+    x, y, _ = flow_ahead(0.0, 1.0, _START.dir.alpha, t)
+    assert abs(distance_xy(0.0, 1.0, x, y) - t) <= 1e-9 * t
 
 
 def test_rotate_direction():

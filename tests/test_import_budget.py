@@ -1,7 +1,7 @@
 """The CLI imports numpy but not scipy, the process pool or numpy.ma, and
-runs import nothing more, but nearest-neighbor's closed forms, which load
-scipy.special on first use, and a run's first pool, which loads
-concurrent.futures.
+runs import nothing more, but a run's first pool, which loads
+concurrent.futures.  No run needs scipy: every command runs with its import
+blocked.
 
 Importing scipy costs each CLI call about a second, several times the rest
 of its start-up; concurrent.futures, with multiprocessing, logging, socket
@@ -11,10 +11,13 @@ fresh interpreter, as a CLI call does.
 
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hyperlorentz
 from hyperlorentz import experiments
@@ -39,13 +42,23 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(added))
 """
 
-SCIPY_SPECIAL = """
-import json, sys
-import hyperlorentz.cli
+# Every scipy import raises, as if scipy were not installed.
+NO_SCIPY = """
+import contextlib, io, json, os, sys
 
-loaded = set(sys.modules)
-from scipy import special
-print(json.dumps(sorted(set(sys.modules) - loaded)))
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import hyperlorentz.cli as cli
+from hyperlorentz import expected_T1, nearest_neighbor_tail
+
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--out", os.path.join(sys.argv[2], str(i))]) == 0
+print(json.dumps([expected_T1(1.0), nearest_neighbor_tail(0.5, 1.0, 2)]))
 """
 
 POOL = """
@@ -108,21 +121,28 @@ def test_cli_imports_no_scipy_and_runs_import_nothing_new(tmp_path):
         ["nearest-neighbor", "--samples", "50", "--workers", "2"],
         ["nearest-neighbor", "--samples", "50", "--workers", "1"],
     ]
-    added = _run(RUNS, json.dumps(argvs[:-3]), str(tmp_path))
+    added = _run(RUNS, json.dumps(argvs), str(tmp_path))
     imported = added.pop("import")
     assert _heavy(imported) == []
     # argparse's gettext imports locale on the first parse: it comes with the package.
     assert "locale" in imported
-    assert added == {" ".join(argv): [] for argv in argvs[:-3]}
-    added = _run(RUNS, json.dumps(argvs[-3:]), str(tmp_path / "x"))
-    added.pop("import")
-    assert added.pop(" ".join(argvs[-3])) == []
-    # nearest-neighbor adds scipy.special and what it imports, nothing else.
-    nearest = added.pop(" ".join(argvs[-2]))
-    assert "scipy.special" in nearest
-    assert set(nearest) <= set(_run(SCIPY_SPECIAL))
-    assert "concurrent.futures.process" not in nearest
-    assert added == {" ".join(argvs[-1]): []}
+    assert added == {" ".join(argv): [] for argv in argvs}
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    argvs = [
+        [name, "--samples", "50", "--workers", "1"]
+        for name in ("free-path", "nearest-neighbor", "deflection", "tube-mc", "flight-baseline")
+    ]
+    argvs += [
+        ["bg-convergence", "--samples", "20", "--r", "0.4,0.2", "--t", "2", "--workers", "1"],
+        ["export", "--model", "halfplane", "--t", "2"],
+        ["export", "--model", "disk", "--t", "2"],
+    ]
+    t1, tail = _run(NO_SCIPY, json.dumps(argvs), str(tmp_path))
+    assert t1 == pytest.approx(0.49082327684878974, rel=1e-15)
+    mu = 4.0 * math.pi * math.sinh(0.25) ** 2
+    assert tail == pytest.approx(math.exp(-mu) * (1.0 + mu), rel=1e-14)
 
 
 def test_pool_run_imports_only_the_pool_and_writes_the_same_bytes(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats as sps
@@ -319,6 +320,36 @@ def test_expected_t1_is_integral_of_tail():
         lambda eta: nearest_neighbor_tail(eta, lam, 1), 0.0, 20.0, epsabs=1e-12, limit=200
     )
     assert expected_T1(lam) == pytest.approx(tail_integral, abs=1e-6)
+
+
+def test_expected_t1_against_mpmath_bessel():
+    lams = [*np.logspace(-8.0, 8.0, 81), 1e-300]
+    with mp.workdps(45):
+        for lam in lams:
+            x = 2 * mp.pi * mp.mpf(float(lam))
+            ref = mp.besselk(0, x) * mp.exp(x)
+            assert abs(expected_T1(float(lam)) / ref - 1) < 1e-15, lam
+
+
+def test_nn_tail_against_mpmath_poisson_cdf():
+    # the tail at the mean mu the function forms, up to mu = 700
+    lam = 0.7
+    top = 2.0 * math.asinh(math.sqrt(700.0 / (4.0 * math.pi * lam)))
+    etas = np.concatenate([[0.0, 1e-8], np.linspace(0.01, top, 120)])
+    mus = 4.0 * math.pi * lam * np.sinh(etas / 2.0) ** 2
+    assert mus[-1] == pytest.approx(700.0)
+    with mp.workdps(40):
+        for k in range(1, 6):
+            got = nearest_neighbor_tail(etas, lam, k)
+            for value, mu in zip(got, mus):
+                ref = mp.gammainc(k, mp.mpf(float(mu)), mp.inf, regularized=True)
+                assert abs(float(value) / ref - 1) < 1e-13, (k, mu)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 2.0, 0])
+def test_nn_tail_rejects_non_integer_or_nonpositive_order(k):
+    with pytest.raises(ValueError):
+        nearest_neighbor_tail(0.5, 1.0, k)
 
 
 # ---------------------------------------------------------------------------
