@@ -520,7 +520,7 @@ def sample_first_collisions(
     paths beyond ``horizon`` are censored at the horizon, deflection nan.
     Neither law depends on where the hit happens, so the contact is placed
     at ``_START`` itself: flowing the free path first would only add the
-    flow's rounding, which grows as e^{2t}.
+    flow's rounding, which grows as e^t.
     """
     free, psi = _first_contacts(rng, lam, radius, size)
     time, censored = np.minimum(free, horizon), free > horizon

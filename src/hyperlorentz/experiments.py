@@ -132,18 +132,17 @@ def _checked_lambda(sigma: float, r: float) -> float:
 
 
 def _check_tube(t: float, r: float) -> None:
-    """tube-mc needs 3t + 4r <= 740, so that its draws stay in float range.
+    """tube-mc needs t + r <= 354, so that its draws stay in float range.
 
-    It draws points at distance up to t/2 + r from (0, e^{t/2}) and squares
-    their coordinates.  The farthest land within about 1e-8 of straight up,
-    where sin rounds to 1 and the flow's denominator to e^{-distance}: x
-    reaches about 5e-9 e^{3t/2 + 2r}, whose square overflows once 3t + 4r
-    passes 747.9.  Heights stay below e^{t + r}, and the ball's and the
-    tube's areas are finite, well within the bound.
+    It draws points at distance up to t/2 + r from (0, e^{t/2}), whose
+    coordinates reach e^{t + r} at the top of the ball, and
+    :func:`_cosh_to_segment` squares them: the square overflows once t + r
+    passes 354.5 (r small) to 354.9 (r large).  The ball's and the tube's
+    areas are finite well within the bound.
     """
-    if not 3.0 * t + 4.0 * r <= 740.0:
+    if not t + r <= 354.0:
         raise ValidationError(
-            f"t = {t} and r = {r} give 3t + 4r = {3.0 * t + 4.0 * r:g}; tube-mc needs at most 740, "
+            f"t = {t} and r = {r} give t + r = {t + r:g}; tube-mc needs at most 354, "
             "or points of its enclosing ball overflow"
         )
 

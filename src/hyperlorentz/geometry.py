@@ -2,9 +2,10 @@
 
 Positions live in the open upper half-plane {(x, y) : y > 0} with metric
 ds^2 = (dx^2 + dy^2) / y^2.  Distances, circles, the unit-speed geodesic
-flow, Mobius isometries and the Cayley map to the unit disk are all given
-in closed form.  Every public operation is a pure function of immutable
-values, so everything here is safe to share between threads.
+flow (one formula for either sign of time), Mobius isometries and the
+Cayley map to the unit disk are all given in closed form.  Every public
+operation is a pure function of immutable values, so everything here is
+safe to share between threads.
 
 The module-level ``*_xy`` helpers operate on plain floats or numpy arrays
 and carry the actual formulas; the typed wrappers below them validate and
@@ -56,44 +57,33 @@ def distance_xy(x1, y1, x2, y2):
     return 2.0 * np.arcsinh(np.sqrt((dx * dx + dy * dy) / (4.0 * y1 * y2)))
 
 
+def _flow(x0, y0, alpha, t):
+    """:func:`flow_xy`'s position, and atan2's two arguments for the angle."""
+    half = (0.5 * math.pi - alpha) / 2.0
+    ch, sh = np.cos(half), np.sin(half)
+    grow = np.exp(t)
+    up, low = sh * grow, ch / grow
+    y = y0 / (ch * low + sh * up)
+    return x0 + y * (ch * up - sh * low), y, up, ch
+
+
 def flow_xy(x0, y0, alpha, t):
-    """Unit-speed geodesic flow started at (x0, y0) with direction angle alpha.
+    """Position after the unit-speed geodesic flow for signed time t from
+    (x0, y0) in direction alpha.
 
-    The denominator cosh t - s sinh t >= e^{-|t|}, s = sin(alpha), is
-    evaluated without cancellation through the identities
-    cosh t - s sinh t = e^{-t} + (1-s) sinh t = e^{t} - (1+s) sinh t:
-    picking the form by the sign of t keeps every term nonnegative, which
-    matters for near-vertical directions where the naive form loses all
-    precision to cancellation.
-    """
-    t = np.asarray(t)
-    sh = np.sinh(t)
-    sin_a = np.sin(alpha)
-    lean = np.where(t >= 0.0, (1.0 - sin_a) * sh, -((1.0 + sin_a) * sh))
-    denom = np.exp(-np.abs(t)) + lean
-    return x0 + y0 * sh * np.cos(alpha) / denom, y0 / denom
-
-
-def flow_angle(alpha, t):
-    """Direction angle after flowing for time t (independent of position).
-
-    The transported unit vector is (cos a, sin a cosh t - sinh t) up to the
-    positive factor 1/(cosh t - sin a sinh t), so only atan2 is needed.  The
-    second component is rewritten as e^{-t} - (1 - sin a) cosh t, which is
-    exact and avoids cancellation between the two hyperbolic terms.
-    """
-    vy = np.exp(-np.asarray(t, dtype=float)) - (1.0 - np.sin(alpha)) * np.cosh(t)
-    return np.arctan2(vy, np.cos(alpha)) % TWO_PI
+    The map of :func:`normalizing_coeffs`, of half-angle h, takes the state
+    to ((0, 1), pi/2), whose flow is (0, e^t).  Run backwards, it gives
+    y = y0 / D and x = x0 + y cos h sin h (e^t - e^{-t}), and no term of
+    D = cos^2 h e^{-t} + sin^2 h e^t is negative for either sign of t."""
+    return _flow(x0, y0, alpha, t)[:2]
 
 
 def flow_ahead(x0, y0, alpha, t):
-    """Position and direction angle after flowing for time t >= 0: what
-    :func:`flow_xy` and :func:`flow_angle` give, bit for bit, with the terms
-    they share evaluated once."""
-    sh, e = np.sinh(t), np.exp(-t)
-    c, lean = np.cos(alpha), 1.0 - np.sin(alpha)
-    denom = e + lean * sh
-    return x0 + y0 * sh * c / denom, y0 / denom, np.arctan2(e - lean * np.cosh(t), c) % TWO_PI
+    """:func:`flow_xy`'s position at signed time t, bit for bit, and the
+    direction angle there: the map run backwards turns the upward direction
+    at (0, e^t) by -2 atan2(sin h e^t, cos h)."""
+    x, y, up, ch = _flow(x0, y0, alpha, t)
+    return x, y, (0.5 * math.pi - 2.0 * np.arctan2(up, ch)) % TWO_PI
 
 
 def normalizing_coeffs(x0, y0, alpha):
@@ -305,13 +295,13 @@ def geodesic_flow(s: State, t: float) -> Point:
 
 
 def flow_state(s: State, t: float) -> State:
-    """Position and transported direction after flowing for time t.
+    """Position and transported direction after flowing for signed time t.
 
     Satisfies the semigroup law flow_state(flow_state(s, u), t)
     == flow_state(s, u + t) up to rounding.
     """
-    x, y = flow_xy(s.point.x, s.point.y, s.dir.alpha, t)
-    return State(Point(float(x), float(y)), Direction(float(flow_angle(s.dir.alpha, t))))
+    x, y, alpha = flow_ahead(s.point.x, s.point.y, s.dir.alpha, t)
+    return State(Point(float(x), float(y)), Direction(float(alpha)))
 
 
 def rotate_direction(d: Direction, beta: float) -> Direction:

@@ -78,12 +78,12 @@ def test_config_rejects_bad_values(tmp_path):
     with pytest.raises(ValidationError, match="samples >= 2"):
         cfg_for(tmp_path, experiment="flight-baseline", r_levels=(), samples=1)
     cfg_for(tmp_path, experiment="flight-baseline", r_levels=(), samples=2)
-    # tube-mc's draws must square without overflow: 3t + 4r <= 740.
-    for r, t in ((700.0, 100.0), (1.0, 1500.0), (1.0, 245.4), (0.5, 246.0 + 1e-9)):
+    # tube-mc's draws must square without overflow: t + r <= 354.
+    for r, t in ((700.0, 100.0), (1.0, 1500.0), (1.0, 353.1), (0.5, 353.5 + 1e-9)):
         with pytest.raises(ValidationError, match="enclosing ball overflow"):
             cfg_for(tmp_path, experiment="tube-mc", r_levels=(0.5, r), t=t)
         cfg_for(tmp_path, experiment="free-path", r_levels=(0.5, r), t=t)
-    cfg_for(tmp_path, experiment="tube-mc", r_levels=(0.5,), t=246.0)
+    cfg_for(tmp_path, experiment="tube-mc", r_levels=(0.5,), t=353.5)
 
 
 def test_lambda_scaling_recorded_in_report(tmp_path):
@@ -515,8 +515,8 @@ def test_flight_baseline_experiment(tmp_path):
 
 _PINNED = {
     "bg-convergence": (
-        "d1e4f8203b8d8b84178e249724897ce16a60875a7d2e7dee6e826fe87fce3450",
-        "dce12c29a747dda5715fc8c4bf6598bd5b517368629e5b478012f72ed43b43e2",
+        "7215944e2cf59452c6b18ce3af76fc611fe3ebfca17fdd46574b5038922577fa",
+        "dbdadcc6c3e1d93dfc145e74f57d6cc9fc8669a02c8a11e2556384106ad6c0a6",
     ),
     "flight-baseline": (
         "61598883e99a0d7b42ac510d2b5d367327f22c4373da746efce0386e0e148dc5",
@@ -710,10 +710,11 @@ def test_cli_rejects_radii_too_small_to_reflect(tmp_path, capsys, command, r):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("r, t", [("700", "100"), ("1", "1500"), ("1", "708"), ("1", "249")])
+@pytest.mark.parametrize("r, t", [("700", "100"), ("1", "1500"), ("1", "708"), ("1", "353.5")])
 def test_cli_rejects_tube_mc_whose_enclosing_ball_overflows(tmp_path, capsys, r, t):
-    # Points of the ball of radius t/2 + r around (0, e^(t/2)) overflow
-    # when squared beyond 3t + 4r = 747.9; tube-mc takes 3t + 4r <= 740.
+    # Points of the ball of radius t/2 + r around (0, e^(t/2)) reach
+    # e^(t + r), whose square overflows beyond t + r = 354.5; tube-mc takes
+    # t + r <= 354.
     out = tmp_path / "out"
     assert main(["tube-mc", "--r", r, "--t", t, "--samples", "10", "--out", str(out)]) == 2
     assert "enclosing ball overflow" in capsys.readouterr().err
@@ -723,7 +724,7 @@ def test_cli_rejects_tube_mc_whose_enclosing_ball_overflows(tmp_path, capsys, r,
 class _ExtremeDraws:
     """Stands in for a generator in experiments._tube: every draw on the edge
     of the ball, in directions all round and packed within 3e-8 of straight
-    up and down, where flow_xy's coordinates are largest."""
+    up and down, where the ball's coordinates are largest."""
 
     def __init__(self):
         near = np.linspace(-3e-8, 3e-8, 6001)
@@ -740,14 +741,14 @@ class _ExtremeDraws:
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("r", [1e-3, 1.0, 50.0, 184.9])
 def test_tube_mc_bound_on_both_sides(tmp_path, r):
-    t = (740.0 - 4.0 * r) / 3.0
+    t = 354.0 - r
     draws = _ExtremeDraws()
     # At the bound, the most extreme draws run with no numpy warning...
     experiments._tube([(draws, draws.phi.size, r)], t)
     assert main(["tube-mc", "--r", str(r), "--t", repr(t), "--samples", "1000", "--out", str(tmp_path)]) == 0
-    # ...and past 747.9 they overflow, so the bound is needed.
+    # ...and past t + r = 354.9 they overflow, so the bound is needed.
     with pytest.raises(RuntimeWarning, match="overflow"):
-        experiments._tube([(draws, draws.phi.size, r)], (748.0 - 4.0 * r) / 3.0)
+        experiments._tube([(draws, draws.phi.size, r)], 355.0 - r)
     assert main(["tube-mc", "--r", str(r), "--t", repr(t + 1e-9), "--out", str(tmp_path / "x")]) == 2
 
 

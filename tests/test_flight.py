@@ -22,7 +22,7 @@ from hyperlorentz import (
 )
 from hyperlorentz.experiments import _derive_rng, deflection_cdf
 from hyperlorentz.flight import _flight_ends
-from hyperlorentz.geometry import distance_xy, flow_angle, flow_xy, geodesic_flow
+from hyperlorentz.geometry import distance_xy, flow_ahead, geodesic_flow
 from util import fingerprint, random_mobius
 
 TWO_PI = 2.0 * math.pi
@@ -181,8 +181,8 @@ def reference_flight(s0, cfg, rng, max_events):
             break
         if n >= max_events:
             raise RunawayError(f"exceeded {max_events} events before the horizon")
-        ix, iy = flow_xy(x, y, alpha, gap)
-        alpha = (float(flow_angle(alpha, gap)) + float(sample_deflection(rng))) % TWO_PI
+        ix, iy, pre = flow_ahead(x, y, alpha, gap)
+        alpha = (float(pre) + float(sample_deflection(rng))) % TWO_PI
         x, y, t_now, n = float(ix), float(iy), t_now + gap, n + 1
     end = geodesic_flow(State(Point(x, y), Direction(alpha)), cfg.horizon - t_now)
     return end.x, end.y, n
@@ -270,13 +270,13 @@ def mean_cosh_displacement(sigma, t):
 
 @pytest.mark.parametrize("sigma, t, expected", [
     (1.0, 2.0, (
-        [["-8.400991465485209", "0.26465911784224816", "3.0684024492989934"],
+        [["-8.400991465485419", "0.264659117842248", "3.068402449298993"],
          ["1487.9251263171209", "0.5942827191896495", "4.752775840280018"],
          ["1015.0", "2.0", "1.0"]],
         ["0.5630383824279807", "0.8634463252380923", "0.4703280928663769", "0.8946389875550936"])),
     (3.0, 5.0, (
-        [["-11.967264138682886", "-0.8776670514790902", "2.4290180976241804"],
-         ["654.9616062989135", "1.7257258498278778", "2.874385477194334"],
+        [["-11.967264138682701", "-0.8776670514790913", "2.4290180976241813"],
+         ["654.961606298913", "1.7257258498278731", "2.8743854771943473"],
          ["7918.0", "14.0", "18.0"]],
         ["0.16606032274647853", "0.645854107932822", "0.372972905914559", "0.47201013461763985"])),
 ])

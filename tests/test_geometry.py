@@ -25,7 +25,7 @@ from hyperlorentz import (
     rotate_direction,
 )
 from hyperlorentz.billiard import _START
-from hyperlorentz.geometry import distance_xy, flow_ahead, flow_angle, flow_xy
+from hyperlorentz.geometry import distance_xy, flow_ahead, flow_xy
 from util import angle_diff, random_mobius, random_point, random_state
 
 TWO_PI = 2.0 * math.pi
@@ -215,27 +215,92 @@ def test_flow_semigroup():
         assert angle_diff(b.dir.alpha, a.dir.alpha) < 1e-10
 
 
-def test_flow_ahead_is_flow_xy_and_flow_angle_bit_for_bit():
+def test_flow_xy_is_flow_aheads_position_bit_for_bit():
     rng = np.random.default_rng(31)
     n = 200_000
     x = rng.uniform(-5.0, 5.0, n)
     y = np.exp(rng.uniform(-4.0, 4.0, n))
     alpha = rng.uniform(0.0, TWO_PI, n)
     alpha[:4] = 0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi
-    t = rng.exponential(2.0, n)
-    t[4:8] = 0.0, 5e-324, 1e-300, 40.0
-    ix, iy, pre = flow_ahead(x, y, alpha, t)
+    t = rng.exponential(2.0, n) * rng.choice((-1.0, 1.0), n)
+    t[4:12] = 0.0, 5e-324, 1e-300, 40.0, -0.0, -5e-324, -1e-300, -40.0
+    ix, iy, _ = flow_ahead(x, y, alpha, t)
     want_x, want_y = flow_xy(x, y, alpha, t)
     assert np.array_equal(ix, want_x) and np.array_equal(iy, want_y)
-    assert np.array_equal(pre, flow_angle(alpha, t))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP D13")
 @pytest.mark.parametrize("t", [40.0, 60.0, 100.0])
 def test_flow_from_start_stays_on_its_geodesic(t):
     # _START points straight up; its flow must end t from where it began
     x, y, _ = flow_ahead(0.0, 1.0, _START.dir.alpha, t)
     assert abs(distance_xy(0.0, 1.0, x, y) - t) <= 1e-9 * t
+
+
+def _directions(rng, n):
+    """n angles in [0, 2pi), as Direction stores them, n within 1e-12 of
+    straight up and of straight down each, and fl(pi/2) and fl(3pi/2)."""
+    near = rng.uniform(-1e-12, 1e-12, (2, n)) + np.array([[0.5], [1.5]]) * math.pi
+    return np.concatenate((rng.uniform(0.0, TWO_PI, n), near.ravel(), [0.5 * math.pi, 1.5 * math.pi]))
+
+
+def _mp_flow(x0, y0, beta, t):
+    """The flow of direction beta at 50 digits, from cosh t - sin(beta) sinh t."""
+    with mp.workdps(50):
+        x0, y0, t = mp.mpf(x0), mp.mpf(y0), mp.mpf(t)
+        denom = mp.cosh(t) - mp.sin(beta) * mp.sinh(t)
+        angle = mp.atan2(mp.sin(beta) * mp.cosh(t) - mp.sinh(t), mp.cos(beta))
+        return x0 + y0 * mp.sinh(t) * mp.cos(beta) / denom, y0 / denom, angle
+
+
+def test_flow_is_backward_stable():
+    # The kernel flows the direction pi/2 - 2h of its half-angle h exactly,
+    # up to rounding, even where the flow of alpha itself is ill-conditioned.
+    rng = np.random.default_rng(37)
+    alpha = _directions(rng, 150)
+    n = alpha.size
+    x0, y0 = rng.uniform(-5.0, 5.0, n), np.exp(rng.uniform(-4.0, 4.0, n))
+    t = rng.uniform(-30.0, 30.0, n)
+    x, y, angle = flow_ahead(x0, y0, alpha, t)
+    eps = 1e-14
+    for i in range(n):
+        h = (0.5 * math.pi - alpha[i]) / 2.0
+        with mp.workdps(50):
+            beta = mp.pi / 2 - 2 * mp.mpf(h)
+            assert abs(beta - mp.mpf(alpha[i])) <= 2.5e-16, alpha[i]
+        want_x, want_y, want_angle = _mp_flow(x0[i], y0[i], beta, t[i])
+        scale = max(abs(x0[i]), abs(x[i]), y[i])
+        assert abs(x[i] - want_x) <= eps * scale, (alpha[i], t[i])
+        assert abs(y[i] - want_y) <= eps * want_y, (alpha[i], t[i])
+        assert angle_diff(angle[i], float(want_angle % (2 * mp.pi))) <= eps, (alpha[i], t[i])
+
+
+def test_flow_keeps_unit_speed_at_long_times():
+    rng = np.random.default_rng(41)
+    alpha = _directions(rng, 500)
+    n = alpha.size
+    x0, y0 = rng.uniform(-5.0, 5.0, n), np.exp(rng.uniform(-4.0, 4.0, n))
+    t = rng.uniform(-100.0, 100.0, n)
+    x, y = flow_xy(x0, y0, alpha, t)
+    assert np.all(np.abs(distance_xy(x0, y0, x, y) - np.abs(t)) <= 1e-12 * np.maximum(1.0, np.abs(t)))
+
+
+def test_flow_semigroup_and_time_reversal_near_vertical():
+    rng = np.random.default_rng(43)
+    alpha = _directions(rng, 500)
+    n = alpha.size
+    x0, y0 = rng.uniform(-3.0, 3.0, n), np.exp(rng.uniform(-2.0, 2.0, n))
+    u, t = rng.uniform(-5.0, 5.0, (2, n))
+    x1, y1, a1 = flow_ahead(x0, y0, alpha, u)
+    x2, y2 = flow_xy(x1, y1, a1, t)
+    want_x, want_y = flow_xy(x0, y0, alpha, u + t)
+    assert np.all(distance_xy(x2, y2, want_x, want_y) <= 1e-10)
+    back_x, back_y = flow_xy(x1, y1, a1 + math.pi, u)
+    assert np.all(distance_xy(back_x, back_y, x0, y0) <= 1e-10)
+
+
+def test_flow_state_keeps_the_downward_direction_at_negative_times():
+    s = flow_state(State(Point(0.0, 1.0), Direction(1.5 * math.pi)), -20.0)
+    assert abs(s.dir.alpha - 1.5 * math.pi) <= 1e-6
 
 
 def test_rotate_direction():

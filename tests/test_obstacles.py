@@ -212,23 +212,23 @@ def test_nearest_equals_a_loop_over_its_fields():
 # when it placed its points in a loop of its own.
 ANNULUS = {
     1: ([["0.83384211922731", "0.83384211922731", "0.83384211922731"],
-         ["0.25236293229600454", "0.25236293229600454", "0.25236293229600454"]], ["0.1561347780434731"]),
-    4095: ([["1764.6893378579593", "0.6537941652644399", "0.9588662906596916"],
+         ["0.2523629322960046", "0.2523629322960046", "0.2523629322960046"]], ["0.1561347780434731"]),
+    4095: ([["1764.689337857959", "0.6537941652644399", "0.9588662906596919"],
             ["7084.9139374402885", "0.10108425321574112", "0.1799104404144826"]], ["0.4587710404607567"]),
-    4096: ([["1895.454443918902", "-1.2637921763237556", "-0.0024529751863087146"],
-            ["7433.920008019854", "0.3465659553574799", "0.5746597133274205"]], ["0.6864424897126421"]),
-    4097: ([["1223.54957398035", "-0.726933540854517", "-3.4866905375561235"],
-            ["7098.4890828474245", "0.2796550267355934", "5.061396732643433"]], ["0.23221051767821121"]),
-    8197: ([["2635.574662430484", "-1.4666743897700747", "-0.4679500852585568"],
+    4096: ([["1895.4544439189017", "-1.2637921763237554", "-0.0024529751863087146"],
+            ["7433.920008019855", "0.34656595535747986", "0.5746597133274205"]], ["0.6864424897126421"]),
+    4097: ([["1223.5495739803496", "-0.7269335408545168", "-3.4866905375561252"],
+            ["7098.489082847425", "0.27965502673559334", "5.061396732643435"]], ["0.23221051767821121"]),
+    8197: ([["2635.574662430484", "-1.4666743897700745", "-0.4679500852585567"],
             ["14657.249063262472", "0.19601077517158472", "0.5390584872506443"]], ["0.7662423027488944"]),
 }
 FIELD = {
-    4095: (4174, [["1944.3616500674575", "1.118712767033746", "2.1048330436370852"],
-                  ["7307.670664873429", "0.18479200037613544", "1.124354005035946"]], ["0.9411854027205251"]),
-    4096: (4077, [["1670.1514172852967", "0.09396014496374916", "1.488322435268714"],
-                  ["7279.0109028060215", "0.09718267386147038", "0.14229048214699602"]], ["0.6925869027904045"]),
-    8197: (8327, [["2721.6411821236693", "4.338069564679352", "-2.9543138906211777"],
-                  ["14851.531727021009", "0.9651122617340795", "1.808862680477031"]], ["0.0821206816770309"]),
+    4095: (4174, [["1944.3616500674573", "1.1187127670337464", "2.1048330436370857"],
+                  ["7307.67066487343", "0.18479200037613547", "1.1243540050359462"]], ["0.9411854027205251"]),
+    4096: (4077, [["1670.151417285297", "0.09396014496374916", "1.4883224352687145"],
+                  ["7279.0109028060215", "0.09718267386147038", "0.14229048214699605"]], ["0.6925869027904045"]),
+    8197: (8327, [["2721.6411821236698", "4.338069564679354", "-2.9543138906211777"],
+                  ["14851.53172702101", "0.9651122617340796", "1.8088626804770305"]], ["0.0821206816770309"]),
 }
 
 

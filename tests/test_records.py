@@ -376,9 +376,9 @@ CHECKS = [
         "r = 800.0 gives intensity 0.0; it must be positive and finite",
     ),
     (
-        lambda: _config(experiment="tube-mc", t=240.0, r_levels=(10.0,)),
+        lambda: _config(experiment="tube-mc", t=350.0, r_levels=(10.0,)),
         ValidationError,
-        "t = 240.0 and r = 10.0 give 3t + 4r = 760; tube-mc needs at most 740",
+        "t = 350.0 and r = 10.0 give t + r = 360; tube-mc needs at most 354",
     ),
     (
         lambda: _config(experiment="bg-convergence", r_levels=(0.2, 0.4)),
