@@ -25,7 +25,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .errors import RegionTooSmallError, RunawayError
+from .errors import RegionTooSmallError, RunawayError, ValidationError
 from .geometry import (
     TWO_PI,
     Direction,
@@ -138,6 +138,23 @@ def _hit_times(a, b, c, d, cx, cy, cosh_r) -> np.ndarray:
     out = np.full(np.shape(w), np.inf)
     np.log(w, out=out, where=ok)
     return out
+
+
+def _check_reflection(caller: str, r: float) -> None:
+    """Reflecting off radius-r obstacles needs cosh r above 1, that is
+    r > 2^-26.
+
+    The reflection's normal at an impact (x, y) on the disk of center
+    (cx, cy) is (x - cx, y - cy cosh r), a difference of coordinates about
+    y r apart, which rounding swamps as r shrinks.  Where cosh r rounds
+    to 1, the hit solve registers no contact and the lazy billiard never
+    counts a disk as explored.
+    """
+    if math.cosh(r) == 1.0:
+        raise ValidationError(
+            f"r = {r} is too small for {caller}: cosh r rounds to 1, so its reflections cannot be "
+            "resolved; it needs r > 2^-26, about 1.49e-08"
+        )
 
 
 def _reflect_angle(ix, iy, alpha_in, cx, cy, radius):
@@ -381,10 +398,15 @@ def recollision_count(traj: Trajectory) -> int:
 def _cosh_to_segment(x, y, length):
     """cosh of the distance from (x, y) to the segment from (0, 1) to
     (0, e^length) of the vertical geodesic: distance along a geodesic is
-    convex, so the nearest point is (0, e^s), s = clip(log |(x, y)|, 0, length)."""
+    convex, so the nearest point is (0, e^s), s = clip(log |(x, y)|, 0, length).
+
+    A point mapped from far enough away has y underflowing to 0, or so
+    small that the quotient overflows: it lies farther from the segment
+    than floats reach, and its cosh is inf without a warning."""
     ssq = x * x + y * y
     w = np.exp(np.clip(0.5 * np.log(ssq), 0.0, length))
-    return (ssq + w * w) / (2.0 * y * w)
+    with np.errstate(divide="ignore", over="ignore"):
+        return (ssq + w * w) / (2.0 * y * w)
 
 
 def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=None):
@@ -520,8 +542,10 @@ def sample_first_collisions(
     paths beyond ``horizon`` are censored at the horizon, deflection nan.
     Neither law depends on where the hit happens, so the contact is placed
     at ``_START`` itself: flowing the free path first would only add the
-    flow's rounding, which grows as e^t.
+    flow's rounding, which grows as e^t.  A radius where cosh r rounds to 1
+    raises ValueError (see :func:`_check_reflection`).
     """
+    _check_reflection("sample_first_collisions", radius)
     free, psi = _first_contacts(rng, lam, radius, size)
     time, censored = np.minimum(free, horizon), free > horizon
     ix, iy, pre, cx, cy = _tube_hit(_START.point.x, _START.point.y, _START.dir.alpha, 0.0, psi, radius)

@@ -49,11 +49,12 @@ from .billiard import (
     DEFAULT_MAX_EVENTS,
     _START,
     Trajectory,
+    _check_reflection,
     _cosh_to_segment,
     _explore,
+    _trajectory,
     position_at,
     sample_first_collisions,
-    simulate,
     tube_area,
 )
 from .errors import ValidationError
@@ -67,16 +68,12 @@ from .geometry import (
     cayley_angle_shift,
     distance_xy,
 )
-from .obstacles import (
-    expected_T1,
-    nearest_neighbor_tail,
-    sample_annulus,
-    sample_field,
-)
+from .obstacles import expected_T1, nearest_neighbor_tail, sample_annulus
 # Unused here, but perfbench/tracing.py patches these names in this module;
 # drop them when its targets move to the batch entry points (ROADMAP D1).
-from .billiard import recollision_count, sample_first_collision  # noqa: F401
+from .billiard import recollision_count, sample_first_collision, simulate  # noqa: F401
 from .geometry import hyp_distance  # noqa: F401
+from .obstacles import sample_field  # noqa: F401
 from .stats import _ks_censored, _spearman_rho, bootstrap_half_width_w1, ks_statistic, wasserstein1
 
 __all__ = [
@@ -131,37 +128,32 @@ def _checked_lambda(sigma: float, r: float) -> float:
     return lam
 
 
-def _check_tube(t: float, r: float) -> None:
-    """tube-mc needs t + r <= 354, so that its draws stay in float range.
+#: The largest t + r (t for flight-baseline) at which each command's
+#: coordinates stay in float range, and what overflows past it.
+_FLOAT_RANGE = {
+    "tube-mc": (354.0, "points of its enclosing ball overflow"),
+    "bg-convergence": (354.0, "coordinates of its paths overflow when squared"),
+    "export": (354.0, "coordinates of its path overflow when squared"),
+    "flight-baseline": (709.0, "e^t in its flow overflows"),
+}
 
-    It draws points at distance up to t/2 + r from (0, e^{t/2}), whose
-    coordinates reach e^{t + r} at the top of the ball, and
-    :func:`_cosh_to_segment` squares them: the square overflows once t + r
-    passes 354.5 (r small) to 354.9 (r large).  The ball's and the tube's
-    areas are finite well within the bound.
+
+def _check_float_range(command: str, t: float, r: float | None = None) -> None:
+    """Refuse a horizon past the float range of ``command``'s coordinates.
+
+    A path from (0, 1) reaches heights of e^t, and centers within r of it
+    (or tube-mc's draws) e^{t + r}.  :func:`_cosh_to_segment` and
+    bg-convergence's distances square them, which overflows once t + r
+    passes 354.5 (r small) to 354.9 (r large).  flight-baseline (``r``
+    None) squares nothing, but its flow's e^t overflows past t = 709.78.
     """
-    if not t + r <= 354.0:
-        raise ValidationError(
-            f"t = {t} and r = {r} give t + r = {t + r:g}; tube-mc needs at most 354, "
-            "or points of its enclosing ball overflow"
-        )
-
-
-def _check_reflection(experiment: str, r: float) -> None:
-    """deflection and bg-convergence reflect off radius-r obstacles, which
-    needs cosh r above 1, that is r > 2^-26.
-
-    The reflection's normal at an impact (x, y) on the disk of center
-    (cx, cy) is (x - cx, y - cy cosh r), a difference of coordinates about
-    y r apart, which rounding swamps as r shrinks.  Where cosh r rounds
-    to 1, the hit solve registers no contact and the lazy billiard never
-    counts a disk as explored.
-    """
-    if math.cosh(r) == 1.0:
-        raise ValidationError(
-            f"r = {r} is too small for {experiment}: cosh r rounds to 1, so its reflections cannot be "
-            "resolved; it needs r > 2^-26, about 1.49e-08"
-        )
+    bound, why = _FLOAT_RANGE[command]
+    if r is None:
+        span, value = f"t = {t}", t
+    else:
+        span, value = f"t = {t} and r = {r} give t + r = {t + r:g}", t + r
+    if not value <= bound:
+        raise ValidationError(f"{span}; {command} needs at most {bound:g}, or {why}")
 
 
 def exp_cdf(rate: float):
@@ -223,16 +215,18 @@ class ExperimentConfig(_Record):
             )
         if not all(math.isfinite(r) for r in self.r_levels):
             raise ValidationError("r levels must be finite")
-        if self.experiment != "flight-baseline":
+        if self.experiment == "flight-baseline":
+            _check_float_range(self.experiment, self.t)
+        else:
             if not self.r_levels:
                 raise ValidationError(f"{self.experiment} needs at least one r level")
             if any(r <= 0.0 for r in self.r_levels):
                 raise ValidationError("r levels must be positive")
             for r in self.r_levels:
                 _checked_lambda(self.sigma, r)
-                if self.experiment == "tube-mc":
-                    _check_tube(self.t, r)
-                elif self.experiment in ("deflection", "bg-convergence"):
+                if self.experiment in _FLOAT_RANGE:
+                    _check_float_range(self.experiment, self.t, r)
+                if self.experiment in ("deflection", "bg-convergence"):
                     _check_reflection(self.experiment, r)
         if self.experiment == "bg-convergence" and any(
             r2 >= r1 for r1, r2 in zip(self.r_levels, self.r_levels[1:])
@@ -651,13 +645,22 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
 def sample_trajectory(sigma: float, r: float, t: float, seed: int) -> Trajectory:
     """The billiard trajectory that ``export`` writes: from (0, 1) heading up
-    to horizon t, in a field of radius-r obstacles at collision rate sigma
-    drawn from the export stream of the seed."""
+    to horizon t among radius-r obstacles at collision rate sigma.
+
+    It is one lazy-billiard block of one replica drawn from the export
+    stream of the seed (:func:`billiard._explore`): the field is revealed
+    only along the path, so any horizon with t + r <= 354 runs at a cost
+    that follows the events, and r must exceed 2^-26.  An event's
+    ``obstacle_index`` is the round in which its obstacle was first met.
+    """
     if not all(0.0 < v < math.inf for v in (sigma, r, t)):
         raise ValidationError("sigma, r and t must all be positive and finite")
     lam = _checked_lambda(sigma, r)
-    field = sample_field(lam, _START.point, t + r, r, _derive_rng(seed, _TAG_EXPORT, 0, 0))
-    return simulate(_START, field, t)
+    _check_reflection("export", r)
+    _check_float_range("export", t, r)
+    record: list = []
+    _explore([(_derive_rng(seed, _TAG_EXPORT, 0, 0), 1, lam, r)], t, record=record)
+    return _trajectory(_START, t, record)
 
 
 def export_trajectory(traj: Trajectory, model: str, dest: str | Path) -> Path:

@@ -694,6 +694,23 @@ def test_sample_first_collision_censoring():
     assert fc.censored and fc.time == 2.0 and math.isnan(fc.deflection)
 
 
+def test_sample_first_collisions_needs_a_radius_it_can_reflect_off():
+    # Where cosh r rounds to 1 the reflection's normal is rounding alone:
+    # the sampler refuses the radius in the words of the command line...
+    sigma = 1.0
+    for sampler in (sample_first_collision, lambda *a: sample_first_collisions(*a, 100)):
+        with pytest.raises(ValueError, match=r"r = 1e-17 is too small .*: cosh r rounds to 1"):
+            sampler(sigma / (2.0 * math.sinh(1e-17)), 1e-17, 12.0, _derive_rng(0, 0, 0, 0))
+    # ...and just above 2^-26 its deflections follow sin^2(beta/4) (KS in
+    # the 0.999 Kolmogorov band).
+    n = 20_000
+    lam = sigma / (2.0 * math.sinh(2e-8))
+    _, beta, censored = sample_first_collisions(lam, 2e-8, 12.0, _derive_rng(0, 0, 0, 0), n)
+    beta = beta[~censored]
+    assert beta.size > 0.99 * n and np.isfinite(beta).all()
+    assert sps.kstest(beta, lambda b: np.sin(b / 4.0) ** 2).statistic < 1.95 / math.sqrt(beta.size)
+
+
 @pytest.mark.parametrize("lam, r, horizon, key, size, expected", [
     (1.0, 0.5, 10.0, (5, 0, 0, 9), 1000, (
         [["955.5788541027256", "0.9462939594169605", "0.052355986710249935"],
@@ -740,6 +757,20 @@ def test_cosh_to_segment_against_brute_force_minimum():
         assert closed == pytest.approx(brute.min(), rel=1e-7)
         nearest["start" if u < 0.0 else "end" if u > length else "inside"] += 1
     assert min(nearest.values()) > 50
+
+
+def test_cosh_to_segment_is_inf_without_a_warning_where_y_underflows():
+    # A center mapped from far enough away lands on the boundary, y = 0
+    # (as in bg-convergence at sigma 0.1, t 120, r 0.4), or so near it that
+    # the quotient overflows: it is farther than floats reach, so never
+    # explored, and the other points keep their values.
+    x = np.array([9.007199254740992e15, 9.007199254740992e15, 0.3, 2.0])
+    y = np.array([0.0, 1e-300, 0.7, 5.0])
+    got = _cosh_to_segment(x, y, 0.1)
+    assert (got[:2] == math.inf).all()
+    ssq = x[2:] * x[2:] + y[2:] * y[2:]
+    w = np.exp(np.clip(0.5 * np.log(ssq), 0.0, 0.1))
+    assert np.array_equal(got[2:], (ssq + w * w) / (2.0 * y[2:] * w))
 
 
 def test_explore_fresh_centers_unexplored_and_obstacle_left_never_next():

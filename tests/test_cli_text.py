@@ -6,7 +6,7 @@ the parser that held every command, at an 80-column terminal.
 
 import pytest
 
-from hyperlorentz import cli
+from hyperlorentz import cli, experiments
 from hyperlorentz.cli import main
 
 USAGE = """\
@@ -180,3 +180,40 @@ def test_flights_past_the_event_cap_exit_2_before_sampling(monkeypatch, capsys, 
         f"error: sigma * t = {mean} is the mean number of turns of a flight; "
         f"{argv[0]} needs it below the cap of 1000000 events a path\n",
     )
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["flight-baseline", "--t", "800", "--sigma", "0.001", "--samples", "100"],
+            "t = 800.0; flight-baseline needs at most 709, or e^t in its flow overflows",
+        ),
+        (
+            ["bg-convergence", "--sigma", "0.001", "--t", "360", "--r", "0.4"],
+            "t = 360.0 and r = 0.4 give t + r = 360.4; bg-convergence needs at most 354, "
+            "or coordinates of its paths overflow when squared",
+        ),
+        (
+            ["export", "--t", "360", "--r", "0.4"],
+            "t = 360.0 and r = 0.4 give t + r = 360.4; export needs at most 354, "
+            "or coordinates of its path overflow when squared",
+        ),
+        (
+            ["tube-mc", "--t", "360", "--r", "0.4"],
+            "t = 360.0 and r = 0.4 give t + r = 360.4; tube-mc needs at most 354, "
+            "or points of its enclosing ball overflow",
+        ),
+    ],
+    ids=["flight-baseline", "bg-convergence", "export", "tube-mc"],
+)
+def test_runs_past_the_float_range_exit_2_before_sampling(monkeypatch, capsys, tmp_path, argv, err):
+    def sample(*args):
+        raise AssertionError("sampled past the float range")
+
+    monkeypatch.setattr(cli, "run_experiment", sample)
+    monkeypatch.setattr(experiments, "_explore", sample)
+    out = tmp_path / ("traj.csv" if argv[0] == "export" else "out")
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert not out.exists()

@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +21,17 @@ from hyperlorentz import (
     export_trajectory,
     hyp_distance,
     lambda_for,
+    position_at,
+    recollision_count,
     run_experiment,
     simulate,
     simulate_flight,
     tube_area,
 )
 from hyperlorentz import FlightConfig, ObstacleField, BallRegion, expected_T1
-from hyperlorentz import cli, experiments
+from hyperlorentz import billiard, cli, experiments, obstacles
 from hyperlorentz.cli import main
-from hyperlorentz.experiments import _FC_BLOCK, _LAZY_BLOCK, _derive_rng
+from hyperlorentz.experiments import _FC_BLOCK, _LAZY_BLOCK, _TAG_EXPORT, _derive_rng, sample_trajectory
 
 START = State(Point(0.0, 1.0), Direction(math.pi / 2))
 SIGMA_HALF = 2.0 * math.sinh(0.5)  # sigma matching (lam, r) = (1, 0.5)
@@ -662,6 +666,81 @@ def test_cli_export(tmp_path):
     assert {"t", "x", "y", "alpha", "event"} == set(rows[0])
 
 
+def test_sample_trajectory_is_one_lazy_billiard_block():
+    # The path export writes is the lazy billiard's run of one block of one
+    # replica on the export stream: the same events and recollisions, and
+    # its position at the horizon is the engine's end point, bit for bit.
+    # An event's obstacle index is the round its obstacle was first met in.
+    for seed, sigma, r, t in itertools.product(range(10), (0.5, 3.0), (0.4, 0.05), (3.0, 20.0)):
+        block = (_derive_rng(seed, _TAG_EXPORT, 0, 0), 1, lambda_for(sigma, r), r)
+        x, y, events, recollisions = experiments._explore([block], t)
+        traj = sample_trajectory(sigma, r, t, seed)
+        assert (len(traj.events), recollision_count(traj)) == (events[0], recollisions[0])
+        end = position_at(traj, t).point
+        assert (end.x, end.y) == (x[0], y[0])
+        for k, ev in enumerate(traj.events):
+            assert traj.events[ev.obstacle_index].obstacle_index == ev.obstacle_index <= k
+
+
+def test_export_never_samples_a_full_ball(tmp_path, monkeypatch):
+    # At r = 0.1 the ball of radius t + r would hold 8.4e9 obstacles at
+    # t = 20, past the field cap, and took 1.56 s at t = 12.  The lazy
+    # billiard reveals the field along the path only.
+    def full_ball(*args, **kw):
+        raise AssertionError("export sampled a full ball")
+
+    for module, name in ((experiments, "sample_field"), (experiments, "simulate"),
+                         (obstacles, "sample_field"), (billiard, "simulate")):
+        monkeypatch.setattr(module, name, full_ball)
+    for t in ("20", "40"):
+        dest = tmp_path / f"{t}.csv"
+        start = time.perf_counter()
+        assert main(["export", "--seed", "1", "--r", "0.1", "--t", t, "--out", str(dest)]) == 0
+        elapsed = time.perf_counter() - start
+        rows = read_rows(dest)
+        assert float(rows[-1]["t"]) == float(t) and any(row["event"] == "1" for row in rows)
+    assert elapsed < 1.0  # at t = 40
+
+
+@pytest.mark.parametrize("sigma", ["0.1", "0.001"])
+@pytest.mark.parametrize("command", ["bg-convergence", "export"])
+def test_lazy_billiard_commands_run_up_to_the_float_range(tmp_path, capsys, command, sigma):
+    # At t + r = 354 both run with no numpy warning (the suite makes
+    # warnings errors) and write finite values; at sigma 0.1 a path has
+    # about 35 collisions, at 0.001 most run straight up to a height of
+    # e^t.  Just past the bound they exit 2 before sampling.
+    t, args = 354.0 - 0.4, ["--sigma", sigma, "--r", "0.4"]
+    if command == "export":
+        out, past, extra = tmp_path / "traj.csv", tmp_path / "past.csv", []
+    else:
+        out, past, extra = tmp_path / "out", tmp_path / "past", ["--samples", "200"]
+    assert main([command, *args, "--t", repr(t), *extra, "--out", str(out)]) == 0
+    if command == "export":
+        values = [float(v) for row in read_rows(out) for v in row.values()]
+    else:
+        rows = json.loads((out / "report.json").read_text())["levels"]
+        values = [row[k] for row in rows for k in ("value", "half_width") if row[k] is not None]
+    assert np.isfinite(values).all()
+    capsys.readouterr()
+    assert main([command, *args, "--t", repr(t + 1e-9), *extra, "--out", str(past)]) == 2
+    assert f"{command} needs at most 354" in capsys.readouterr().err
+    assert not past.exists()
+
+
+@pytest.mark.parametrize("sigma", ["0.001", "0.1"])
+def test_flight_baseline_runs_up_to_t_709(tmp_path, capsys, sigma):
+    # Past t = 709.78 the flow's e^t overflows; at 709 the flights run with
+    # no numpy warning, and just past it the run exits 2 before sampling.
+    args = ["flight-baseline", "--sigma", sigma, "--samples", "100"]
+    assert main([*args, "--t", "709", "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["levels"]
+    assert np.isfinite([row["value"] for row in rows]).all()
+    capsys.readouterr()
+    assert main([*args, "--t", repr(709.0 + 1e-9), "--out", str(tmp_path / "past")]) == 2
+    assert "flight-baseline needs at most 709" in capsys.readouterr().err
+    assert not (tmp_path / "past").exists()
+
+
 def test_cli_validation_exit_code(tmp_path):
     assert main(["free-path", "--samples", "0", "--out", str(tmp_path)]) == 2
     assert main(["bg-convergence", "--r", "0.1,0.4", "--out", str(tmp_path)]) == 2
@@ -697,13 +776,16 @@ def test_cli_rejects_radii_with_no_positive_finite_intensity(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("r", ["1e-9", "1e-17", "1e-300", "2e-8"])
-@pytest.mark.parametrize("command", ["deflection", "bg-convergence"])
+@pytest.mark.parametrize("command", ["deflection", "bg-convergence", "export"])
 def test_cli_rejects_radii_too_small_to_reflect(tmp_path, capsys, command, r):
     # Below 2^-26 cosh r rounds to 1, and the reflection's normal is lost.
-    out = tmp_path / "out"
-    code = main([command, "--r", r, "--t", "2", "--samples", "50", "--out", str(out)])
+    if command == "export":
+        out, written, extra = tmp_path / "traj.csv", tmp_path / "traj.csv", []
+    else:
+        out, written, extra = tmp_path / "out", tmp_path / "out" / "report.json", ["--samples", "50"]
+    code = main([command, "--r", r, "--t", "2", *extra, "--out", str(out)])
     if r == "2e-8":
-        assert code == 0 and (out / "report.json").exists()
+        assert code == 0 and written.exists()
     else:
         assert code == 2
         assert "cosh r rounds to 1" in capsys.readouterr().err
