@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from operator import attrgetter
 
 import numpy as np
 
@@ -369,8 +370,7 @@ def position_at(traj: Trajectory, t: float) -> State:
     """State at time t along the trajectory (right-continuous at events)."""
     if not 0.0 <= t <= traj.horizon:
         raise ValueError(f"time {t} outside [0, {traj.horizon}]")
-    times = [e.time for e in traj.events]
-    k = bisect_right(times, t)
+    k = bisect_right(traj.events, t, key=attrgetter("time"))
     if k == 0:
         base, t0 = traj.initial, 0.0
     else:

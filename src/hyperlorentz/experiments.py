@@ -39,6 +39,7 @@ import math
 import os
 import sys
 import time
+from bisect import bisect_left
 from functools import partial
 from pathlib import Path
 
@@ -117,19 +118,13 @@ def lambda_for(sigma: float, r: float) -> float:
     return sigma / (2.0 * math.sinh(r))
 
 
-def _checked_lambda(sigma: float, r: float) -> float:
-    """lambda_for(sigma, r), which must be positive and finite."""
-    try:
-        lam = lambda_for(sigma, r)
-    except OverflowError:  # sinh r overflows, so lambda underflows
-        lam = 0.0
-    if not (0.0 < lam < math.inf):
-        raise ValidationError(f"r = {r} gives intensity {lam}; it must be positive and finite")
-    return lam
-
-
 #: The largest t + r (t for flight-baseline) at which each command's
-#: coordinates stay in float range, and what overflows past it.
+#: coordinates stay in float range, and what overflows past it.  A path from
+#: (0, 1) reaches heights of e^t, and centers within r of it (or tube-mc's
+#: draws) e^{t + r}.  :func:`_cosh_to_segment` and bg-convergence's distances
+#: square them, which overflows once t + r passes 354.5 (r small) to 354.9
+#: (r large).  flight-baseline squares nothing, but its flow's e^t overflows
+#: past t = 709.78.
 _FLOAT_RANGE = {
     "tube-mc": (354.0, "points of its enclosing ball overflow"),
     "bg-convergence": (354.0, "coordinates of its paths overflow when squared"),
@@ -137,23 +132,49 @@ _FLOAT_RANGE = {
     "flight-baseline": (709.0, "e^t in its flow overflows"),
 }
 
+#: What sigma * t counts for each command whose paths stop at the event cap.
+_EVENT_COUNT = {
+    "bg-convergence": "is the mean number of turns of a flight",
+    "flight-baseline": "is the mean number of turns of a flight",
+    "export": "is about the mean number of collisions of the path",
+}
 
-def _check_float_range(command: str, t: float, r: float | None = None) -> None:
-    """Refuse a horizon past the float range of ``command``'s coordinates.
 
-    A path from (0, 1) reaches heights of e^t, and centers within r of it
-    (or tube-mc's draws) e^{t + r}.  :func:`_cosh_to_segment` and
-    bg-convergence's distances square them, which overflows once t + r
-    passes 354.5 (r small) to 354.9 (r large).  flight-baseline (``r``
-    None) squares nothing, but its flow's e^t overflows past t = 709.78.
-    """
-    bound, why = _FLOAT_RANGE[command]
-    if r is None:
-        span, value = f"t = {t}", t
-    else:
-        span, value = f"t = {t} and r = {r} give t + r = {t + r:g}", t + r
-    if not value <= bound:
-        raise ValidationError(f"{span}; {command} needs at most {bound:g}, or {why}")
+def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]) -> None:
+    """Refuse a sigma, t or r level that ``command`` cannot run, before it
+    samples; the rules that differ between commands are keyed by command."""
+    for name, value in (("sigma", sigma), ("t", t)):
+        if not (0.0 < value < math.inf):
+            raise ValidationError(f"{name} must be positive and finite, got {value}")
+    # A path turns about Poisson(sigma t) times, and a run stops at the event cap.
+    if command in _EVENT_COUNT and sigma * t >= DEFAULT_MAX_EVENTS:
+        raise ValidationError(
+            f"sigma * t = {sigma * t:g} {_EVENT_COUNT[command]}; "
+            f"{command} needs it below the cap of {DEFAULT_MAX_EVENTS} events a path"
+        )
+    if not all(math.isfinite(r) for r in r_levels):
+        raise ValidationError("r levels must be finite")
+    bound, why = _FLOAT_RANGE.get(command, (math.inf, ""))
+    past = f"{command} needs at most {bound:g}, or {why}"
+    if command == "flight-baseline":
+        if not t <= bound:
+            raise ValidationError(f"t = {t}; {past}")
+        return
+    if not r_levels:
+        raise ValidationError(f"{command} needs at least one r level")
+    if any(r <= 0.0 for r in r_levels):
+        raise ValidationError("r levels must be positive")
+    for r in r_levels:
+        try:
+            lam = lambda_for(sigma, r)
+        except OverflowError:  # sinh r overflows, so lambda underflows
+            lam = 0.0
+        if not (0.0 < lam < math.inf):
+            raise ValidationError(f"r = {r} gives intensity {lam}; it must be positive and finite")
+        if not t + r <= bound:
+            raise ValidationError(f"t = {t} and r = {r} give t + r = {t + r}; {past}")
+        if command in ("deflection", "bg-convergence", "export"):
+            _check_reflection(command, r)
 
 
 def exp_cdf(rate: float):
@@ -203,31 +224,7 @@ class ExperimentConfig(_Record):
             raise ValidationError("flight-baseline needs samples >= 2 for its event-count variance")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        for name, value in (("sigma", self.sigma), ("t", self.t)):
-            if not (0.0 < value < math.inf):
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
-        # A flight turns Poisson(sigma t) times, and a run stops at the event cap.
-        flights = self.experiment in ("flight-baseline", "bg-convergence")
-        if flights and self.sigma * self.t >= DEFAULT_MAX_EVENTS:
-            raise ValidationError(
-                f"sigma * t = {self.sigma * self.t:g} is the mean number of turns of a flight; "
-                f"{self.experiment} needs it below the cap of {DEFAULT_MAX_EVENTS} events a path"
-            )
-        if not all(math.isfinite(r) for r in self.r_levels):
-            raise ValidationError("r levels must be finite")
-        if self.experiment == "flight-baseline":
-            _check_float_range(self.experiment, self.t)
-        else:
-            if not self.r_levels:
-                raise ValidationError(f"{self.experiment} needs at least one r level")
-            if any(r <= 0.0 for r in self.r_levels):
-                raise ValidationError("r levels must be positive")
-            for r in self.r_levels:
-                _checked_lambda(self.sigma, r)
-                if self.experiment in _FLOAT_RANGE:
-                    _check_float_range(self.experiment, self.t, r)
-                if self.experiment in ("deflection", "bg-convergence"):
-                    _check_reflection(self.experiment, r)
+        _check_run(self.experiment, self.sigma, self.t, self.r_levels)
         if self.experiment == "bg-convergence" and any(
             r2 >= r1 for r1, r2 in zip(self.r_levels, self.r_levels[1:])
         ):
@@ -574,28 +571,33 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_report(report: Report, out_dir: Path) -> None:
-    """Write both files to temporaries in out_dir, then rename them into place,
-    so a failed write leaves the previous pair untouched."""
-    payload = dict(report.to_json_dict(), elapsed_s=None)
-    lines = ["r,lambda,stat_name,value,half_width,n"]
-    for s in report.levels:
-        lines.append(
-            ",".join([_fmt(s.r), _fmt(s.lam), s.stat_name, _fmt(s.value), _fmt(s.half_width), str(s.n)])
-        )
-    files = {
-        "report.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        "levels.csv": "\n".join(lines) + "\n",
-    }
+def _write_files(out_dir: Path, files: dict[str, str]) -> None:
+    """Write each file's text to a temporary in out_dir, then rename them all
+    into place, so a failed write leaves the previous files untouched."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     temps = [out_dir / f".{name}.{os.getpid()}.tmp" for name in files]
     try:
         for tmp, text in zip(temps, files.values()):
             tmp.write_text(text)
         for tmp, name in zip(temps, files):
             os.replace(tmp, out_dir / name)
-    finally:
+    except BaseException:
         for tmp in temps:
             tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_report(report: Report, out_dir: Path) -> None:
+    payload = dict(report.to_json_dict(), elapsed_s=None)
+    lines = ["r,lambda,stat_name,value,half_width,n"]
+    for s in report.levels:
+        lines.append(
+            ",".join([_fmt(s.r), _fmt(s.lam), s.stat_name, _fmt(s.value), _fmt(s.half_width), str(s.n)])
+        )
+    _write_files(out_dir, {
+        "report.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        "levels.csv": "\n".join(lines) + "\n",
+    })
 
 
 def _writable_dir(path: str | Path) -> Path:
@@ -649,17 +651,14 @@ def sample_trajectory(sigma: float, r: float, t: float, seed: int) -> Trajectory
 
     It is one lazy-billiard block of one replica drawn from the export
     stream of the seed (:func:`billiard._explore`): the field is revealed
-    only along the path, so any horizon with t + r <= 354 runs at a cost
-    that follows the events, and r must exceed 2^-26.  An event's
-    ``obstacle_index`` is the round in which its obstacle was first met.
+    only along the path, so its cost follows the events.  Its inputs obey
+    the experiments' rules (:func:`_check_run`): t + r <= 354, r > 2^-26 and
+    sigma * t below the event cap.  An event's ``obstacle_index`` is the
+    round in which its obstacle was first met.
     """
-    if not all(0.0 < v < math.inf for v in (sigma, r, t)):
-        raise ValidationError("sigma, r and t must all be positive and finite")
-    lam = _checked_lambda(sigma, r)
-    _check_reflection("export", r)
-    _check_float_range("export", t, r)
+    _check_run("export", sigma, t, (r,))
     record: list = []
-    _explore([(_derive_rng(seed, _TAG_EXPORT, 0, 0), 1, lam, r)], t, record=record)
+    _explore([(_derive_rng(seed, _TAG_EXPORT, 0, 0), 1, lambda_for(sigma, r), r)], t, record=record)
     return _trajectory(_START, t, record)
 
 
@@ -676,9 +675,12 @@ def export_trajectory(traj: Trajectory, model: str, dest: str | Path) -> Path:
     times = [float(t) for t in np.arange(0.0, traj.horizon, 0.05)]
     if not times or traj.horizon - times[-1] > 1e-12:
         times.append(traj.horizon)
-    event_times = {ev.time for ev in traj.events}
-    rows = [(t, 0) for t in times if min((abs(t - e) for e in event_times), default=1.0) > 1e-12]
-    rows += [(ev.time, 1) for ev in traj.events]
+    # A grid time within 1e-12 of an event gives way to the event's row: test
+    # the two event times around its place in the increasing event times.
+    event_times = [ev.time for ev in traj.events]
+    near = (event_times[max(k - 1, 0) : k + 1] for k in (bisect_left(event_times, t) for t in times))
+    rows = [(t, 0) for t, pair in zip(times, near) if all(abs(t - e) > 1e-12 for e in pair)]
+    rows += [(t, 1) for t in event_times]
     rows.sort()
 
     lines = ["t,x,y,alpha,event"]
@@ -690,7 +692,5 @@ def export_trajectory(traj: Trajectory, model: str, dest: str | Path) -> Path:
             alpha = (alpha + cayley_angle_shift(s.point)) % TWO_PI
         lines.append(f"{t!r},{x!r},{y!r},{alpha!r},{flag}")
     dest = Path(dest)
-    if dest.parent and not dest.parent.exists():
-        dest.parent.mkdir(parents=True, exist_ok=True)
-    dest.write_text("\n".join(lines) + "\n")
+    _write_files(dest.parent, {dest.name: "\n".join(lines) + "\n"})
     return dest

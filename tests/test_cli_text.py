@@ -166,20 +166,28 @@ def test_export_to_a_directory_exits_2_before_sampling(monkeypatch, capsys, tmp_
         ["flight-baseline", "--samples", "2", "--sigma", "1e6", "--t", "1"],
         ["flight-baseline", "--sigma", "4e5", "--t", "3"],
         ["bg-convergence", "--samples", "2", "--sigma", "1e6", "--t", "1", "--r", "0.4"],
+        ["export", "--r", "0.4", "--sigma", "1e6", "--t", "1"],
     ],
 )
-def test_flights_past_the_event_cap_exit_2_before_sampling(monkeypatch, capsys, argv):
-    def run(cfg):
-        raise AssertionError("ran a flight that cannot end within the event cap")
+def test_flights_past_the_event_cap_exit_2_before_sampling(monkeypatch, capsys, tmp_path, argv):
+    # export's path is the lazy billiard's, which stops at the same cap.
+    def run(*args):
+        raise AssertionError("ran a path that cannot end within the event cap")
 
     monkeypatch.setattr(cli, "run_experiment", run)
-    assert main(argv) == 2
+    monkeypatch.setattr(experiments, "_explore", run)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
     mean = "1e+06" if argv[4] == "1e6" else "1.2e+06"
+    if argv[0] == "export":
+        counts = "is about the mean number of collisions of the path"
+    else:
+        counts = "is the mean number of turns of a flight"
     assert capsys.readouterr() == (
         "",
-        f"error: sigma * t = {mean} is the mean number of turns of a flight; "
-        f"{argv[0]} needs it below the cap of 1000000 events a path\n",
+        f"error: sigma * t = {mean} {counts}; {argv[0]} needs it below the cap of 1000000 events a path\n",
     )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -200,12 +208,18 @@ def test_flights_past_the_event_cap_exit_2_before_sampling(monkeypatch, capsys, 
             "or coordinates of its path overflow when squared",
         ),
         (
+            # t + r is printed exactly: rounded, it would read 354.
+            ["export", "--sigma", "0.1", "--t", "353.6000001", "--r", "0.4"],
+            "t = 353.6000001 and r = 0.4 give t + r = 354.00000009999997; export needs at most 354, "
+            "or coordinates of its path overflow when squared",
+        ),
+        (
             ["tube-mc", "--t", "360", "--r", "0.4"],
             "t = 360.0 and r = 0.4 give t + r = 360.4; tube-mc needs at most 354, "
             "or points of its enclosing ball overflow",
         ),
     ],
-    ids=["flight-baseline", "bg-convergence", "export", "tube-mc"],
+    ids=["flight-baseline", "bg-convergence", "export", "export-just-past", "tube-mc"],
 )
 def test_runs_past_the_float_range_exit_2_before_sampling(monkeypatch, capsys, tmp_path, argv, err):
     def sample(*args):

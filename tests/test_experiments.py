@@ -641,6 +641,47 @@ def test_export_rejects_bad_model(tmp_path):
         export_trajectory(traj, "klein", tmp_path / "x.csv")
 
 
+def test_export_rows_at_events_on_and_near_grid_times(tmp_path):
+    # Events exactly on grid times and within 1e-12 of them, either side,
+    # and two just farther: a grid row gives way to an event's row where the
+    # nearest event time, over all of them, lies within 1e-12 (six of the
+    # eight here), and every row is position_at's.
+    grid = [float(v) for v in np.arange(0.0, 2.0, 0.05)]
+    times = [grid[3], grid[7] + 5e-13, grid[11] - 1e-12, grid[15] + 2e-12, grid[20] - 9e-13,
+             grid[25], grid[26] - 1e-12 * (1 + 1e-9), grid[39]]
+    events = [
+        billiard.CollisionEvent(t, Point(0.1 * k, 1.0 + k), Direction(0.3), Direction(1.0 + 0.1 * k), 0.7, k)
+        for k, t in enumerate(times)
+    ]
+    traj = billiard.Trajectory(START, 2.0, events)
+    rows = read_rows(export_trajectory(traj, "halfplane", tmp_path / "g.csv"))
+    kept = [t for t in [*grid, 2.0] if min(abs(t - e) for e in times) > 1e-12]
+    assert sorted(kept + times) == [float(row["t"]) for row in rows]
+    assert [float(row["t"]) for row in rows if row["event"] == "1"] == times
+    assert len(kept) == len(grid) + 1 - 6
+    for row in rows:
+        s = position_at(traj, float(row["t"]))
+        assert [row["x"], row["y"], row["alpha"]] == [repr(s.point.x), repr(s.point.y), repr(s.dir.alpha)]
+
+
+def test_failed_export_write_keeps_previous_csv(tmp_path, monkeypatch):
+    dest = tmp_path / "traj.csv"
+    assert main(["export", "--seed", "2", "--out", str(dest)]) == 0
+    before = dest.read_bytes()
+    write_text = Path.write_text
+
+    def fail_halfway(self, text, *args, **kwargs):
+        if self.name.startswith(".traj.csv"):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_halfway)
+    assert main(["export", "--seed", "3", "--out", str(dest)]) == 3
+    assert dest.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -664,6 +705,20 @@ def test_cli_export(tmp_path):
     assert code == 0
     rows = read_rows(dest)
     assert {"t", "x", "y", "alpha", "event"} == set(rows[0])
+
+
+@pytest.mark.parametrize(
+    "model, digest",
+    [
+        ("halfplane", "349e4ae600e8ed8904d8c278dc4f6f045062d3960ac0342bb91b7229f706e05d"),
+        ("disk", "cafbe769ec24d30427291bac43c882fad04691283f5c3524e55856248ad084eb"),
+    ],
+)
+def test_export_bytes_are_pinned(tmp_path, model, digest):
+    # The sampler and the row search may change, these bytes may not.
+    dest = tmp_path / "traj.csv"
+    assert main(["export", "--seed", "1", "--t", "5", "--model", model, "--out", str(dest)]) == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
 
 
 def test_sample_trajectory_is_one_lazy_billiard_block():

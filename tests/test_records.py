@@ -378,7 +378,7 @@ CHECKS = [
     (
         lambda: _config(experiment="tube-mc", t=350.0, r_levels=(10.0,)),
         ValidationError,
-        "t = 350.0 and r = 10.0 give t + r = 360; tube-mc needs at most 354",
+        "t = 350.0 and r = 10.0 give t + r = 360.0; tube-mc needs at most 354",
     ),
     (
         lambda: _config(experiment="bg-convergence", r_levels=(0.2, 0.4)),
