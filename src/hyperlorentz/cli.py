@@ -21,6 +21,7 @@ from .errors import ValidationError
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    _check_run,
     _writable_dir,
     export_trajectory,
     run_experiment,
@@ -89,6 +90,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _run_export(args: argparse.Namespace) -> None:
+    # Inputs first, then --out, as an experiment's config is checked before
+    # its run probes --out.
+    _check_run("export", args.sigma, args.t, (args.r,))
     if os.path.isdir(args.out):
         raise ValidationError(f"export writes a CSV file, but --out {args.out} is a directory")
     _writable_dir(os.path.dirname(args.out) or ".")

@@ -91,15 +91,6 @@ __all__ = [
     "lambda_for",
 ]
 
-EXPERIMENTS = (
-    "free-path",
-    "nearest-neighbor",
-    "deflection",
-    "tube-mc",
-    "bg-convergence",
-    "flight-baseline",
-)
-
 # Stream tags: replica work, shared flight baseline, bootstrap, auxiliary draws.
 _TAG_REPLICA = 0
 _TAG_FLIGHT = 1
@@ -242,6 +233,11 @@ class LevelStat(_Record):
     n: int
 
 
+#: The keys of a level in report.json and the columns of levels.csv, in
+#: LevelStat's field order.
+_LEVEL_COLUMNS = ("r", "lambda", "stat_name", "value", "half_width", "n")
+
+
 class Report(_Record):
     """What a run reports: its experiment, parameters, statistics and seed."""
 
@@ -257,17 +253,7 @@ class Report(_Record):
         return {
             "experiment": self.experiment,
             "params": self.params,
-            "levels": [
-                {
-                    "r": s.r,
-                    "lambda": s.lam,
-                    "stat_name": s.stat_name,
-                    "value": s.value,
-                    "half_width": s.half_width,
-                    "n": s.n,
-                }
-                for s in self.levels
-            ],
+            "levels": [dict(zip(_LEVEL_COLUMNS, s._values())) for s in self.levels],
             "seed": self.seed,
             "elapsed_s": self.elapsed_s,
         }
@@ -558,6 +544,8 @@ _DRIVERS = {
     "flight-baseline": _drive_flight_baseline,
 }
 
+EXPERIMENTS = tuple(_DRIVERS)
+
 
 # ---------------------------------------------------------------------------
 # Report files
@@ -569,6 +557,11 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _csv(columns, rows) -> str:
+    """A header of the column names, then one line per row of values."""
+    return "\n".join([",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
 
 
 def _write_files(out_dir: Path, files: dict[str, str]) -> None:
@@ -589,14 +582,9 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
 
 def _write_report(report: Report, out_dir: Path) -> None:
     payload = dict(report.to_json_dict(), elapsed_s=None)
-    lines = ["r,lambda,stat_name,value,half_width,n"]
-    for s in report.levels:
-        lines.append(
-            ",".join([_fmt(s.r), _fmt(s.lam), s.stat_name, _fmt(s.value), _fmt(s.half_width), str(s.n)])
-        )
     _write_files(out_dir, {
         "report.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        "levels.csv": "\n".join(lines) + "\n",
+        "levels.csv": _csv(_LEVEL_COLUMNS, (s._values() for s in report.levels)),
     })
 
 
@@ -604,11 +592,15 @@ def _writable_dir(path: str | Path) -> Path:
     """The directory path, made if need be, once a file has been written
     in it: a run checks where it writes before it samples."""
     out_dir = Path(path)
+    probe = out_dir / ".write-probe"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
+        try:
+            probe.write_text("")
+        finally:
+            # A failed write may leave the file, and a run probing the same
+            # directory at once may have removed it already.
+            probe.unlink(missing_ok=True)
     except OSError as exc:
         raise ValidationError(f"output directory {out_dir} is not writable: {exc}") from exc
     return out_dir
@@ -683,14 +675,14 @@ def export_trajectory(traj: Trajectory, model: str, dest: str | Path) -> Path:
     rows += [(t, 1) for t in event_times]
     rows.sort()
 
-    lines = ["t,x,y,alpha,event"]
+    table = []
     for t, flag in rows:
         s = position_at(traj, t)
         x, y, alpha = s.point.x, s.point.y, s.dir.alpha
         if model == "disk":
             x, y = cayley(s.point)
             alpha = (alpha + cayley_angle_shift(s.point)) % TWO_PI
-        lines.append(f"{t!r},{x!r},{y!r},{alpha!r},{flag}")
+        table.append((t, x, y, alpha, flag))
     dest = Path(dest)
-    _write_files(dest.parent, {dest.name: "\n".join(lines) + "\n"})
+    _write_files(dest.parent, {dest.name: _csv(("t", "x", "y", "alpha", "event"), table)})
     return dest

@@ -4,6 +4,8 @@ A call builds the sub-parser of its command alone; these texts are those of
 the parser that held every command, at an 80-column terminal.
 """
 
+import os
+
 import pytest
 
 from hyperlorentz import cli, experiments
@@ -231,3 +233,15 @@ def test_runs_past_the_float_range_exit_2_before_sampling(monkeypatch, capsys, t
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["export", "--out", "/proc/nope/x.csv"], ["free-path", "--out", "/proc/nope"]],
+    ids=["export", "free-path"],
+)
+def test_inputs_are_checked_before_out(capsys, argv):
+    # Every command names its bad input before it probes --out.
+    assert main([*argv, "--sigma", "nan"]) == 2
+    assert capsys.readouterr() == ("", "error: sigma must be positive and finite, got nan\n")
+    assert not os.path.exists("/proc/nope")

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import itertools
 import json
@@ -554,6 +555,34 @@ def test_unwritable_output_dir():
     )
     with pytest.raises((ValidationError, OSError)):
         run_experiment(cfg)
+
+
+def _disk_full(self, text):
+    self.touch()
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _removed_by_another_run(self, text):
+    self.touch()
+    self.unlink()
+
+
+@pytest.mark.parametrize(
+    "write, writable",
+    [(_disk_full, False), (_removed_by_another_run, True)],
+    ids=["disk-full", "removed-by-another-run"],
+)
+def test_write_probe_leaves_no_file(tmp_path, monkeypatch, write, writable):
+    # A write that fails after making the probe, and a run probing the same
+    # directory that removed the probe first: neither leaves a file, and
+    # only the failed write makes the directory unwritable.
+    monkeypatch.setattr(Path, "write_text", write)
+    if writable:
+        assert experiments._writable_dir(tmp_path) == tmp_path
+    else:
+        with pytest.raises(ValidationError, match="is not writable: .*No space left on device"):
+            experiments._writable_dir(tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
