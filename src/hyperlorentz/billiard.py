@@ -172,9 +172,9 @@ def _reflect_angle(ix, iy, alpha_in, cx, cy, radius):
 def first_hit(s: State, ob: Obstacle) -> float | None:
     """Time of the first contact with a single obstacle, or None if missed.
 
-    The state must start strictly outside the obstacle.
+    The state must start outside the obstacle, beyond r (1 + 1e-9) + 1e-12.
     """
-    if hyp_distance(s.point, ob.center) <= ob.radius + 1e-9:
+    if hyp_distance(s.point, ob.center) <= ob.radius * (1.0 + 1e-9) + 1e-12:
         raise ValueError("first_hit requires a state strictly outside the obstacle")
     t = _hit_times(
         *normalizing_coeffs(s.point.x, s.point.y, s.dir.alpha),
@@ -186,8 +186,8 @@ def first_hit(s: State, ob: Obstacle) -> float | None:
 
 
 def reflect(impact: Point, incoming: Direction, ob: Obstacle) -> Direction:
-    """Specular reflection of the incoming direction at a boundary point."""
-    if abs(hyp_distance(impact, ob.center) - ob.radius) > 1e-8:
+    """Specular reflection of the incoming direction at an impact within 1e-8 r + 1e-12 of the boundary."""
+    if abs(hyp_distance(impact, ob.center) - ob.radius) > 1e-8 * ob.radius + 1e-12:
         raise ValueError("impact point does not lie on the obstacle boundary")
     return Direction(
         float(_reflect_angle(impact.x, impact.y, incoming.alpha, ob.center.x, ob.center.y, ob.radius))

@@ -109,43 +109,42 @@ def lambda_for(sigma: float, r: float) -> float:
     return sigma / (2.0 * math.sinh(r))
 
 
-#: The largest t + r (t for flight-baseline) at which each command's
-#: coordinates stay in float range, and what overflows past it.  A path from
-#: (0, 1) reaches heights of e^t, and centers within r of it (or tube-mc's
-#: draws) e^{t + r}.  :func:`_cosh_to_segment` and bg-convergence's distances
-#: square them, which overflows once t + r passes 354.5 (r small) to 354.9
-#: (r large).  flight-baseline squares nothing, but its flow's e^t overflows
-#: past t = 709.78.
-_FLOAT_RANGE = {
-    "tube-mc": (354.0, "points of its enclosing ball overflow"),
-    "bg-convergence": (354.0, "coordinates of its paths overflow when squared"),
-    "export": (354.0, "coordinates of its path overflow when squared"),
-    "flight-baseline": (709.0, "e^t in its flow overflows"),
-}
-
-#: What sigma * t counts for each command whose paths stop at the event cap.
-_EVENT_COUNT = {
-    "bg-convergence": "is the mean number of turns of a flight",
-    "flight-baseline": "is the mean number of turns of a flight",
-    "export": "is about the mean number of collisions of the path",
+#: Each command's row: the largest t + r (t for flight-baseline) at which its
+#: coordinates stay in float range, and what overflows past it; what sigma * t
+#: counts where its paths stop at the event cap; and whether it reflects, and
+#: so needs r > 2^-26 (:func:`_check_reflection`).  A path from (0, 1) reaches
+#: heights of e^t, and centers within r of it (or tube-mc's draws) e^{t + r}.
+#: :func:`_cosh_to_segment` and bg-convergence's distances square them, which
+#: overflows once t + r passes 354.5 (r small) to 354.9 (r large).
+#: flight-baseline squares nothing, but its flow's e^t overflows past t = 709.78.
+_LIMITS = {
+    "free-path": (math.inf, "", None, True),
+    "nearest-neighbor": (math.inf, "", None, False),
+    "deflection": (math.inf, "", None, True),
+    "tube-mc": (354.0, "points of its enclosing ball overflow", None, False),
+    "bg-convergence": (354.0, "coordinates of its paths overflow when squared",
+                       "is the mean number of turns of a flight", True),
+    "flight-baseline": (709.0, "e^t in its flow overflows", "is the mean number of turns of a flight", False),
+    "export": (354.0, "coordinates of its path overflow when squared",
+               "is about the mean number of collisions of the path", True),
 }
 
 
 def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]) -> None:
     """Refuse a sigma, t or r level that ``command`` cannot run, before it
-    samples; the rules that differ between commands are keyed by command."""
+    samples; the rules that differ between commands are its row of ``_LIMITS``."""
+    bound, why, counts, reflects = _LIMITS[command]
     for name, value in (("sigma", sigma), ("t", t)):
         if not (0.0 < value < math.inf):
             raise ValidationError(f"{name} must be positive and finite, got {value}")
     # A path turns about Poisson(sigma t) times, and a run stops at the event cap.
-    if command in _EVENT_COUNT and sigma * t >= DEFAULT_MAX_EVENTS:
+    if counts and sigma * t >= DEFAULT_MAX_EVENTS:
         raise ValidationError(
-            f"sigma * t = {sigma * t:g} {_EVENT_COUNT[command]}; "
+            f"sigma * t = {sigma * t:g} {counts}; "
             f"{command} needs it below the cap of {DEFAULT_MAX_EVENTS} events a path"
         )
     if not all(math.isfinite(r) for r in r_levels):
         raise ValidationError("r levels must be finite")
-    bound, why = _FLOAT_RANGE.get(command, (math.inf, ""))
     past = f"{command} needs at most {bound:g}, or {why}"
     if command == "flight-baseline":
         if not t <= bound:
@@ -164,7 +163,7 @@ def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]
             raise ValidationError(f"r = {r} gives intensity {lam}; it must be positive and finite")
         if not t + r <= bound:
             raise ValidationError(f"t = {t} and r = {r} give t + r = {t + r}; {past}")
-        if command in ("deflection", "bg-convergence", "export"):
+        if reflects:
             _check_reflection(command, r)
 
 

