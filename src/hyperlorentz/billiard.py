@@ -149,7 +149,9 @@ def _check_reflection(caller: str, r: float) -> None:
     (cx, cy) is (x - cx, y - cy cosh r), a difference of coordinates about
     y r apart, which rounding swamps as r shrinks.  Where cosh r rounds
     to 1, the hit solve registers no contact and the lazy billiard never
-    counts a disk as explored.
+    counts a disk as explored.  From 2^-26 to about r = 3.33e-8 the
+    solve's tangency threshold still takes a head-on chord for a miss, so
+    bg-convergence and export paths at such r never recollide.
     """
     if math.cosh(r) == 1.0:
         raise ValidationError(

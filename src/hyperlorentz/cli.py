@@ -19,7 +19,7 @@ import sys
 
 from .errors import ValidationError
 from .experiments import (
-    EXPERIMENTS,
+    _COMMANDS,
     ExperimentConfig,
     _check_run,
     _writable_dir,
@@ -66,9 +66,6 @@ def _add_export(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--t", type=float, default=5.0)
-
-
-_COMMANDS = (*EXPERIMENTS, "export")
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:

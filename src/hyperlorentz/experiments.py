@@ -7,21 +7,10 @@ stream keyed by the tuple (seed, tag, L, k) and covers replicas [kB,
 B = 8192 replicas from one stream, nearest-neighbor blocks of B = 8192
 fields, tube-mc blocks of 200 000 draws, and bg-convergence blocks of B =
 256 flights and of 256 billiards in fields explored lazily.
-flight-baseline keeps one stream per replica (B = 1).  The runner numbers
-the streams of all of a call's levels, level by level, and cuts them into
-chunks of at most one batch, 8192 replicas (or one stream), so a chunk
-may mix levels.  Each chunk is one kernel call on one block ``(rng, m,
-*level parameters)`` per stream.  bg-convergence's kernels are the engines
-themselves, the lazy billiard and the block flight: they advance the
-blocks of a chunk together, each drawing from its own stream as it would
-alone, so that no result depends on the chunk.  B and the caps
-never depend on the worker count or the sample count, and the runner
-returns per-stream results per level, in stream order, so reports are
-byte-identical for any worker count.  A call of blocks (B > 1) of at most
-one batch of replicas, samples x levels <= 8192, runs in the caller; the
-first call cut for the workers starts the run's one pool of k =
-min(workers, chunks) - 1, and the caller runs every (k+1)-th chunk.  Only
-then is ``concurrent.futures`` imported.
+flight-baseline keeps one stream per replica (B = 1).  B and the caps
+never depend on the worker count or the sample count, so reports are
+byte-identical for any worker count; ``_Runner`` says how a call's streams
+are cut into chunks and which chunks run on its pool.
 
 Report files: ``report.json`` (schema below) and ``levels.csv`` with one
 row per (level, statistic).  The JSON field ``elapsed_s`` is written as
@@ -109,31 +98,10 @@ def lambda_for(sigma: float, r: float) -> float:
     return sigma / (2.0 * math.sinh(r))
 
 
-#: Each command's row: the largest t + r (t for flight-baseline) at which its
-#: coordinates stay in float range, and what overflows past it; what sigma * t
-#: counts where its paths stop at the event cap; and whether it reflects, and
-#: so needs r > 2^-26 (:func:`_check_reflection`).  A path from (0, 1) reaches
-#: heights of e^t, and centers within r of it (or tube-mc's draws) e^{t + r}.
-#: :func:`_cosh_to_segment` and bg-convergence's distances square them, which
-#: overflows once t + r passes 354.5 (r small) to 354.9 (r large).
-#: flight-baseline squares nothing, but its flow's e^t overflows past t = 709.78.
-_LIMITS = {
-    "free-path": (math.inf, "", None, True),
-    "nearest-neighbor": (math.inf, "", None, False),
-    "deflection": (math.inf, "", None, True),
-    "tube-mc": (354.0, "points of its enclosing ball overflow", None, False),
-    "bg-convergence": (354.0, "coordinates of its paths overflow when squared",
-                       "is the mean number of turns of a flight", True),
-    "flight-baseline": (709.0, "e^t in its flow overflows", "is the mean number of turns of a flight", False),
-    "export": (354.0, "coordinates of its path overflow when squared",
-               "is about the mean number of collisions of the path", True),
-}
-
-
 def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]) -> None:
     """Refuse a sigma, t or r level that ``command`` cannot run, before it
-    samples; the rules that differ between commands are its row of ``_LIMITS``."""
-    bound, why, counts, reflects = _LIMITS[command]
+    samples; the rules that differ between commands are its entry of ``_COMMANDS``."""
+    _, bound, why, counts, reflects = _COMMANDS[command]
     for name, value in (("sigma", sigma), ("t", t)):
         if not (0.0 < value < math.inf):
             raise ValidationError(f"{name} must be positive and finite, got {value}")
@@ -534,16 +502,29 @@ def _drive_flight_baseline(cfg: ExperimentConfig, run: _Runner) -> list[LevelSta
     ]
 
 
-_DRIVERS = {
-    "free-path": _drive_free_path,
-    "nearest-neighbor": _drive_nearest_neighbor,
-    "deflection": _drive_deflection,
-    "tube-mc": _drive_tube_mc,
-    "bg-convergence": _drive_bg_convergence,
-    "flight-baseline": _drive_flight_baseline,
+#: Each command's entry, in the CLI's order: its driver (None for export);
+#: the largest t + r (t for flight-baseline) at which its coordinates stay in
+#: float range, and what overflows past it; what sigma * t counts where its
+#: paths stop at the event cap; and whether it reflects, and so needs r >
+#: 2^-26 (:func:`_check_reflection`).  A path from (0, 1) reaches heights of
+#: e^t, and centers within r of it (or tube-mc's draws) e^{t + r}.
+#: :func:`_cosh_to_segment` and bg-convergence's distances square them, which
+#: overflows once t + r passes 354.5 (r small) to 354.9 (r large).
+#: flight-baseline squares nothing, but its flow's e^t overflows past t = 709.78.
+_COMMANDS = {
+    "free-path": (_drive_free_path, math.inf, "", None, True),
+    "nearest-neighbor": (_drive_nearest_neighbor, math.inf, "", None, False),
+    "deflection": (_drive_deflection, math.inf, "", None, True),
+    "tube-mc": (_drive_tube_mc, 354.0, "points of its enclosing ball overflow", None, False),
+    "bg-convergence": (_drive_bg_convergence, 354.0, "coordinates of its paths overflow when squared",
+                       "is the mean number of turns of a flight", True),
+    "flight-baseline": (_drive_flight_baseline, 709.0, "e^t in its flow overflows",
+                        "is the mean number of turns of a flight", False),
+    "export": (None, 354.0, "coordinates of its path overflow when squared",
+               "is about the mean number of collisions of the path", True),
 }
 
-EXPERIMENTS = tuple(_DRIVERS)
+EXPERIMENTS = tuple(name for name, (driver, *_) in _COMMANDS.items() if driver)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +595,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     out_dir = _writable_dir(cfg.output_dir)
     t0 = time.perf_counter()
     with _Runner(cfg) as run:
-        levels = _DRIVERS[cfg.experiment](cfg, run)
+        levels = _COMMANDS[cfg.experiment][0](cfg, run)
     elapsed = time.perf_counter() - t0
     report = Report(
         experiment=cfg.experiment,

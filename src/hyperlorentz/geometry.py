@@ -229,9 +229,9 @@ class State(_Record):
 class MobiusMap(_Record):
     """Isometry z -> (az+b)/(cz+d) with real coefficients and det = 1.
 
-    Coefficients are renormalized to unit determinant on construction;
-    a determinant that is not positive (or further than 1e-12 from 1 after
-    renormalization, which cannot happen for finite inputs) is rejected.
+    A determinant that is not positive and finite is rejected; one further
+    than 1e-12 from 1 is renormalized, by dividing every coefficient by its
+    square root.
     """
 
     a: float

@@ -176,6 +176,18 @@ def test_first_hit_margin_follows_the_radius():
         first_hit(State(Point(0.0, math.exp(-2e-8)), Direction(-math.pi / 2)), ob)
 
 
+@pytest.mark.parametrize("r", [
+    pytest.param(2e-8, marks=pytest.mark.xfail(strict=True, reason="the tangency threshold counts the chord a miss")),
+    pytest.param(1e-7, marks=pytest.mark.xfail(strict=True, reason="the rounded cosh r widens the disk 1.1 %")),
+])
+def test_first_hit_head_on_at_small_radius(r):
+    # Head-on from 3r to the center, the first contact is at 2r.  first_hit
+    # returns None at r = 2e-8 and 1.98935e-7 at r = 1e-7.
+    start = State(Point(0.0, math.exp(-3.0 * r)), Direction(math.pi / 2))
+    t = first_hit(start, Obstacle(Point(0.0, 1.0), r))
+    assert t is not None and t == pytest.approx(2.0 * r, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # reflect
 # ---------------------------------------------------------------------------

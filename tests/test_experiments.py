@@ -272,20 +272,30 @@ def test_one_replica_streams_cut_for_the_workers(tmp_path, pool_log):
 
 
 def test_small_multi_level_calls_of_blocks_start_no_pool(tmp_path, pool_log):
-    # deflection at 3 levels of 500 samples is 3 one-stream chunks but 1 500
-    # replicas, within one batch: at workers 1000 it makes no pool, runs
-    # every chunk in the caller and writes the bytes of workers 1.
+    # The benchmark configs hold at most one batch of replicas a call, so at
+    # workers 1000 a run makes no pool, runs every chunk in the caller and
+    # writes the bytes of workers 1.  deflection at 3 levels of 500 samples
+    # is 3 one-stream chunks; bg-convergence at 3 levels of 1 000 samples is
+    # one chunk of the flight's 4 streams, then one of the billiard's 12.
     made, ran = pool_log
-    blobs, logs = [], []
-    for w in (1, 1000):
-        argv = ["deflection", "--samples", "500", "--r", "0.5,0.1,0.02", "--t", "12", "--workers", str(w)]
-        assert main([*argv, "--out", str(tmp_path / f"w{w}")]) == 0
-        blobs.append(read_outputs(tmp_path / f"w{w}"))
-        logs.append(ran[:])
-        ran.clear()
-    assert blobs[0] == blobs[1]
+    configs = [
+        (["deflection", "--samples", "500", "--r", "0.5,0.1,0.02", "--t", "12"],
+         [("_first_collisions", [(L, 0)]) for L in range(3)]),
+        (["bg-convergence", "--samples", "1000", "--r", "0.4,0.2,0.1", "--t", "4"],
+         [("_flight_ends", [(0, k) for k in range(4)]),
+          ("_explore", [(L, k) for L in range(3) for k in range(4)])]),
+    ]
+    for argv, chunks in configs:
+        blobs, logs = [], []
+        for w in (1, 1000):
+            out = tmp_path / argv[0] / f"w{w}"
+            assert main([*argv, "--workers", str(w), "--out", str(out)]) == 0
+            blobs.append(read_outputs(out))
+            logs.append(ran[:])
+            ran.clear()
+        assert blobs[0] == blobs[1]
+        assert logs[0] == logs[1] == [(kernel, "caller", streams) for kernel, streams in chunks]
     assert made == []
-    assert logs[0] == logs[1] == [("_first_collisions", "caller", [(L, 0)]) for L in range(3)]
 
 
 def _fail_in_caller(blocks, caller_pid):
@@ -843,11 +853,6 @@ def test_cli_rejects_radii_with_no_positive_finite_intensity(tmp_path, capsys, c
     assert main([command, "--r", r, "--out", str(out)]) == 2
     assert "positive and finite" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_every_command_has_one_row_of_limits():
-    # _check_run reads each command's limits from one row, in the CLI's order.
-    assert list(experiments._LIMITS) == [*experiments.EXPERIMENTS, "export"]
 
 
 @pytest.mark.parametrize("r", ["1e-9", "1e-17", "1e-300", "2e-8"])

@@ -10,7 +10,12 @@ interpreter on each tree's ``src``, and compares what the two runs wrote:
   workers 1 and 2, and export in both models;
 - the two benchmark configurations, deflection ``--r 0.5,0.1,0.02 --t 12
   --samples 500`` and bg-convergence ``--r 0.4,0.2,0.1 --t 4 --samples
-  1000 --workers 2``.
+  1000 --workers 2``, whose calls of blocks all run in the caller;
+- block kernels on a pool: bg-convergence's flight and billiard at
+  ``--r 0.4,0.2,0.1 --t 4 --samples 9000 --workers 2`` and free-path's
+  first collisions at ``--samples 20000 --workers 2``;
+- long histories: bg-convergence ``--sigma 4 --t 20 --r 0.1 --samples
+  1000``, with trapped replicas and long ``_explore`` histories.
 
 For each file that moved it prints the case, the file, its sha256 in both
 trees and the first row where they differ.  It exits 0 when no file moved
@@ -55,6 +60,13 @@ def cases():
     yield "deflection benchmark", ["deflection", "--r", "0.5,0.1,0.02", "--t", "12", "--samples", "500"], REPORT
     yield "bg-convergence benchmark", [
         "bg-convergence", "--r", "0.4,0.2,0.1", "--t", "4", "--samples", "1000", "--workers", "2",
+    ], REPORT
+    yield "bg-convergence on a pool", [
+        "bg-convergence", "--r", "0.4,0.2,0.1", "--t", "4", "--samples", "9000", "--workers", "2",
+    ], REPORT
+    yield "free-path on a pool", ["free-path", "--samples", "20000", "--workers", "2"], REPORT
+    yield "bg-convergence long histories", [
+        "bg-convergence", "--sigma", "4", "--t", "20", "--r", "0.1", "--samples", "1000",
     ], REPORT
 
 
