@@ -225,10 +225,6 @@ def _check_field(s0: State, field: ObstacleField, t_max: float):
             raise ValueError("initial point lies inside (or on) an obstacle")
 
 
-def _runaway(max_events: int) -> RunawayError:
-    return RunawayError(f"exceeded {max_events} events before the horizon")
-
-
 def _block_draws(block, live, count: int, draw):
     """Draws for the live replicas of ``count`` blocks, ``block[i]`` being
     replica i's block and ``live`` increasing: ``draw(k, m)``, a tuple of
@@ -251,11 +247,12 @@ def _run_events(s0: State, n: int, horizon: float, step, turn, max_events: int, 
     the other arrays their states, time left and previous obstacle (-1 at
     the start).  A replica whose next turn falls at or beyond the horizon
     stops.  The others flow to their turns and take the direction
-    ``turn(live, ix, iy, pre, idx)`` gives.  A replica is live in a round
-    only if it turned in every round before, so all live replicas have
-    turned as many times as there have been rounds.  If ``record`` is a
-    list, each round appends the arrays (live, time, ix, iy, pre, post, idx)
-    of the replicas that turned.
+    ``turn(live, ix, iy, pre, idx, went)`` gives, where ``went`` selects
+    them among the replicas step saw: ``slice(None)`` if all of them turn,
+    else a mask.  A replica is live in a round only if it turned in every
+    round before, so all live replicas have turned as many times as there
+    have been rounds.  If ``record`` is a list, each round appends the
+    arrays (live, time, ix, iy, pre, post, idx) of the replicas that turned.
 
     Returns (x, y, events): each replica's position at the horizon and its
     number of turns.  Every array operation acts elementwise, so a replica
@@ -271,6 +268,7 @@ def _run_events(s0: State, n: int, horizon: float, step, turn, max_events: int, 
     while True:
         gap, idx = step(live, x, y, alpha, horizon - t_now, last)
         go = t_now + gap < horizon
+        went = slice(None)
         if not go.all():
             halt = ~go
             end[:, live[halt]] = x[halt], y[halt], alpha[halt], t_now[halt]
@@ -279,10 +277,11 @@ def _run_events(s0: State, n: int, horizon: float, step, turn, max_events: int, 
                 break
             state = (live, x, y, alpha, t_now, gap, idx)
             live, x, y, alpha, t_now, gap, idx = (v[go] for v in state)
+            went = go
         if rounds >= max_events:
-            raise _runaway(max_events)
+            raise RunawayError(f"exceeded {max_events} events before the horizon")
         ix, iy, pre = flow_ahead(x, y, alpha, gap)
-        post = turn(live, ix, iy, pre, idx)
+        post = turn(live, ix, iy, pre, idx, went)
         x, y, alpha, t_now, last = ix, iy, post, t_now + gap, idx
         rounds += 1
         if record is not None:
@@ -346,7 +345,7 @@ def simulate(
         k = th.argmin()
         return th[k : k + 1], cand[k : k + 1]
 
-    def turn(live, ix, iy, pre, idx):
+    def turn(live, ix, iy, pre, idx, went):
         k = idx.item()
         return np.array([_reflect_angle(ix.item(), iy.item(), pre.item(), cx[k], cy[k], radius)])
 
@@ -356,16 +355,13 @@ def simulate(
 
 
 def free_path(s0: State, field: ObstacleField, t_max: float) -> tuple[float, bool]:
-    """Time of the first collision, or (t_max, True) if none before t_max."""
+    """Time of the first collision, or (t_max, True) if none before t_max: a
+    contact exactly at t_max is none, as in :func:`simulate`."""
     _check_field(s0, field, t_max)
-    if len(field) == 0:
-        return t_max, True
     coeffs = normalizing_coeffs(s0.point.x, s0.point.y, s0.dir.alpha)
     th = _hit_times(*coeffs, *field.centers.T, math.cosh(field.radius))
-    t = float(th.min())
-    if t <= t_max:
-        return t, False
-    return t_max, True
+    t = float(th.min(initial=math.inf))
+    return (t, False) if t < t_max else (t_max, True)
 
 
 def position_at(traj: Trajectory, t: float) -> State:
@@ -448,14 +444,14 @@ def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=
     # nan.  step fills the next round's row for the replicas it sees; turn
     # appends it for those that turn and drops the columns of those that stop.
     hist = np.empty((7, 0, n))
-    seen = new = None  # the replicas step saw last, in order, and their row
+    new = None  # the row of the replicas step saw last
     recollisions = np.zeros(n, dtype=np.int64)
 
     def contacts(k, m):
         return _first_contacts(rngs[k], lams[k], block_radii[k], m)
 
     def step(live, x, y, alpha, t_left, last):
-        nonlocal seen, new
+        nonlocal new
         m, rounds = live.size, hist.shape[1]
         cosh_r = cosh_radii[live]
         coeffs = normalizing_coeffs(x, y, alpha)
@@ -466,7 +462,7 @@ def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=
             idx = th.argmin(axis=0)
             gap = th[idx, np.arange(m)]
         bound = np.minimum(gap, t_left)
-        seen, new = live, np.full((7, m), math.nan)
+        new = np.full((7, m), math.nan)
         s, todo = np.zeros(m), np.arange(m)
         while todo.size:
             s_try, psi = _block_draws(block, live[todo], len(blocks), contacts)
@@ -486,12 +482,10 @@ def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=
         new[:5] = *coeffs, gap
         return gap, idx
 
-    def turn(live, ix, iy, pre, idx):
+    def turn(live, ix, iy, pre, idx, went):
         nonlocal hist
         recollisions[live] += idx < hist.shape[1]
-        # live is seen less those that stopped, both increasing
-        kept = slice(None) if live.size == seen.size else np.searchsorted(seen, live)
-        hist = np.concatenate((hist[:, :, kept], new[:, None, kept]), axis=1)
+        hist = np.concatenate((hist[:, :, went], new[:, None, went]), axis=1)
         return _reflect_angle(ix, iy, pre, *hist[5:, idx, np.arange(live.size)], radii[live])
 
     x, y, events = _run_events(_START, n, t_max, step, turn, max_events, record)
@@ -541,7 +535,8 @@ def sample_first_collisions(
     (s, v), so sinh v is uniform on [-sinh r, sinh r]; with sinh v =
     sinh r sin psi, psi being the angle at the impact point between the
     incoming direction and the center, sin psi is uniform on [-1, 1].  Free
-    paths beyond ``horizon`` are censored at the horizon, deflection nan.
+    paths at or beyond ``horizon`` are censored at the horizon, deflection
+    nan: a contact exactly at the horizon is none, as in :func:`simulate`.
     Neither law depends on where the hit happens, so the contact is placed
     at ``_START`` itself: flowing the free path first would only add the
     flow's rounding, which grows as e^t.  A radius where cosh r rounds to 1
@@ -549,7 +544,7 @@ def sample_first_collisions(
     """
     _check_reflection("sample_first_collisions", radius)
     free, psi = _first_contacts(rng, lam, radius, size)
-    time, censored = np.minimum(free, horizon), free > horizon
+    time, censored = np.minimum(free, horizon), free >= horizon
     ix, iy, pre, cx, cy = _tube_hit(_START.point.x, _START.point.y, _START.dir.alpha, 0.0, psi, radius)
     beta = (_reflect_angle(ix, iy, pre, cx, cy, radius) - pre) % TWO_PI
     return time, np.where(censored, np.nan, beta), censored

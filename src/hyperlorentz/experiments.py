@@ -278,11 +278,12 @@ class _Runner:
     level, of views into shared arrays, whatever the chunks and the workers.
 
     A call of blocks (size > 1) of at most ``_BATCH`` replicas over all its
-    levels runs every chunk in the caller.  At workers > 1 any other call
-    runs on one pool of k worker processes beside the caller, k =
-    min(workers, chunks) - 1 at the run's first such call: the caller runs
-    chunks 0, k+1, 2(k+1), ... itself while the pool runs the others, and
-    results go back in chunk order; later calls reuse it.
+    levels, and any call cut into one chunk, runs in the caller.  At
+    workers > 1 any other call runs on one pool of k worker processes
+    beside the caller, k = min(workers, chunks) - 1 at the run's first such
+    call: the caller runs chunks 0, k+1, 2(k+1), ... itself while the pool
+    runs the others, and results go back in chunk order; later calls reuse
+    it.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -623,10 +624,12 @@ def sample_trajectory(sigma: float, r: float, t: float, seed: int) -> Trajectory
 
     It is one lazy-billiard block of one replica drawn from the export
     stream of the seed (:func:`billiard._explore`): the field is revealed
-    only along the path, so its cost follows the events.  Its inputs obey
-    the experiments' rules (:func:`_check_run`): t + r <= 354, r > 2^-26 and
-    sigma * t below the event cap.  An event's ``obstacle_index`` is the
-    round in which its obstacle was first met.
+    only along the path, but each step races every center met so far and
+    tests each proposal against every segment so far, so the cost grows
+    about as the square of the events.  Its inputs obey the experiments'
+    rules (:func:`_check_run`): t + r <= 354, r > 2^-26 and sigma * t below
+    the event cap.  An event's ``obstacle_index`` is the round in which its
+    obstacle was first met.
     """
     _check_run("export", sigma, t, (r,))
     record: list = []

@@ -95,7 +95,7 @@ def _flight_ends(blocks, cfg: FlightConfig, max_events: int = DEFAULT_MAX_EVENTS
         (gap,) = _block_draws(block, live, len(rngs), lambda k, m: (rngs[k].exponential(scale, m),))
         return gap, last
 
-    def turn(live, ix, iy, pre, idx):
+    def turn(live, ix, iy, pre, idx, went):
         (u,) = _block_draws(block, live, len(rngs), lambda k, m: (rngs[k].random(m),))
         return (pre + _deflection(u)) % TWO_PI
 

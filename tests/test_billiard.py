@@ -357,12 +357,15 @@ def test_simulate_event_cap_raises():
 
 
 def test_simulate_hit_exactly_at_horizon_is_not_an_event():
-    # A hit landing exactly on t_max ends the path there, as a flight turn does.
+    # A hit landing exactly on t_max ends the path there, as a flight turn
+    # does, and free_path censors it: one horizon rule for every contact.
     center = Point(0.05, math.exp(2.3))
     th = first_hit(UP, Obstacle(center, 0.3))
     field = make_field([[center.x, center.y]], 0.3, 3.0)
     assert simulate(UP, field, th).events == ()
     assert len(simulate(UP, field, math.nextafter(th, 3.0)).events) == 1
+    assert free_path(UP, field, th) == (th, True)
+    assert free_path(UP, field, math.nextafter(th, 3.0)) == (th, False)
 
 
 def exact_relative_discriminant(alpha, cx, cy, r):
@@ -724,6 +727,20 @@ def test_sample_first_collision_censoring():
     # a nearly empty field: almost every run is censored at the horizon
     fc = sample_first_collision(1e-6, 0.1, 2.0, _derive_rng(6, 0, 0, 0))
     assert fc.censored and fc.time == 2.0 and math.isnan(fc.deflection)
+
+
+def test_sample_first_collisions_contact_at_the_horizon_is_censored():
+    # Rerun on the same stream with the horizon at the first replica's free
+    # path: a contact exactly at the horizon is no contact, as in simulate,
+    # and every other replica keeps its draw.
+    lam, r, n = 2.0, 0.3, 50
+    free, beta, censored = sample_first_collisions(lam, r, math.inf, _derive_rng(3, 0, 0, 0), n)
+    assert not censored.any()
+    h = free[0]
+    time, beta_h, censored_h = sample_first_collisions(lam, r, h, _derive_rng(3, 0, 0, 0), n)
+    assert time[0] == h and censored_h[0] and math.isnan(beta_h[0])
+    assert np.array_equal(censored_h, free >= h) and np.array_equal(time, np.minimum(free, h))
+    assert np.array_equal(beta_h[~censored_h], beta[~censored_h]) and np.isnan(beta_h[censored_h]).all()
 
 
 def test_sample_first_collisions_needs_a_radius_it_can_reflect_off():

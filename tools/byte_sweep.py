@@ -15,7 +15,9 @@ interpreter on each tree's ``src``, and compares what the two runs wrote:
   ``--r 0.4,0.2,0.1 --t 4 --samples 9000 --workers 2`` and free-path's
   first collisions at ``--samples 20000 --workers 2``;
 - long histories: bg-convergence ``--sigma 4 --t 20 --r 0.1 --samples
-  1000``, with trapped replicas and long ``_explore`` histories.
+  1000``, with trapped replicas and long ``_explore`` histories, and export
+  ``--sigma 100 --t 5 --r 0.1``, one replica's path of 810 collisions, 806
+  of them recollisions, over as many rounds.
 
 For each file that moved it prints the case, the file, its sha256 in both
 trees and the first row where they differ.  It exits 0 when no file moved
@@ -68,6 +70,7 @@ def cases():
     yield "bg-convergence long histories", [
         "bg-convergence", "--sigma", "4", "--t", "20", "--r", "0.1", "--samples", "1000",
     ], REPORT
+    yield "export long path", ["export", "--sigma", "100", "--t", "5", "--r", "0.1"], ("traj.csv",)
 
 
 def run(tree: Path, argv: list[str], files: tuple[str, ...], out: Path) -> str | None:
