@@ -4,11 +4,13 @@ Collision times are solved exactly: the obstacle center is transported by
 the isometry that maps the current state onto the upward vertical geodesic
 through (0, 1), where the contact condition
 
-    (x^2 + e^{2u} + y^2) / (2 e^u y) = cosh r
+    (x^2 + (e^u - y)^2) / (2 e^u y) = cosh r - 1 = 2 sinh^2(r/2)
 
-is a quadratic in e^u.  Reflection is the Euclidean mirror across the
-tangent of the obstacle's Euclidean realization, which is specular in the
-hyperbolic sense because half-plane angles agree with Euclidean angles.
+is a quadratic in e^u.  Every contact and membership test compares cosh d - 1
+with cosh r - 1 in this form, which keeps its digits where cosh r rounds to 1.
+Reflection is the Euclidean mirror across the tangent of the obstacle's
+Euclidean realization, which is specular in the hyperbolic sense because
+half-plane angles agree with Euclidean angles.
 
 Trajectories are piecewise geodesics, right-continuous in direction at
 collision times.
@@ -59,11 +61,6 @@ __all__ = [
     "sample_first_collision",
     "sample_first_collisions",
 ]
-
-#: Tangency threshold of :func:`_hit_times`, relative to p^2: the fraction
-#: is tanh^2 of the half chord, and rounding alone makes p^2 - |t|^2 up to
-#: about 4 eps p^2, so chords shorter than about 6e-8 count as misses.
-DISC_TOL = 1e-15
 
 DEFAULT_MAX_EVENTS = 10**6
 
@@ -120,18 +117,24 @@ class Trajectory(_Record):
 # Exact collision solving
 # ---------------------------------------------------------------------------
 
-def _hit_times(a, b, c, d, cx, cy, cosh_r) -> np.ndarray:
-    """Forward hit times against disk centers from the state that the Mobius
-    map (a, b, c, d) of :func:`normalizing_coeffs` takes to ((0, 1), pi/2).
+def _coshm1(r):
+    """cosh r - 1, as 2 sinh^2(r/2): full precision where cosh r rounds to 1."""
+    return 2.0 * np.sinh(0.5 * r) ** 2
+
+
+def _hit_times(a, b, c, d, cx, cy, coshm1_r) -> np.ndarray:
+    """Forward hit times against disk centers, of cosh r - 1 = coshm1_r, from
+    the state that the Mobius map (a, b, c, d) of :func:`normalizing_coeffs`
+    takes to ((0, 1), pi/2).  The roots e^u = p -/+ sqrt(disc), p = ty cosh r,
+    need disc = ty^2 sinh^2 r - tx^2 > 0, formed without cancellation.
 
     Returns +inf where the trajectory misses (no real quadratic root
     strictly ahead of the particle, or a tangency).
     """
     tx, ty = mobius_xy(a, b, c, d, cx, cy)
-    p = ty * cosh_r
-    pp = p * p
-    disc = pp - (tx * tx + ty * ty)
-    ok = disc >= DISC_TOL * pp
+    p = ty * (1.0 + coshm1_r)
+    disc = ty * ty * coshm1_r * (2.0 + coshm1_r) - tx * tx
+    ok = disc > 0.0
     sq = np.sqrt(np.where(ok, disc, 0.0))
     w_lo = p - sq  # roots are real and positive: their product is |center|^2 > 0
     w = np.where(w_lo > 1.0, w_lo, p + sq)
@@ -143,15 +146,10 @@ def _hit_times(a, b, c, d, cx, cy, cosh_r) -> np.ndarray:
 
 def _check_reflection(caller: str, r: float) -> None:
     """Reflecting off radius-r obstacles needs cosh r above 1, that is
-    r > 2^-26.
-
-    The reflection's normal at an impact (x, y) on the disk of center
-    (cx, cy) is (x - cx, y - cy cosh r), a difference of coordinates about
-    y r apart, which rounding swamps as r shrinks.  Where cosh r rounds
-    to 1, the hit solve registers no contact and the lazy billiard never
-    counts a disk as explored.  From 2^-26 to about r = 3.33e-8 the
-    solve's tangency threshold still takes a head-on chord for a miss, so
-    bg-convergence and export paths at such r never recollide.
+    r > 2^-26.  The contact tests resolve any r > 0, but the reflection's
+    normal at an impact (x, y) on the disk of center (cx, cy) is
+    (x - cx, y - cy cosh r), coordinates about y r apart, so the impact
+    point's own rounding costs it about eps / r: at 2^-26, half its digits.
     """
     if math.cosh(r) == 1.0:
         raise ValidationError(
@@ -162,6 +160,7 @@ def _check_reflection(caller: str, r: float) -> None:
 
 def _reflect_angle(ix, iy, alpha_in, cx, cy, radius):
     """Mirror the direction angle across the obstacle tangent at (ix, iy)."""
+    # cosh r suffices: cy cosh r rounds no more than iy, which bounds the normal.
     ny = iy - cy * np.cosh(radius)
     nx = ix - cx
     norm = np.hypot(nx, ny)
@@ -182,7 +181,7 @@ def first_hit(s: State, ob: Obstacle) -> float | None:
         *normalizing_coeffs(s.point.x, s.point.y, s.dir.alpha),
         np.array([ob.center.x]),
         np.array([ob.center.y]),
-        math.cosh(ob.radius),
+        _coshm1(ob.radius),
     )[0]
     return float(t) if math.isfinite(t) else None
 
@@ -328,7 +327,7 @@ def simulate(
     """
     _check_field(s0, field, t_max)
     cx, cy, radius = field.centers[:, 0], field.centers[:, 1], field.radius
-    cosh_r = math.cosh(radius)
+    coshm1_r = _coshm1(radius)
     cy2 = cy * cy
 
     def step(live, x, y, alpha, t_left, last):
@@ -341,7 +340,7 @@ def simulate(
         cand = keep.nonzero()[0]
         if not cand.size:
             return np.full(1, math.inf), np.full(1, -1)
-        th = _hit_times(*normalizing_coeffs(x, y, alpha), cx[cand], cy[cand], cosh_r)
+        th = _hit_times(*normalizing_coeffs(x, y, alpha), cx[cand], cy[cand], coshm1_r)
         k = th.argmin()
         return th[k : k + 1], cand[k : k + 1]
 
@@ -359,7 +358,7 @@ def free_path(s0: State, field: ObstacleField, t_max: float) -> tuple[float, boo
     contact exactly at t_max is none, as in :func:`simulate`."""
     _check_field(s0, field, t_max)
     coeffs = normalizing_coeffs(s0.point.x, s0.point.y, s0.dir.alpha)
-    th = _hit_times(*coeffs, *field.centers.T, math.cosh(field.radius))
+    th = _hit_times(*coeffs, *field.centers.T, _coshm1(field.radius))
     t = float(th.min(initial=math.inf))
     return (t, False) if t < t_max else (t_max, True)
 
@@ -393,18 +392,18 @@ def recollision_count(traj: Trajectory) -> int:
 # Lazy exploration: the field revealed along the path
 # ---------------------------------------------------------------------------
 
-def _cosh_to_segment(x, y, length):
-    """cosh of the distance from (x, y) to the segment from (0, 1) to
+def _coshm1_to_segment(x, y, length):
+    """cosh d - 1, d the distance from (x, y) to the segment from (0, 1) to
     (0, e^length) of the vertical geodesic: distance along a geodesic is
     convex, so the nearest point is (0, e^s), s = clip(log |(x, y)|, 0, length).
 
     A point mapped from far enough away has y underflowing to 0, or so
     small that the quotient overflows: it lies farther from the segment
-    than floats reach, and its cosh is inf without a warning."""
-    ssq = x * x + y * y
-    w = np.exp(np.clip(0.5 * np.log(ssq), 0.0, length))
+    than floats reach, and its value is inf without a warning."""
+    xx = x * x
+    w = np.exp(np.clip(0.5 * np.log(xx + y * y), 0.0, length))
     with np.errstate(divide="ignore", over="ignore"):
-        return (ssq + w * w) / (2.0 * y * w)
+        return (xx + (y - w) ** 2) / (2.0 * y * w)
 
 
 def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=None):
@@ -434,10 +433,10 @@ def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=
     its generator in the same state.
     """
     rngs, sizes, lams, block_radii = zip(*blocks)
-    # The block, radius and cosh of the radius of each replica.
+    # The block, radius and cosh r - 1 of each replica.
     block = np.repeat(np.arange(len(blocks)), sizes)
     radii = np.repeat(block_radii, sizes)
-    cosh_radii = np.repeat([math.cosh(r) for r in block_radii], sizes)
+    coshm1_radii = np.repeat([_coshm1(r) for r in block_radii], sizes)
     n = block.size
     # hist[:, k, j]: a, b, c, d (normalizing_coeffs of the start) and length
     # of segment k of the j-th live replica, and the center it first met, or
@@ -453,11 +452,11 @@ def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=
     def step(live, x, y, alpha, t_left, last):
         nonlocal new
         m, rounds = live.size, hist.shape[1]
-        cosh_r = cosh_radii[live]
+        coshm1_r = coshm1_radii[live]
         coeffs = normalizing_coeffs(x, y, alpha)
         gap, idx = np.full(m, math.inf), np.full(m, -1)
         if rounds:
-            th = _hit_times(*coeffs, *hist[5:], cosh_r)  # (rounds, m), inf where none was met
+            th = _hit_times(*coeffs, *hist[5:], coshm1_r)  # (rounds, m), inf where none was met
             th[last, np.arange(m)] = math.inf  # every live replica has turned, last >= 0
             idx = th.argmin(axis=0)
             gap = th[idx, np.arange(m)]
@@ -474,7 +473,7 @@ def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=
             s[todo] = s_try
             _, _, _, cx, cy = _tube_hit(x[todo], y[todo], alpha[todo], s_try, psi, radii[live[todo]])
             a, b, c, d, length = hist[:5, :, todo]  # empty in round 0: nothing is explored yet
-            explored = _cosh_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < cosh_r[todo]
+            explored = _coshm1_to_segment(*mobius_xy(a, b, c, d, cx, cy), length) < coshm1_r[todo]
             fresh = ~explored.any(axis=0)
             gap[todo[fresh]], idx[todo[fresh]] = s_try[fresh], rounds
             new[5:, todo[fresh]] = cx[fresh], cy[fresh]

@@ -40,7 +40,8 @@ from .billiard import (
     _START,
     Trajectory,
     _check_reflection,
-    _cosh_to_segment,
+    _coshm1,
+    _coshm1_to_segment,
     _explore,
     _trajectory,
     position_at,
@@ -367,13 +368,13 @@ def _tube(blocks, t):
     """Whether each of m uniform draws from the ball enclosing the tube hits it.
 
     The tube around the unit-speed vertical geodesic from (0, 1) is tested
-    in closed form by :func:`_cosh_to_segment`.  The enclosing ball is
+    in closed form by :func:`_coshm1_to_segment`.  The enclosing ball is
     centered at the segment midpoint (0, e^{t/2}) with radius t/2 + r.
     """
     hits = []
     for rng, m, r in blocks:
         pts = sample_annulus(Point(0.0, math.exp(0.5 * t)), 0.0, 0.5 * t + r, rng, m)
-        hits.append(_cosh_to_segment(pts[:, 0], pts[:, 1], t) < math.cosh(r))
+        hits.append(_coshm1_to_segment(pts[:, 0], pts[:, 1], t) < _coshm1(r))
     return (np.concatenate(hits),)
 
 
@@ -509,7 +510,7 @@ def _drive_flight_baseline(cfg: ExperimentConfig, run: _Runner) -> list[LevelSta
 #: paths stop at the event cap; and whether it reflects, and so needs r >
 #: 2^-26 (:func:`_check_reflection`).  A path from (0, 1) reaches heights of
 #: e^t, and centers within r of it (or tube-mc's draws) e^{t + r}.
-#: :func:`_cosh_to_segment` and bg-convergence's distances square them, which
+#: :func:`_coshm1_to_segment` and bg-convergence's distances square them, which
 #: overflows once t + r passes 354.5 (r small) to 354.9 (r large).
 #: flight-baseline squares nothing, but its flow's e^t overflows past t = 709.78.
 _COMMANDS = {

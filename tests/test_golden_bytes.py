@@ -44,24 +44,24 @@ GOLDEN = {
     ("tube-mc", 1, "levels.csv"): "ec6f04e6e5594e6a612dbaf5b3a7a058691db469ec3eb288c1268c563da4046a",
     ("tube-mc", 2, "report.json"): "26550b35085f49d6279fd44808767e83de8f7a4c9a1cc7d56da1c478302e6a1f",
     ("tube-mc", 2, "levels.csv"): "e44e4a38f186c012424ae9e9a168714f13ecec43014cd73ea782cdc32aaed8b4",
-    ("bg-convergence", 0, "report.json"): "37e0a77769bab5eb02636f634608d5753fe5ee5f9957ebcfb1cb41dba66ff128",
-    ("bg-convergence", 0, "levels.csv"): "5a80d4ff676e52e4a2e333c9281976ab820c2a46f8b7d7d17e37250ffd3eb39a",
-    ("bg-convergence", 1, "report.json"): "08dbc564fcc689f1f7a2495242be2ec4eca54e92cee53804aa0c3b88d0a55bf3",
-    ("bg-convergence", 1, "levels.csv"): "026ab1ac0ed6c8e0b2badf9d26551a4c0bd9446bcc695a381e5f5db61ac9c76f",
-    ("bg-convergence", 2, "report.json"): "9e1ef1ce0a9bd79a9ab610e2713f6fc5b7c0c91ca4b8d2cb42cc7c1b8df85ce9",
-    ("bg-convergence", 2, "levels.csv"): "db2cfe4eb482de2f7f5b318e4abab6f282960bf51ba3ff1c97d466b94a3079e5",
+    ("bg-convergence", 0, "report.json"): "91aefdbe925cbe82c203341fa64568f5217cbc0cc70767afc7262049a65a3937",
+    ("bg-convergence", 0, "levels.csv"): "fc3500cf2721f8c968f036448746a5ece663d313dc1a797a803953b607bedc9a",
+    ("bg-convergence", 1, "report.json"): "3f216f2be6bd777892d1371f5b5d4db6e6aa57c6a8437a74b846f745d6a4f6a0",
+    ("bg-convergence", 1, "levels.csv"): "5dd14e4d352e24bd038c00d10fe81ab24317e3b24d660465d40b33a0de5beebc",
+    ("bg-convergence", 2, "report.json"): "899022f0e63927c6f33a8f90830a7fb5f531bc6edb160dd2df89bb7df03d7555",
+    ("bg-convergence", 2, "levels.csv"): "5037a1e738ca8d7dc88ffa9b7ea4e9bdaa3249ada15a58bf9a3b26249639ab5f",
     ("flight-baseline", 0, "report.json"): "1ee99e6f4f57978e3c924b945e5ef90e01c9a426a4d421d816ddec1bc72c19bb",
     ("flight-baseline", 0, "levels.csv"): "87bd06677d4e19a95026c4e6859b237245bf7eb692b6f0948339e9266b1e71c0",
     ("flight-baseline", 1, "report.json"): "e7a13cd4ca5cfea998dd6433e2cb9596eea6398e80917ed6d9879d1f07b6a2d1",
     ("flight-baseline", 1, "levels.csv"): "2950407ce8a11f887aef3c22d2d28b62764602b1ac11321923e3d11821648f55",
     ("flight-baseline", 2, "report.json"): "6eca8e3e6bee547e5d3d0a6f7f99bb82ac932a84cbb3c209b792abe26da3a281",
     ("flight-baseline", 2, "levels.csv"): "637de51c19c7080ca7cd5c7d215833d0d89a8273d0892e219e41c82cfb83449a",
-    ("export", 0, "model=halfplane"): "bbc579ef1574844d14952c85e600b87cf3119bfa4374db4afd8fa0c873df6f35",
-    ("export", 1, "model=halfplane"): "349e4ae600e8ed8904d8c278dc4f6f045062d3960ac0342bb91b7229f706e05d",
-    ("export", 2, "model=halfplane"): "007059c9ab8bdd33b370bd0a80e3e2f70c1d125d6b4ea0b84780c94483df7b88",
-    ("export", 0, "model=disk"): "63a4756f6ee5c683aa9ab5272c29e60cc66b4167c86e4f660184092534479a2c",
-    ("export", 1, "model=disk"): "cafbe769ec24d30427291bac43c882fad04691283f5c3524e55856248ad084eb",
-    ("export", 2, "model=disk"): "e9212c22f2563663f772ab4ddb0dca08916f5a02a458041f4f6cecadcce90956",
+    ("export", 0, "model=halfplane"): "90f1fec268b5f2b6ea0c850f87473468ad4af7b5158c69feb57a1e6a4cf8c1a8",
+    ("export", 1, "model=halfplane"): "1fa779e8f5ff7b142576b2ec05455eaa7f5921aa02dde412c8c38d19567715d9",
+    ("export", 2, "model=halfplane"): "ef1554860e283176abcaf6e5d8fd838f3d7cb9519a26153472336df0a989059e",
+    ("export", 0, "model=disk"): "3422ae19047b084c419f64224cd98723f5b3219d07fdf7123eaf8a6635c75cae",
+    ("export", 1, "model=disk"): "012656904d4dc677213880bae8a459e612b12252800b12637dd085e19909862d",
+    ("export", 2, "model=disk"): "286f7d570a190b94c402d1e05bff14f3270638f0d91c4f748d822ffc94f105e2",
 }
 
 

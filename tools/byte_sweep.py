@@ -17,7 +17,10 @@ interpreter on each tree's ``src``, and compares what the two runs wrote:
 - long histories: bg-convergence ``--sigma 4 --t 20 --r 0.1 --samples
   1000``, with trapped replicas and long ``_explore`` histories, and export
   ``--sigma 100 --t 5 --r 0.1``, one replica's path of 810 collisions, 806
-  of them recollisions, over as many rounds.
+  of them recollisions, over as many rounds;
+- a small radius: export ``--sigma 2000 --t 1 --r 3e-8``, a path of about
+  2 000 collisions among obstacles where cosh r rounds to within a few
+  ulps of 1, whose contact and membership tests must still resolve r.
 
 For each file that moved it prints the case, the file, its sha256 in both
 trees and the first row where they differ.  It exits 0 when no file moved
@@ -71,6 +74,7 @@ def cases():
         "bg-convergence", "--sigma", "4", "--t", "20", "--r", "0.1", "--samples", "1000",
     ], REPORT
     yield "export long path", ["export", "--sigma", "100", "--t", "5", "--r", "0.1"], ("traj.csv",)
+    yield "export small radius", ["export", "--sigma", "2000", "--t", "1", "--r", "3e-8"], ("traj.csv",)
 
 
 def run(tree: Path, argv: list[str], files: tuple[str, ...], out: Path) -> str | None:
