@@ -28,7 +28,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import RegionTooSmallError, RunawayError, ValidationError
+from .errors import RegionTooSmallError, RunawayError, ValidationError, _positive
 from .geometry import (
     TWO_PI,
     Direction,
@@ -38,6 +38,7 @@ from .geometry import (
     ball_area,
     distance_xy,
     flow_ahead,
+    flow_state,
     flow_xy,
     hyp_distance,
     mobius_xy,
@@ -75,8 +76,7 @@ class Obstacle(_Record):
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ValueError(f"obstacle radius must be positive, got {self.radius}")
+        _positive("obstacle radius", self.radius)
 
 
 class CollisionEvent(_Record):
@@ -90,8 +90,7 @@ class CollisionEvent(_Record):
     obstacle_index: int
 
     def __post_init__(self):
-        if self.time <= 0.0:
-            raise ValueError(f"collision time must be positive, got {self.time}")
+        _positive("collision time", self.time)
         object.__setattr__(self, "deflection", self.deflection % TWO_PI)
 
 
@@ -103,8 +102,7 @@ class Trajectory(_Record):
     events: tuple[CollisionEvent, ...]
 
     def __post_init__(self):
-        if not (self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        _positive("horizon", self.horizon)
         object.__setattr__(self, "events", tuple(self.events))
         times = [e.time for e in self.events]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
@@ -198,10 +196,9 @@ def reflect(impact: Point, incoming: Direction, ob: Obstacle) -> Direction:
 def tube_area(t: float, r: float) -> float:
     """Hyperbolic area swept by a disk of radius r moved along a geodesic
     segment of length t: 4*pi*sinh^2(r/2) + 2*t*sinh(r)."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"segment length must be nonnegative, got {t}")
-    if r <= 0.0:
-        raise ValueError(f"tube radius must be positive, got {r}")
+    _positive("tube radius", r)
     return ball_area(r) + 2.0 * t * math.sinh(r)
 
 
@@ -210,8 +207,7 @@ def tube_area(t: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_field(s0: State, field: ObstacleField, t_max: float):
-    if t_max <= 0.0:
-        raise ValueError(f"horizon must be positive, got {t_max}")
+    _positive("horizon", t_max)
     needed = hyp_distance(s0.point, field.region.center) + t_max + field.radius
     if field.region.outer < needed - 1e-9:
         raise RegionTooSmallError(
@@ -328,13 +324,13 @@ def simulate(
     _check_field(s0, field, t_max)
     cx, cy, radius = field.centers[:, 0], field.centers[:, 1], field.radius
     coshm1_r = _coshm1(radius)
-    cy2 = cy * cy
 
     def step(live, x, y, alpha, t_left, last):
         # One replica: numpy is cheaper on Python floats than on 1-element arrays.
         x, y, alpha, t_left, last = x.item(), y.item(), alpha.item(), t_left.item(), last.item()
-        # cosh d(current, center) <= cosh(t_left + r), times 2 y cy
-        keep = (x - cx) ** 2 + cy2 <= (2.0 * y * math.cosh(t_left + radius)) * cy - y * y
+        # cosh d(current, center) - 1 <= cosh(t_left + r) - 1, times 2 y cy
+        s = math.sinh(0.5 * (t_left + radius))
+        keep = (x - cx) ** 2 + (y - cy) ** 2 <= (4.0 * y * s * s) * cy
         if last >= 0:
             keep[last] = False
         cand = keep.nonzero()[0]
@@ -373,8 +369,7 @@ def position_at(traj: Trajectory, t: float) -> State:
     else:
         ev = traj.events[k - 1]
         base, t0 = State(ev.impact_point, ev.post_dir), ev.time
-    x, y, alpha = flow_ahead(base.point.x, base.point.y, base.dir.alpha, t - t0)
-    return State(Point(float(x), float(y)), Direction(float(alpha)))
+    return flow_state(base, t - t0)
 
 
 def recollision_count(traj: Trajectory) -> int:
@@ -541,6 +536,10 @@ def sample_first_collisions(
     flow's rounding, which grows as e^t.  A radius where cosh r rounds to 1
     raises ValueError (see :func:`_check_reflection`).
     """
+    _positive("intensity", lam)
+    _positive("obstacle radius", radius)
+    if horizon != math.inf:  # +inf censors nothing
+        _positive("horizon", horizon)
     _check_reflection("sample_first_collisions", radius)
     free, psi = _first_contacts(rng, lam, radius, size)
     time, censored = np.minimum(free, horizon), free >= horizon

@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
                 hw = f" +/-{s.half_width:.3g}" if s.half_width is not None else ""
                 print(f"  {tag}{s.stat_name} = {s.value:.6g}{hw} (n={s.n})")
             print(f"report written to {cfg.output_dir}/report.json")
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:  # ValidationError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures: runaway loops, I/O, ...

@@ -48,7 +48,7 @@ from .billiard import (
     sample_first_collisions,
     tube_area,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _positive
 from .flight import FlightConfig, _flight_ends, sample_deflection, simulate_flight
 from .geometry import (
     TWO_PI,
@@ -103,17 +103,16 @@ def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]
     """Refuse a sigma, t or r level that ``command`` cannot run, before it
     samples; the rules that differ between commands are its entry of ``_COMMANDS``."""
     _, bound, why, counts, reflects = _COMMANDS[command]
-    for name, value in (("sigma", sigma), ("t", t)):
-        if not (0.0 < value < math.inf):
-            raise ValidationError(f"{name} must be positive and finite, got {value}")
+    _positive("sigma", sigma)
+    _positive("t", t)
     # A path turns about Poisson(sigma t) times, and a run stops at the event cap.
     if counts and sigma * t >= DEFAULT_MAX_EVENTS:
         raise ValidationError(
             f"sigma * t = {sigma * t:g} {counts}; "
             f"{command} needs it below the cap of {DEFAULT_MAX_EVENTS} events a path"
         )
-    if not all(math.isfinite(r) for r in r_levels):
-        raise ValidationError("r levels must be finite")
+    for r in r_levels:
+        _positive("r", r)
     past = f"{command} needs at most {bound:g}, or {why}"
     if command == "flight-baseline":
         if not t <= bound:
@@ -121,8 +120,6 @@ def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]
         return
     if not r_levels:
         raise ValidationError(f"{command} needs at least one r level")
-    if any(r <= 0.0 for r in r_levels):
-        raise ValidationError("r levels must be positive")
     for r in r_levels:
         try:
             lam = lambda_for(sigma, r)
@@ -173,10 +170,7 @@ class ExperimentConfig(_Record):
             )
         object.__setattr__(self, "r_levels", tuple(float(r) for r in self.r_levels))
         for name in ("samples", "seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
         if self.experiment == "flight-baseline" and self.samples < 2:

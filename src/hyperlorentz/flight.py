@@ -24,6 +24,7 @@ from .billiard import (
     _trajectory,
     position_at,
 )
+from .errors import _positive
 # flow_xy is unused here but stays importable: perfbench/tracing.py patches it.
 from .geometry import TWO_PI, State, _Record, flow_xy, hyp_distance  # noqa: F401
 
@@ -37,10 +38,8 @@ class FlightConfig(_Record):
     horizon: float
 
     def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ValueError(f"collision rate must be positive, got {self.sigma}")
-        if not (self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        _positive("collision rate", self.sigma)
+        _positive("horizon", self.horizon)
 
 
 def sample_deflection(rng: np.random.Generator, size: int | None = None):

@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .errors import _positive
+
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
@@ -256,8 +258,7 @@ class HypCircle(_Record):
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"circle radius must be positive, got {self.radius}")
+        _positive("circle radius", self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def hyp_distance(p1: Point, p2: Point) -> float:
 
 def ball_area(eta: float) -> float:
     """Area of a hyperbolic disk of radius eta: 4*pi*sinh^2(eta/2)."""
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {eta}")
     s = math.sinh(0.5 * eta)
     return 4.0 * math.pi * s * s

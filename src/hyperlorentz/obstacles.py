@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleFieldError
+from .errors import InfeasibleFieldError, ValidationError, _integer, _positive
 from .geometry import Point, _Record, ball_area, distance_xy, flow_xy
 
 __all__ = [
@@ -52,8 +52,7 @@ class BallRegion(_Record):
     exclusion: float = 0.0
 
     def __post_init__(self):
-        if not (self.outer > 0.0 and math.isfinite(self.outer)):
-            raise ValueError(f"outer radius must be positive, got {self.outer}")
+        _positive("outer radius", self.outer)
         if not (0.0 <= self.exclusion < self.outer):
             raise ValueError(
                 f"exclusion radius must satisfy 0 <= exclusion < outer, got {self.exclusion}"
@@ -85,10 +84,8 @@ class ObstacleField(_Record):
         if centers.ndim != 2 or centers.shape[1] != 2:
             raise ValueError(f"centers must be an (n, 2) array, got shape {centers.shape}")
         object.__setattr__(self, "centers", centers)
-        if not (self.radius > 0.0):
-            raise ValueError(f"obstacle radius must be positive, got {self.radius}")
-        if not (self.intensity > 0.0):
-            raise ValueError(f"intensity must be positive, got {self.intensity}")
+        _positive("obstacle radius", self.radius)
+        _positive("intensity", self.intensity)
         region = self.region
         d = distance_xy(centers[:, 0], centers[:, 1], region.center.x, region.center.y)
         if np.any(d <= region.exclusion - _REGION_TOL) or np.any(d > region.outer + _REGION_TOL):
@@ -122,8 +119,7 @@ class PotentialProfile(_Record):
     values: Callable[[float], float]
 
     def __post_init__(self):
-        if not (self.support_radius > 0.0):
-            raise ValueError(f"support radius must be positive, got {self.support_radius}")
+        _positive("support radius", self.support_radius)
         for frac in (0.1, 0.5, 0.9):
             if self.values(frac * self.support_radius) < 0.0:
                 raise ValueError("profile takes a negative value inside its support")
@@ -173,8 +169,7 @@ def sample_uniform_in_ball(
 
     Returns a Point when size is None, else an (size, 2) array.
     """
-    if not (R > 0.0):
-        raise ValueError(f"ball radius must be positive, got {R}")
+    _positive("ball radius", R)
     pts = sample_annulus(center, 0.0, R, rng, 1 if size is None else size)
     if size is None:
         return Point(float(pts[0, 0]), float(pts[0, 1]))
@@ -198,14 +193,10 @@ def sample_field(
     exclusion radius, the standard choice for billiard runs.
     """
     if radius is None:
-        if exclusion <= 0.0:
-            raise ValueError("an obstacle radius is required when sampling with no exclusion")
         radius = exclusion
-    if not (radius > 0.0):
-        raise ValueError(f"obstacle radius must be positive, got {radius}")
+    _positive("obstacle radius", radius)
     region = BallRegion(center, R, exclusion)
-    if not (lam > 0.0):
-        raise ValueError(f"intensity must be positive, got {lam}")
+    _positive("intensity", lam)
     expected = lam * region.area
     if expected > COUNT_CAP:
         raise InfeasibleFieldError(
@@ -225,10 +216,9 @@ def nearest_neighbor_tail(eta, lam: float, k: int = 1):
     Equals the Poisson CDF at k-1 with mean mu = 4*pi*lam*sinh^2(eta/2),
     sum_{j<k} e^{-mu} mu^j / j!, summed term by term; k is an integer >= 1.
     """
-    if lam <= 0.0:
-        raise ValueError(f"intensity must be positive, got {lam}")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"neighbor order must be an integer >= 1, got {k!r}")
+    _positive("intensity", lam)
+    if _integer("neighbor order", k) < 1:
+        raise ValidationError(f"neighbor order must be >= 1, got {k!r}")
     mu = 4.0 * math.pi * lam * np.sinh(np.asarray(eta, dtype=float) / 2.0) ** 2
     term = out = np.exp(-mu)
     for j in range(1, k):
@@ -244,8 +234,7 @@ def expected_T1(lam: float) -> float:
     trapezoid rule up to where the tail falls below e^-40.  The tail is even
     and analytic in eta, so the rule converges geometrically in its step.
     """
-    if lam <= 0.0:
-        raise ValueError(f"intensity must be positive, got {lam}")
+    _positive("intensity", lam)
     top = 2.0 * math.asinh(math.sqrt(40.0 / (4.0 * math.pi * lam)))
     h = min(0.25, top / 32.0)
     eta = h * np.arange(math.ceil(top / h) + 1)

@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import _integer
+
 __all__ = ["ks_statistic", "wasserstein1", "bootstrap_half_width_w1"]
 
 
@@ -97,7 +99,7 @@ def bootstrap_half_width_w1(
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or a.shape != b.shape or a.ndim != 1:
         raise ValueError("bootstrap_half_width_w1 expects two nonempty equal-length 1-d samples")
-    if n_boot < 1:
+    if _integer("n_boot", n_boot) < 1:
         raise ValueError(f"bootstrap needs at least one resample, got n_boot={n_boot}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"bootstrap level must lie strictly between 0 and 1, got {level}")

@@ -4,8 +4,9 @@ Each is built by position or keyword, fills its defaults, runs the checks
 and normalizations of its ``__post_init__``, prints, compares, hashes,
 pickles and copies by its fields, refuses assignment and deletion, and
 rejects a bad call with the TypeError of a plain ``__init__``.  Every
-expected text here was printed by the ``@dataclass(frozen=True)`` classes
-that these records replaced, so a record keeps the behavior its users saw.
+expected repr and TypeError here was printed by the ``@dataclass(frozen=True)``
+classes that these records replaced, so a record keeps the behavior its
+users saw.  ``CHECKS`` also holds the package's other input checks.
 """
 
 import copy
@@ -35,8 +36,18 @@ from hyperlorentz import (
     State,
     Trajectory,
     ValidationError,
+    ball_area,
+    bootstrap_half_width_w1,
+    expected_T1,
+    free_path,
+    nearest_neighbor_tail,
     sample_field,
+    sample_uniform_in_ball,
+    simulate,
+    simulate_flight,
+    tube_area,
 )
+from hyperlorentz.billiard import sample_first_collisions
 
 TWO_PI = 2.0 * math.pi
 
@@ -269,6 +280,15 @@ def _config(**change):
     return ExperimentConfig(**{**args, **change})
 
 
+def _rng():
+    return np.random.default_rng(0)
+
+
+FIELD = ObstacleField([[0.0, 1.5]], 0.1, 1.0, BallRegion(C, 3.0))
+
+# Every check on a constructor's or a function's input, with the error and
+# message it raises.  Each positive rate, radius, intensity and time goes
+# through errors._positive, and each count through errors._integer.
 CHECKS = [
     (lambda: Point(math.inf, 1.0), ValueError, "point coordinates must be finite, got (inf, 1.0)"),
     (lambda: Point(0.0, math.nan), ValueError, "point coordinates must be finite, got (0.0, nan)"),
@@ -284,10 +304,13 @@ CHECKS = [
         ValueError,
         "Mobius coefficients must have positive determinant, got inf",
     ),
-    (lambda: HypCircle(P, 0.0), ValueError, "circle radius must be positive, got 0.0"),
-    (lambda: HypCircle(P, math.inf), ValueError, "circle radius must be positive, got inf"),
-    (lambda: BallRegion(C, 0.0), ValueError, "outer radius must be positive, got 0.0"),
-    (lambda: BallRegion(C, math.inf), ValueError, "outer radius must be positive, got inf"),
+    (lambda: HypCircle(P, 0.0), ValidationError, "circle radius must be positive and finite, got 0.0"),
+    (lambda: HypCircle(P, math.inf), ValidationError, "circle radius must be positive and finite, got inf"),
+    (lambda: HypCircle(P, math.nan), ValidationError, "circle radius must be positive and finite, got nan"),
+    (lambda: ball_area(math.nan), ValueError, "radius must be nonnegative, got nan"),
+    (lambda: BallRegion(C, 0.0), ValidationError, "outer radius must be positive and finite, got 0.0"),
+    (lambda: BallRegion(C, math.inf), ValidationError, "outer radius must be positive and finite, got inf"),
+    (lambda: BallRegion(C, math.nan), ValidationError, "outer radius must be positive and finite, got nan"),
     (
         lambda: BallRegion(C, 1.0, 1.0),
         ValueError,
@@ -305,13 +328,23 @@ CHECKS = [
     ),
     (
         lambda: ObstacleField([[0.0, 1.0]], 0.0, 1.0, REGION),
-        ValueError,
-        "obstacle radius must be positive, got 0.0",
+        ValidationError,
+        "obstacle radius must be positive and finite, got 0.0",
+    ),
+    (
+        lambda: ObstacleField([[0.0, 1.0]], math.nan, 1.0, REGION),
+        ValidationError,
+        "obstacle radius must be positive and finite, got nan",
     ),
     (
         lambda: ObstacleField([[0.0, 1.0]], 0.1, 0.0, REGION),
-        ValueError,
-        "intensity must be positive, got 0.0",
+        ValidationError,
+        "intensity must be positive and finite, got 0.0",
+    ),
+    (
+        lambda: ObstacleField([[0.0, 1.0]], 0.1, math.inf, REGION),
+        ValidationError,
+        "intensity must be positive and finite, got inf",
     ),
     (
         lambda: ObstacleField([[0.0, 50.0]], 0.1, 1.0, REGION),
@@ -323,7 +356,16 @@ CHECKS = [
         ValueError,
         "field has centers outside its sampling region",
     ),
-    (lambda: PotentialProfile(0.0, Ramp()), ValueError, "support radius must be positive, got 0.0"),
+    (
+        lambda: PotentialProfile(0.0, Ramp()),
+        ValidationError,
+        "support radius must be positive and finite, got 0.0",
+    ),
+    (
+        lambda: PotentialProfile(math.inf, Ramp()),
+        ValidationError,
+        "support radius must be positive and finite, got inf",
+    ),
     (
         lambda: PotentialProfile(1.0, lambda eta: -1.0 if eta < 1.0 else 0.0),
         ValueError,
@@ -334,9 +376,65 @@ CHECKS = [
         ValueError,
         "profile does not vanish beyond its support radius",
     ),
-    (lambda: Obstacle(P, 0.0), ValueError, "obstacle radius must be positive, got 0.0"),
-    (lambda: CollisionEvent(0.0, P, D, D, 0.0, 0), ValueError, "collision time must be positive, got 0.0"),
-    (lambda: Trajectory(State(P, D), 0.0, ()), ValueError, "horizon must be positive, got 0.0"),
+    (
+        lambda: sample_uniform_in_ball(C, 0.0, _rng()),
+        ValidationError,
+        "ball radius must be positive and finite, got 0.0",
+    ),
+    (
+        lambda: sample_field(1.0, C, 2.0, 0.0, _rng()),
+        ValidationError,
+        "obstacle radius must be positive and finite, got 0.0",
+    ),
+    (
+        lambda: sample_field(1.0, C, 2.0, 0.0, _rng(), math.nan),
+        ValidationError,
+        "obstacle radius must be positive and finite, got nan",
+    ),
+    (
+        lambda: sample_field(0.0, C, 2.0, 0.1, _rng()),
+        ValidationError,
+        "intensity must be positive and finite, got 0.0",
+    ),
+    (
+        lambda: nearest_neighbor_tail(1.0, math.nan),
+        ValidationError,
+        "intensity must be positive and finite, got nan",
+    ),
+    (
+        lambda: nearest_neighbor_tail(1.0, 1.0, 1.5),
+        ValidationError,
+        "neighbor order must be an integer, got 1.5",
+    ),
+    (
+        lambda: nearest_neighbor_tail(1.0, 1.0, True),
+        ValidationError,
+        "neighbor order must be an integer, got True",
+    ),
+    (lambda: nearest_neighbor_tail(1.0, 1.0, 0), ValidationError, "neighbor order must be >= 1, got 0"),
+    (lambda: expected_T1(math.nan), ValidationError, "intensity must be positive and finite, got nan"),
+    (lambda: Obstacle(P, 0.0), ValidationError, "obstacle radius must be positive and finite, got 0.0"),
+    (lambda: Obstacle(P, math.inf), ValidationError, "obstacle radius must be positive and finite, got inf"),
+    (
+        lambda: CollisionEvent(0.0, P, D, D, 0.0, 0),
+        ValidationError,
+        "collision time must be positive and finite, got 0.0",
+    ),
+    (
+        lambda: CollisionEvent(math.nan, P, D, D, 0.0, 0),
+        ValidationError,
+        "collision time must be positive and finite, got nan",
+    ),
+    (
+        lambda: Trajectory(State(P, D), 0.0, ()),
+        ValidationError,
+        "horizon must be positive and finite, got 0.0",
+    ),
+    (
+        lambda: Trajectory(State(P, D), math.inf, ()),
+        ValidationError,
+        "horizon must be positive and finite, got inf",
+    ),
     (
         lambda: Trajectory(State(P, D), 5.0, (EVENT, EVENT)),
         ValueError,
@@ -347,8 +445,50 @@ CHECKS = [
         ValueError,
         "collision times must lie strictly before the horizon",
     ),
-    (lambda: FlightConfig(0.0, 1.0), ValueError, "collision rate must be positive, got 0.0"),
-    (lambda: FlightConfig(1.0, math.nan), ValueError, "horizon must be positive, got nan"),
+    (lambda: tube_area(math.nan, 0.5), ValueError, "segment length must be nonnegative, got nan"),
+    (lambda: tube_area(1.0, math.nan), ValidationError, "tube radius must be positive and finite, got nan"),
+    (
+        lambda: free_path(State(C, D), FIELD, math.nan),
+        ValidationError,
+        "horizon must be positive and finite, got nan",
+    ),
+    (
+        lambda: simulate(State(C, D), FIELD, 0.0),
+        ValidationError,
+        "horizon must be positive and finite, got 0.0",
+    ),
+    (
+        lambda: sample_first_collisions(-1.0, 0.5, 1.0, _rng(), 3),
+        ValidationError,
+        "intensity must be positive and finite, got -1.0",
+    ),
+    (
+        lambda: sample_first_collisions(1.0, math.nan, 1.0, _rng(), 3),
+        ValidationError,
+        "obstacle radius must be positive and finite, got nan",
+    ),
+    (
+        lambda: sample_first_collisions(1.0, 0.5, math.nan, _rng(), 3),
+        ValidationError,
+        "horizon must be positive and finite, got nan",
+    ),
+    (lambda: FlightConfig(0.0, 1.0), ValidationError, "collision rate must be positive and finite, got 0.0"),
+    (lambda: FlightConfig(1.0, math.nan), ValidationError, "horizon must be positive and finite, got nan"),
+    (
+        lambda: simulate_flight(State(C, D), FlightConfig(math.inf, 1.0), _rng()),
+        ValidationError,
+        "collision rate must be positive and finite, got inf",
+    ),
+    (
+        lambda: bootstrap_half_width_w1([1.0, 2.0], [1.5, 3.0], _rng(), n_boot=2.5),
+        ValidationError,
+        "n_boot must be an integer, got 2.5",
+    ),
+    (
+        lambda: Report("deflection", {}, (LEVEL,), 7, None).stat("ks_exp", 0.25),
+        KeyError,
+        "no statistic 'ks_exp' at level r=0.25",
+    ),
     (
         lambda: _config(experiment="bogus"),
         ValidationError,
@@ -367,9 +507,9 @@ CHECKS = [
     (lambda: _config(workers=0), ValidationError, "workers must be >= 1, got 0"),
     (lambda: _config(sigma=0.0), ValidationError, "sigma must be positive and finite, got 0.0"),
     (lambda: _config(t=math.inf), ValidationError, "t must be positive and finite, got inf"),
-    (lambda: _config(r_levels=(0.5, math.nan)), ValidationError, "r levels must be finite"),
+    (lambda: _config(r_levels=(0.5, math.nan)), ValidationError, "r must be positive and finite, got nan"),
     (lambda: _config(r_levels=()), ValidationError, "deflection needs at least one r level"),
-    (lambda: _config(r_levels=(0.5, -0.1)), ValidationError, "r levels must be positive"),
+    (lambda: _config(r_levels=(0.5, -0.1)), ValidationError, "r must be positive and finite, got -0.1"),
     (
         lambda: _config(r_levels=(800.0,)),
         ValidationError,
