@@ -28,13 +28,13 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import RegionTooSmallError, RunawayError, ValidationError, _positive
+from .errors import RegionTooSmallError, RunawayError, ValidationError, _integer, _positive
 from .geometry import (
-    TWO_PI,
     Direction,
     Point,
     State,
     _Record,
+    _wrap,
     ball_area,
     distance_xy,
     flow_ahead,
@@ -80,7 +80,8 @@ class Obstacle(_Record):
 
 
 class CollisionEvent(_Record):
-    """One reflection: when, where, and how the direction turned."""
+    """One reflection: when, where, and how the direction turned; the
+    deflection, like every angle, lies in [0, 2*pi) by :func:`geometry._wrap`."""
 
     time: float
     impact_point: Point
@@ -91,7 +92,7 @@ class CollisionEvent(_Record):
 
     def __post_init__(self):
         _positive("collision time", self.time)
-        object.__setattr__(self, "deflection", self.deflection % TWO_PI)
+        object.__setattr__(self, "deflection", _wrap(self.deflection))
 
 
 class Trajectory(_Record):
@@ -165,7 +166,7 @@ def _reflect_angle(ix, iy, alpha_in, cx, cy, radius):
     nx, ny = nx / norm, ny / norm
     vx, vy = np.cos(alpha_in), np.sin(alpha_in)
     dot = vx * nx + vy * ny
-    return np.arctan2(vy - 2.0 * dot * ny, vx - 2.0 * dot * nx) % TWO_PI
+    return _wrap(np.arctan2(vy - 2.0 * dot * ny, vx - 2.0 * dot * nx))
 
 
 def first_hit(s: State, ob: Obstacle) -> float | None:
@@ -282,7 +283,6 @@ def _run_events(s0: State, n: int, horizon: float, step, turn, max_events: int, 
         if record is not None:
             record.append((live, t_now, ix, iy, pre, post, idx))
     x, y, alpha, t_now = end
-    alpha[alpha >= TWO_PI] = 0.0  # as Direction stores an angle that rounds up to 2*pi
     return (*flow_xy(x, y, alpha, horizon - t_now), events)
 
 
@@ -540,11 +540,13 @@ def sample_first_collisions(
     _positive("obstacle radius", radius)
     if horizon != math.inf:  # +inf censors nothing
         _positive("horizon", horizon)
+    if _integer("size", size) < 0:
+        raise ValidationError(f"size must be >= 0, got {size!r}")
     _check_reflection("sample_first_collisions", radius)
     free, psi = _first_contacts(rng, lam, radius, size)
     time, censored = np.minimum(free, horizon), free >= horizon
     ix, iy, pre, cx, cy = _tube_hit(_START.point.x, _START.point.y, _START.dir.alpha, 0.0, psi, radius)
-    beta = (_reflect_angle(ix, iy, pre, cx, cy, radius) - pre) % TWO_PI
+    beta = _wrap(_reflect_angle(ix, iy, pre, cx, cy, radius) - pre)
     return time, np.where(censored, np.nan, beta), censored
 
 

@@ -54,6 +54,7 @@ from .geometry import (
     TWO_PI,
     Point,
     _Record,
+    _wrap,
     ball_area,
     cayley,
     cayley_angle_shift,
@@ -659,7 +660,7 @@ def export_trajectory(traj: Trajectory, model: str, dest: str | Path) -> Path:
         x, y, alpha = s.point.x, s.point.y, s.dir.alpha
         if model == "disk":
             x, y = cayley(s.point)
-            alpha = (alpha + cayley_angle_shift(s.point)) % TWO_PI
+            alpha = _wrap(alpha + cayley_angle_shift(s.point))
         table.append((t, x, y, alpha, flag))
     dest = Path(dest)
     _write_files(dest.parent, {dest.name: _csv(("t", "x", "y", "alpha", "event"), table)})

@@ -24,9 +24,9 @@ from .billiard import (
     _trajectory,
     position_at,
 )
-from .errors import _positive
+from .errors import ValidationError, _integer, _positive
 # flow_xy is unused here but stays importable: perfbench/tracing.py patches it.
-from .geometry import TWO_PI, State, _Record, flow_xy, hyp_distance  # noqa: F401
+from .geometry import State, _Record, _wrap, flow_xy, hyp_distance  # noqa: F401
 
 __all__ = ["FlightConfig", "sample_deflection", "simulate_flight", "flight_displacement"]
 
@@ -47,6 +47,8 @@ def sample_deflection(rng: np.random.Generator, size: int | None = None):
 
     Exact inversion of the CDF sin^2(beta/4): beta = 4*arcsin(sqrt(U)).
     """
+    if size is not None and _integer("size", size) < 0:
+        raise ValidationError(f"size must be >= 0, got {size!r}")
     return _deflection(rng.random(size))
 
 
@@ -96,7 +98,7 @@ def _flight_ends(blocks, cfg: FlightConfig, max_events: int = DEFAULT_MAX_EVENTS
 
     def turn(live, ix, iy, pre, idx, went):
         (u,) = _block_draws(block, live, len(rngs), lambda k, m: (rngs[k].random(m),))
-        return (pre + _deflection(u)) % TWO_PI
+        return _wrap(pre + _deflection(u))
 
     return _run_events(s0, block.size, cfg.horizon, step, turn, max_events, record)
 

@@ -47,6 +47,12 @@ __all__ = [
 # Array-friendly kernels (floats or numpy arrays, no validation)
 # ---------------------------------------------------------------------------
 
+def _wrap(alpha):
+    """alpha mod 2*pi in [0, 2*pi), elementwise: the 2*pi that % rounds -tiny up to becomes 0."""
+    a = alpha % TWO_PI
+    return a - TWO_PI * (a >= TWO_PI)
+
+
 def distance_xy(x1, y1, x2, y2):
     """Hyperbolic distance between (x1, y1) and (x2, y2).
 
@@ -85,7 +91,7 @@ def flow_ahead(x0, y0, alpha, t):
     direction angle there: the map run backwards turns the upward direction
     at (0, e^t) by -2 atan2(sin h e^t, cos h)."""
     x, y, up, ch = _flow(x0, y0, alpha, t)
-    return x, y, (0.5 * math.pi - 2.0 * np.arctan2(up, ch)) % TWO_PI
+    return x, y, _wrap(0.5 * math.pi - 2.0 * np.arctan2(up, ch))
 
 
 def normalizing_coeffs(x0, y0, alpha):
@@ -204,17 +210,14 @@ class Point(_Record):
 
 
 class Direction(_Record):
-    """A direction of motion, stored as an angle normalized into [0, 2*pi)."""
+    """A direction of motion, stored as an angle in [0, 2*pi) by :func:`_wrap`."""
 
     alpha: float
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValueError(f"direction angle must be finite, got {self.alpha}")
-        a = self.alpha % TWO_PI
-        if a >= TWO_PI:  # alpha = -tiny wraps to exactly 2*pi in floats
-            a = 0.0
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", _wrap(self.alpha))
 
     @property
     def vector(self) -> tuple[float, float]:

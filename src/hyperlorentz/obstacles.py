@@ -152,6 +152,8 @@ def sample_annulus(
     flowing from the center along a uniformly random direction for the
     inverted radial distance, which is exact in polar geodesic coordinates.
     """
+    if _integer("size", size) < 0:
+        raise ValidationError(f"size must be >= 0, got {size!r}")
     u = rng.random(size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size)
     pts = np.empty((size, 2))

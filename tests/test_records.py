@@ -41,6 +41,7 @@ from hyperlorentz import (
     expected_T1,
     free_path,
     nearest_neighbor_tail,
+    sample_deflection,
     sample_field,
     sample_uniform_in_ball,
     simulate,
@@ -48,6 +49,7 @@ from hyperlorentz import (
     tube_area,
 )
 from hyperlorentz.billiard import sample_first_collisions
+from hyperlorentz.obstacles import sample_annulus
 
 TWO_PI = 2.0 * math.pi
 
@@ -288,239 +290,489 @@ FIELD = ObstacleField([[0.0, 1.5]], 0.1, 1.0, BallRegion(C, 3.0))
 
 # Every check on a constructor's or a function's input, with the error and
 # message it raises.  Each positive rate, radius, intensity and time goes
-# through errors._positive, and each count through errors._integer.
+# through errors._positive, and each count, a sampler's size included,
+# through errors._integer.  A row's test id names the callable and the bad
+# value, so it does not depend on the other rows.
 CHECKS = [
-    (lambda: Point(math.inf, 1.0), ValueError, "point coordinates must be finite, got (inf, 1.0)"),
-    (lambda: Point(0.0, math.nan), ValueError, "point coordinates must be finite, got (0.0, nan)"),
-    (lambda: Point(0.0, 0.0), ValueError, "point must lie strictly above the x-axis, got y=0.0"),
-    (lambda: Direction(math.nan), ValueError, "direction angle must be finite, got nan"),
     (
+        "Point-x=inf",
+        lambda: Point(math.inf, 1.0),
+        ValueError,
+        "point coordinates must be finite, got (inf, 1.0)",
+    ),
+    (
+        "Point-y=nan",
+        lambda: Point(0.0, math.nan),
+        ValueError,
+        "point coordinates must be finite, got (0.0, nan)",
+    ),
+    ("Point-y=0", lambda: Point(0.0, 0.0), ValueError, "point must lie strictly above the x-axis, got y=0.0"),
+    (
+        "Direction-alpha=nan",
+        lambda: Direction(math.nan),
+        ValueError,
+        "direction angle must be finite, got nan",
+    ),
+    (
+        "MobiusMap-det=-1",
         lambda: MobiusMap(1.0, 0.0, 0.0, -1.0),
         ValueError,
         "Mobius coefficients must have positive determinant, got -1.0",
     ),
     (
+        "MobiusMap-a=inf",
         lambda: MobiusMap(math.inf, 0.0, 0.0, 1.0),
         ValueError,
         "Mobius coefficients must have positive determinant, got inf",
     ),
-    (lambda: HypCircle(P, 0.0), ValidationError, "circle radius must be positive and finite, got 0.0"),
-    (lambda: HypCircle(P, math.inf), ValidationError, "circle radius must be positive and finite, got inf"),
-    (lambda: HypCircle(P, math.nan), ValidationError, "circle radius must be positive and finite, got nan"),
-    (lambda: ball_area(math.nan), ValueError, "radius must be nonnegative, got nan"),
-    (lambda: BallRegion(C, 0.0), ValidationError, "outer radius must be positive and finite, got 0.0"),
-    (lambda: BallRegion(C, math.inf), ValidationError, "outer radius must be positive and finite, got inf"),
-    (lambda: BallRegion(C, math.nan), ValidationError, "outer radius must be positive and finite, got nan"),
     (
+        "HypCircle-radius=0",
+        lambda: HypCircle(P, 0.0),
+        ValidationError,
+        "circle radius must be positive and finite, got 0.0",
+    ),
+    (
+        "HypCircle-radius=inf",
+        lambda: HypCircle(P, math.inf),
+        ValidationError,
+        "circle radius must be positive and finite, got inf",
+    ),
+    (
+        "HypCircle-radius=nan",
+        lambda: HypCircle(P, math.nan),
+        ValidationError,
+        "circle radius must be positive and finite, got nan",
+    ),
+    ("ball_area-eta=nan", lambda: ball_area(math.nan), ValueError, "radius must be nonnegative, got nan"),
+    (
+        "BallRegion-outer=0",
+        lambda: BallRegion(C, 0.0),
+        ValidationError,
+        "outer radius must be positive and finite, got 0.0",
+    ),
+    (
+        "BallRegion-outer=inf",
+        lambda: BallRegion(C, math.inf),
+        ValidationError,
+        "outer radius must be positive and finite, got inf",
+    ),
+    (
+        "BallRegion-outer=nan",
+        lambda: BallRegion(C, math.nan),
+        ValidationError,
+        "outer radius must be positive and finite, got nan",
+    ),
+    (
+        "BallRegion-exclusion=outer",
         lambda: BallRegion(C, 1.0, 1.0),
         ValueError,
         "exclusion radius must satisfy 0 <= exclusion < outer, got 1.0",
     ),
     (
+        "BallRegion-exclusion=-0.5",
         lambda: BallRegion(C, 1.0, -0.5),
         ValueError,
         "exclusion radius must satisfy 0 <= exclusion < outer, got -0.5",
     ),
     (
+        "ObstacleField-centers=flat",
         lambda: ObstacleField([1.0, 2.0], 0.1, 1.0, REGION),
         ValueError,
         "centers must be an (n, 2) array, got shape (2,)",
     ),
     (
+        "ObstacleField-radius=0",
         lambda: ObstacleField([[0.0, 1.0]], 0.0, 1.0, REGION),
         ValidationError,
         "obstacle radius must be positive and finite, got 0.0",
     ),
     (
+        "ObstacleField-radius=nan",
         lambda: ObstacleField([[0.0, 1.0]], math.nan, 1.0, REGION),
         ValidationError,
         "obstacle radius must be positive and finite, got nan",
     ),
     (
+        "ObstacleField-intensity=0",
         lambda: ObstacleField([[0.0, 1.0]], 0.1, 0.0, REGION),
         ValidationError,
         "intensity must be positive and finite, got 0.0",
     ),
     (
+        "ObstacleField-intensity=inf",
         lambda: ObstacleField([[0.0, 1.0]], 0.1, math.inf, REGION),
         ValidationError,
         "intensity must be positive and finite, got inf",
     ),
     (
+        "ObstacleField-center=outside",
         lambda: ObstacleField([[0.0, 50.0]], 0.1, 1.0, REGION),
         ValueError,
         "field has centers outside its sampling region",
     ),
     (
+        "ObstacleField-center=excluded",
         lambda: ObstacleField([[0.0, 1.0]], 0.1, 1.0, BallRegion(C, 2.0, 0.5)),
         ValueError,
         "field has centers outside its sampling region",
     ),
     (
+        "PotentialProfile-support=0",
         lambda: PotentialProfile(0.0, Ramp()),
         ValidationError,
         "support radius must be positive and finite, got 0.0",
     ),
     (
+        "PotentialProfile-support=inf",
         lambda: PotentialProfile(math.inf, Ramp()),
         ValidationError,
         "support radius must be positive and finite, got inf",
     ),
     (
+        "PotentialProfile-profile=negative",
         lambda: PotentialProfile(1.0, lambda eta: -1.0 if eta < 1.0 else 0.0),
         ValueError,
         "profile takes a negative value inside its support",
     ),
     (
+        "PotentialProfile-profile=nonvanishing",
         lambda: PotentialProfile(1.0, lambda eta: 1.0),
         ValueError,
         "profile does not vanish beyond its support radius",
     ),
     (
+        "sample_uniform_in_ball-R=0",
         lambda: sample_uniform_in_ball(C, 0.0, _rng()),
         ValidationError,
         "ball radius must be positive and finite, got 0.0",
     ),
     (
+        "sample_uniform_in_ball-size=2.5",
+        lambda: sample_uniform_in_ball(C, 1.0, _rng(), 2.5),
+        ValidationError,
+        "size must be an integer, got 2.5",
+    ),
+    (
+        "sample_uniform_in_ball-size=-1",
+        lambda: sample_uniform_in_ball(C, 1.0, _rng(), -1),
+        ValidationError,
+        "size must be >= 0, got -1",
+    ),
+    (
+        "sample_uniform_in_ball-size=True",
+        lambda: sample_uniform_in_ball(C, 1.0, _rng(), True),
+        ValidationError,
+        "size must be an integer, got True",
+    ),
+    (
+        "sample_annulus-size=2.5",
+        lambda: sample_annulus(C, 0.0, 1.0, _rng(), 2.5),
+        ValidationError,
+        "size must be an integer, got 2.5",
+    ),
+    (
+        "sample_annulus-size=-1",
+        lambda: sample_annulus(C, 0.0, 1.0, _rng(), -1),
+        ValidationError,
+        "size must be >= 0, got -1",
+    ),
+    (
+        "sample_annulus-size=True",
+        lambda: sample_annulus(C, 0.0, 1.0, _rng(), True),
+        ValidationError,
+        "size must be an integer, got True",
+    ),
+    (
+        "sample_field-radius=None-exclusion=0",
         lambda: sample_field(1.0, C, 2.0, 0.0, _rng()),
         ValidationError,
         "obstacle radius must be positive and finite, got 0.0",
     ),
     (
+        "sample_field-radius=nan",
         lambda: sample_field(1.0, C, 2.0, 0.0, _rng(), math.nan),
         ValidationError,
         "obstacle radius must be positive and finite, got nan",
     ),
     (
+        "sample_field-lam=0",
         lambda: sample_field(0.0, C, 2.0, 0.1, _rng()),
         ValidationError,
         "intensity must be positive and finite, got 0.0",
     ),
     (
+        "nearest_neighbor_tail-lam=nan",
         lambda: nearest_neighbor_tail(1.0, math.nan),
         ValidationError,
         "intensity must be positive and finite, got nan",
     ),
     (
+        "nearest_neighbor_tail-k=1.5",
         lambda: nearest_neighbor_tail(1.0, 1.0, 1.5),
         ValidationError,
         "neighbor order must be an integer, got 1.5",
     ),
     (
+        "nearest_neighbor_tail-k=True",
         lambda: nearest_neighbor_tail(1.0, 1.0, True),
         ValidationError,
         "neighbor order must be an integer, got True",
     ),
-    (lambda: nearest_neighbor_tail(1.0, 1.0, 0), ValidationError, "neighbor order must be >= 1, got 0"),
-    (lambda: expected_T1(math.nan), ValidationError, "intensity must be positive and finite, got nan"),
-    (lambda: Obstacle(P, 0.0), ValidationError, "obstacle radius must be positive and finite, got 0.0"),
-    (lambda: Obstacle(P, math.inf), ValidationError, "obstacle radius must be positive and finite, got inf"),
     (
+        "nearest_neighbor_tail-k=0",
+        lambda: nearest_neighbor_tail(1.0, 1.0, 0),
+        ValidationError,
+        "neighbor order must be >= 1, got 0",
+    ),
+    (
+        "expected_T1-lam=nan",
+        lambda: expected_T1(math.nan),
+        ValidationError,
+        "intensity must be positive and finite, got nan",
+    ),
+    (
+        "Obstacle-radius=0",
+        lambda: Obstacle(P, 0.0),
+        ValidationError,
+        "obstacle radius must be positive and finite, got 0.0",
+    ),
+    (
+        "Obstacle-radius=inf",
+        lambda: Obstacle(P, math.inf),
+        ValidationError,
+        "obstacle radius must be positive and finite, got inf",
+    ),
+    (
+        "CollisionEvent-time=0",
         lambda: CollisionEvent(0.0, P, D, D, 0.0, 0),
         ValidationError,
         "collision time must be positive and finite, got 0.0",
     ),
     (
+        "CollisionEvent-time=nan",
         lambda: CollisionEvent(math.nan, P, D, D, 0.0, 0),
         ValidationError,
         "collision time must be positive and finite, got nan",
     ),
     (
+        "Trajectory-horizon=0",
         lambda: Trajectory(State(P, D), 0.0, ()),
         ValidationError,
         "horizon must be positive and finite, got 0.0",
     ),
     (
+        "Trajectory-horizon=inf",
         lambda: Trajectory(State(P, D), math.inf, ()),
         ValidationError,
         "horizon must be positive and finite, got inf",
     ),
     (
+        "Trajectory-events=repeated",
         lambda: Trajectory(State(P, D), 5.0, (EVENT, EVENT)),
         ValueError,
         "collision times must be strictly increasing",
     ),
     (
+        "Trajectory-event=horizon",
         lambda: Trajectory(State(P, D), 1.5, (EVENT,)),
         ValueError,
         "collision times must lie strictly before the horizon",
     ),
-    (lambda: tube_area(math.nan, 0.5), ValueError, "segment length must be nonnegative, got nan"),
-    (lambda: tube_area(1.0, math.nan), ValidationError, "tube radius must be positive and finite, got nan"),
     (
+        "tube_area-t=nan",
+        lambda: tube_area(math.nan, 0.5),
+        ValueError,
+        "segment length must be nonnegative, got nan",
+    ),
+    (
+        "tube_area-r=nan",
+        lambda: tube_area(1.0, math.nan),
+        ValidationError,
+        "tube radius must be positive and finite, got nan",
+    ),
+    (
+        "free_path-t_max=nan",
         lambda: free_path(State(C, D), FIELD, math.nan),
         ValidationError,
         "horizon must be positive and finite, got nan",
     ),
     (
+        "simulate-t_max=0",
         lambda: simulate(State(C, D), FIELD, 0.0),
         ValidationError,
         "horizon must be positive and finite, got 0.0",
     ),
     (
+        "sample_first_collisions-lam=-1",
         lambda: sample_first_collisions(-1.0, 0.5, 1.0, _rng(), 3),
         ValidationError,
         "intensity must be positive and finite, got -1.0",
     ),
     (
+        "sample_first_collisions-radius=nan",
         lambda: sample_first_collisions(1.0, math.nan, 1.0, _rng(), 3),
         ValidationError,
         "obstacle radius must be positive and finite, got nan",
     ),
     (
+        "sample_first_collisions-horizon=nan",
         lambda: sample_first_collisions(1.0, 0.5, math.nan, _rng(), 3),
         ValidationError,
         "horizon must be positive and finite, got nan",
     ),
-    (lambda: FlightConfig(0.0, 1.0), ValidationError, "collision rate must be positive and finite, got 0.0"),
-    (lambda: FlightConfig(1.0, math.nan), ValidationError, "horizon must be positive and finite, got nan"),
     (
+        "sample_first_collisions-size=2.5",
+        lambda: sample_first_collisions(1.0, 0.5, 1.0, _rng(), 2.5),
+        ValidationError,
+        "size must be an integer, got 2.5",
+    ),
+    (
+        "sample_first_collisions-size=-1",
+        lambda: sample_first_collisions(1.0, 0.5, 1.0, _rng(), -1),
+        ValidationError,
+        "size must be >= 0, got -1",
+    ),
+    (
+        "sample_first_collisions-size=True",
+        lambda: sample_first_collisions(1.0, 0.5, 1.0, _rng(), True),
+        ValidationError,
+        "size must be an integer, got True",
+    ),
+    (
+        "FlightConfig-sigma=0",
+        lambda: FlightConfig(0.0, 1.0),
+        ValidationError,
+        "collision rate must be positive and finite, got 0.0",
+    ),
+    (
+        "FlightConfig-horizon=nan",
+        lambda: FlightConfig(1.0, math.nan),
+        ValidationError,
+        "horizon must be positive and finite, got nan",
+    ),
+    (
+        "simulate_flight-sigma=inf",
         lambda: simulate_flight(State(C, D), FlightConfig(math.inf, 1.0), _rng()),
         ValidationError,
         "collision rate must be positive and finite, got inf",
     ),
     (
+        "sample_deflection-size=2.5",
+        lambda: sample_deflection(_rng(), 2.5),
+        ValidationError,
+        "size must be an integer, got 2.5",
+    ),
+    (
+        "sample_deflection-size=-1",
+        lambda: sample_deflection(_rng(), -1),
+        ValidationError,
+        "size must be >= 0, got -1",
+    ),
+    (
+        "sample_deflection-size=True",
+        lambda: sample_deflection(_rng(), True),
+        ValidationError,
+        "size must be an integer, got True",
+    ),
+    (
+        "bootstrap_half_width_w1-n_boot=2.5",
         lambda: bootstrap_half_width_w1([1.0, 2.0], [1.5, 3.0], _rng(), n_boot=2.5),
         ValidationError,
         "n_boot must be an integer, got 2.5",
     ),
     (
+        "Report.stat-r=0.25",
         lambda: Report("deflection", {}, (LEVEL,), 7, None).stat("ks_exp", 0.25),
         KeyError,
         "no statistic 'ks_exp' at level r=0.25",
     ),
     (
+        "ExperimentConfig-experiment=bogus",
         lambda: _config(experiment="bogus"),
         ValidationError,
         "unknown experiment 'bogus'; choose one of free-path, nearest-neighbor, deflection, tube-mc, "
         "bg-convergence, flight-baseline",
     ),
-    (lambda: _config(samples=1.0), ValidationError, "samples must be an integer, got 1.0"),
-    (lambda: _config(seed=True), ValidationError, "seed must be an integer, got True"),
-    (lambda: _config(workers="2"), ValidationError, "workers must be an integer, got '2'"),
-    (lambda: _config(samples=0), ValidationError, "samples must be >= 1, got 0"),
     (
+        "ExperimentConfig-samples=1.0",
+        lambda: _config(samples=1.0),
+        ValidationError,
+        "samples must be an integer, got 1.0",
+    ),
+    (
+        "ExperimentConfig-seed=True",
+        lambda: _config(seed=True),
+        ValidationError,
+        "seed must be an integer, got True",
+    ),
+    (
+        "ExperimentConfig-workers=str",
+        lambda: _config(workers="2"),
+        ValidationError,
+        "workers must be an integer, got '2'",
+    ),
+    (
+        "ExperimentConfig-samples=0",
+        lambda: _config(samples=0),
+        ValidationError,
+        "samples must be >= 1, got 0",
+    ),
+    (
+        "ExperimentConfig-flight-baseline-samples=1",
         lambda: _config(experiment="flight-baseline", samples=1),
         ValidationError,
         "flight-baseline needs samples >= 2 for its event-count variance",
     ),
-    (lambda: _config(workers=0), ValidationError, "workers must be >= 1, got 0"),
-    (lambda: _config(sigma=0.0), ValidationError, "sigma must be positive and finite, got 0.0"),
-    (lambda: _config(t=math.inf), ValidationError, "t must be positive and finite, got inf"),
-    (lambda: _config(r_levels=(0.5, math.nan)), ValidationError, "r must be positive and finite, got nan"),
-    (lambda: _config(r_levels=()), ValidationError, "deflection needs at least one r level"),
-    (lambda: _config(r_levels=(0.5, -0.1)), ValidationError, "r must be positive and finite, got -0.1"),
     (
+        "ExperimentConfig-workers=0",
+        lambda: _config(workers=0),
+        ValidationError,
+        "workers must be >= 1, got 0",
+    ),
+    (
+        "ExperimentConfig-sigma=0",
+        lambda: _config(sigma=0.0),
+        ValidationError,
+        "sigma must be positive and finite, got 0.0",
+    ),
+    (
+        "ExperimentConfig-t=inf",
+        lambda: _config(t=math.inf),
+        ValidationError,
+        "t must be positive and finite, got inf",
+    ),
+    (
+        "ExperimentConfig-r_levels=nan",
+        lambda: _config(r_levels=(0.5, math.nan)),
+        ValidationError,
+        "r must be positive and finite, got nan",
+    ),
+    (
+        "ExperimentConfig-r_levels=empty",
+        lambda: _config(r_levels=()),
+        ValidationError,
+        "deflection needs at least one r level",
+    ),
+    (
+        "ExperimentConfig-r_levels=-0.1",
+        lambda: _config(r_levels=(0.5, -0.1)),
+        ValidationError,
+        "r must be positive and finite, got -0.1",
+    ),
+    (
+        "ExperimentConfig-r_levels=800",
         lambda: _config(r_levels=(800.0,)),
         ValidationError,
         "r = 800.0 gives intensity 0.0; it must be positive and finite",
     ),
     (
+        "ExperimentConfig-tube-mc-t+r=360",
         lambda: _config(experiment="tube-mc", t=350.0, r_levels=(10.0,)),
         ValidationError,
         "t = 350.0 and r = 10.0 give t + r = 360.0; tube-mc needs at most 354",
     ),
     (
+        "ExperimentConfig-bg-convergence-r_levels=increasing",
         lambda: _config(experiment="bg-convergence", r_levels=(0.2, 0.4)),
         ValidationError,
         "bg-convergence needs strictly decreasing r levels",
@@ -528,10 +780,26 @@ CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("make, error, message", CHECKS)
+@pytest.mark.parametrize("make, error, message", [pytest.param(*row, id=name) for name, *row in CHECKS])
 def test_post_init_rejects(make, error, message):
     with pytest.raises(error, match=re.escape(message)):
         make()
+
+
+def test_samplers_refuse_a_bad_size_before_drawing_and_take_size_zero():
+    samplers = [
+        lambda rng, size: sample_uniform_in_ball(C, 1.0, rng, size),
+        lambda rng, size: sample_annulus(C, 0.0, 1.0, rng, size),
+        lambda rng, size: sample_first_collisions(1.0, 0.5, 1.0, rng, size),
+        lambda rng, size: sample_deflection(rng, size),
+    ]
+    for sample in samplers:
+        rng = _rng()
+        with pytest.raises(ValidationError, match="size must be >= 0"):
+            sample(rng, -1)
+        assert rng.random() == _rng().random()  # nothing was drawn
+        out = sample(_rng(), np.int64(0))
+        assert all(a.size == 0 for a in (out if isinstance(out, tuple) else (out,)))
 
 
 BAD_CALLS = [
