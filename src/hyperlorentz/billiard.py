@@ -314,9 +314,10 @@ def simulate(
 ) -> Trajectory:
     """Run the billiard among a fixed obstacle configuration up to t_max.
 
-    Event-driven: each step keeps the obstacles with d(current, center) <=
-    remaining + r, takes the smallest exact hit time (the first on ties),
-    advances, reflects and records.  Recollisions with any obstacle are
+    Event-driven: each step races the exact hit times of every obstacle in
+    the field, as :func:`_explore` races the centers it has met, takes the
+    smallest (the first on ties), advances, reflects and records; a hit at
+    or beyond the horizon ends the path.  Recollisions with any obstacle are
     allowed, but the obstacle just left is excluded with no tolerance
     window: a geodesic meets a convex disk in one segment, so any root
     found for it is rounding.
@@ -326,23 +327,15 @@ def simulate(
     coshm1_r = _coshm1(radius)
 
     def step(live, x, y, alpha, t_left, last):
-        # One replica: numpy is cheaper on Python floats than on 1-element arrays.
-        x, y, alpha, t_left, last = x.item(), y.item(), alpha.item(), t_left.item(), last.item()
-        # cosh d(current, center) - 1 <= cosh(t_left + r) - 1, times 2 y cy
-        s = math.sinh(0.5 * (t_left + radius))
-        keep = (x - cx) ** 2 + (y - cy) ** 2 <= (4.0 * y * s * s) * cy
-        if last >= 0:
-            keep[last] = False
-        cand = keep.nonzero()[0]
-        if not cand.size:
-            return np.full(1, math.inf), np.full(1, -1)
-        th = _hit_times(*normalizing_coeffs(x, y, alpha), cx[cand], cy[cand], coshm1_r)
-        k = th.argmin()
-        return th[k : k + 1], cand[k : k + 1]
+        if not cx.size:
+            return np.full(1, math.inf), last
+        th = _hit_times(*normalizing_coeffs(x, y, alpha), cx[:, None], cy[:, None], coshm1_r)  # (K, 1)
+        th[last[last >= 0]] = math.inf  # none is left at the start
+        idx = th.argmin(axis=0)
+        return th[idx, 0], idx
 
     def turn(live, ix, iy, pre, idx, went):
-        k = idx.item()
-        return np.array([_reflect_angle(ix.item(), iy.item(), pre.item(), cx[k], cy[k], radius)])
+        return _reflect_angle(ix, iy, pre, cx[idx], cy[idx], radius)
 
     record: list = []
     _run_events(s0, 1, t_max, step, turn, max_events, record)

@@ -96,8 +96,17 @@ _BATCH = 8192  # replicas per kernel call, unless one stream holds more
 
 
 def lambda_for(sigma: float, r: float) -> float:
-    """Obstacle intensity for collision rate sigma at radius r."""
-    return sigma / (2.0 * math.sinh(r))
+    """Obstacle intensity sigma / (2 sinh r) for collision rate sigma at radius
+    r, refused unless positive and finite: from r ~ 710 on, sinh r overflows."""
+    _positive("sigma", sigma)
+    _positive("r", r)
+    try:
+        lam = sigma / (2.0 * math.sinh(r))
+    except OverflowError:
+        lam = 0.0
+    if not 0.0 < lam < math.inf:
+        raise ValidationError(f"r = {r} gives intensity {lam}; it must be positive and finite")
+    return lam
 
 
 def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]) -> None:
@@ -122,12 +131,7 @@ def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]
     if not r_levels:
         raise ValidationError(f"{command} needs at least one r level")
     for r in r_levels:
-        try:
-            lam = lambda_for(sigma, r)
-        except OverflowError:  # sinh r overflows, so lambda underflows
-            lam = 0.0
-        if not (0.0 < lam < math.inf):
-            raise ValidationError(f"r = {r} gives intensity {lam}; it must be positive and finite")
+        lambda_for(sigma, r)
         if not t + r <= bound:
             raise ValidationError(f"t = {t} and r = {r} give t + r = {t + r}; {past}")
         if reflects:
@@ -135,6 +139,7 @@ def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]
 
 
 def exp_cdf(rate: float):
+    _positive("rate", rate)
     return lambda x: -np.expm1(-rate * np.asarray(x, dtype=float))
 
 
@@ -624,10 +629,11 @@ def sample_trajectory(sigma: float, r: float, t: float, seed: int) -> Trajectory
     tests each proposal against every segment so far, so the cost grows
     about as the square of the events.  Its inputs obey the experiments'
     rules (:func:`_check_run`): t + r <= 354, r > 2^-26 and sigma * t below
-    the event cap.  An event's ``obstacle_index`` is the round in which its
-    obstacle was first met.
+    the event cap; the seed is an integer.  An event's ``obstacle_index`` is
+    the round in which its obstacle was first met.
     """
     _check_run("export", sigma, t, (r,))
+    _integer("seed", seed)
     record: list = []
     _explore([(_derive_rng(seed, _TAG_EXPORT, 0, 0), 1, lambda_for(sigma, r), r)], t, record=record)
     return _trajectory(_START, t, record)

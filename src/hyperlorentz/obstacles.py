@@ -132,17 +132,6 @@ class PotentialProfile(_Record):
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _radius_from_uniform(u, lo: float, hi: float):
-    """Invert the radial CDF on an annulus lo < eta <= hi.
-
-    With s(eta) = sinh(eta/2), a radius uniform in hyperbolic area satisfies
-    U = (s(eta)^2 - s(lo)^2) / (s(hi)^2 - s(lo)^2).
-    """
-    s_lo = math.sinh(0.5 * lo) ** 2
-    s_hi = math.sinh(0.5 * hi) ** 2
-    return 2.0 * np.arcsinh(np.sqrt(s_lo + u * (s_hi - s_lo)))
-
-
 def sample_annulus(
     center: Point, lo: float, hi: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
@@ -151,15 +140,25 @@ def sample_annulus(
     Returns an (size, 2) coordinate array.  Each point is realized by
     flowing from the center along a uniformly random direction for the
     inverted radial distance, which is exact in polar geodesic coordinates.
+    The radii need 0 <= lo < hi, and sinh^2(hi/2) finite, as it is up to
+    hi ~ 711.
     """
     if _integer("size", size) < 0:
         raise ValidationError(f"size must be >= 0, got {size!r}")
+    _positive("outer radius", hi)
+    if not 0.0 <= lo < hi:
+        raise ValidationError(f"inner radius must satisfy 0 <= inner < outer = {hi}, got {lo}")
+    try:
+        s_lo, s_hi = math.sinh(0.5 * lo) ** 2, math.sinh(0.5 * hi) ** 2
+    except OverflowError:
+        raise ValidationError(f"outer radius {hi} is too large: sinh^2(outer / 2) overflows") from None
     u = rng.random(size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size)
     pts = np.empty((size, 2))
     for k in range(0, size, SLICE):
         part = slice(k, k + SLICE)
-        eta = _radius_from_uniform(u[part], lo, hi)
+        # A radius uniform in area inverts U = (sinh^2(eta/2) - s_lo) / (s_hi - s_lo).
+        eta = 2.0 * np.arcsinh(np.sqrt(s_lo + u[part] * (s_hi - s_lo)))
         pts[part, 0], pts[part, 1] = flow_xy(center.x, center.y, phi[part], eta)
     return pts
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -373,11 +374,12 @@ def test_simulate_hit_exactly_at_horizon_is_not_an_event():
 
 @pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-7, 2e-8])
 def test_simulate_keeps_every_hit_that_free_path_finds_before_the_horizon(r):
-    # simulate culls the obstacles out of reach, cosh d - 1 > cosh(t_left +
-    # r) - 1, before it solves for hits.  A cull on a rounded cosh dropped
-    # real hits, up to 12 % of the hit time before the horizon at r = 2e-8.
-    # Head-on shots at centers 1.05 r to 4 r away, with horizons just past
-    # the hit: only ties within the hit solve's resolution may be lost.
+    # simulate solves every obstacle's hit time, and the event loop's
+    # horizon test is its only reach rule: no hit that free_path finds
+    # before the horizon may go missing, down to r = 2e-8, where cosh r
+    # keeps few digits of r.  Head-on shots at centers 1.05 r to 4 r away,
+    # with horizons just past the hit: only ties within the hit solve's
+    # resolution may be lost.
     dropped = []
     for k in np.linspace(1.05, 4.0, 12):
         field = make_field([[0.0, math.exp(k * r)]], r, 1.0)
@@ -547,6 +549,44 @@ def test_simulate_matches_one_replica_reference_loop():
         run(ring, max_events=cap)
     for f, w in zip(fields[:trapped] + fields[trapped + 1:], want[:trapped] + want[trapped + 1:]):
         assert run(f, max_events=cap) == w
+
+
+def pinned_fields():
+    """(field, t_max) of the simulate pin: seeded Poisson fields on B(ORIGIN,
+    t + r) at (sigma, r, t) = (1, 0.5, 3), (1, 0.25, 5) and (4, 0.1, 4), of
+    about 94, 1174 and 3663 obstacles; at r = 1e-6, centers within 3r of
+    the path's first two units, and a ring of 5 trapping the start; and an
+    empty field."""
+    for sigma, r, t, seeds in ((1.0, 0.5, 3.0, 12), (1.0, 0.25, 5.0, 6), (4.0, 0.1, 4.0, 3)):
+        lam = sigma / (2.0 * math.sinh(r))
+        for seed in range(seeds):
+            yield sample_field(lam, ORIGIN, t + r, r, np.random.default_rng(seed)), t
+    r = 1e-6
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        y = np.exp(rng.uniform(0.1, 2.0, 300))
+        centers = np.column_stack((rng.uniform(-3.0 * r, 3.0 * r, 300) * y, y))
+        yield make_field(centers, r, 5.0), 2.5
+    # Adjacent ring centers lie 2r + r / 100 apart (see the reference loop test).
+    rho = math.asinh(math.sqrt(_coshm1(2.01 * r) / (1.0 - math.cos(TWO_PI / 5))))
+    angles = 0.5 * math.pi + 0.1 + TWO_PI * np.arange(5) / 5
+    ring = np.column_stack(flow_xy(ORIGIN.x, ORIGIN.y, angles, rho))
+    yield make_field(ring, r, 1.0), 40 * r
+    yield make_field(np.empty((0, 2)), 0.5, 3.0), 2.0
+
+
+def test_simulate_paths_are_pinned_bit_for_bit():
+    # The tests above hold simulate to tolerances, laws and a reference
+    # loop; this one pins the repr of every event (time, impact point, pre
+    # and post direction, deflection, obstacle index) of seeded paths.
+    digest = hashlib.sha256()
+    events = 0
+    for field, t_max in pinned_fields():
+        traj = simulate(UP, field, t_max)
+        digest.update(repr(traj.events).encode())
+        events += len(traj.events)
+    assert events == 220
+    assert digest.hexdigest() == "03c7cebe9c6581cee8d4c06097dfa158fbdc2bf8e0274061f7aac1a4b29209b2"
 
 
 # ---------------------------------------------------------------------------

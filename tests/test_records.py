@@ -49,6 +49,7 @@ from hyperlorentz import (
     tube_area,
 )
 from hyperlorentz.billiard import sample_first_collisions
+from hyperlorentz.experiments import exp_cdf, lambda_for, sample_trajectory
 from hyperlorentz.obstacles import sample_annulus
 
 TWO_PI = 2.0 * math.pi
@@ -483,6 +484,30 @@ CHECKS = [
         "size must be an integer, got True",
     ),
     (
+        "sample_annulus-hi=nan",
+        lambda: sample_annulus(C, 0.0, math.nan, _rng(), 3),
+        ValidationError,
+        "outer radius must be positive and finite, got nan",
+    ),
+    (
+        "sample_annulus-lo=-1",
+        lambda: sample_annulus(C, -1.0, 1.0, _rng(), 3),
+        ValidationError,
+        "inner radius must satisfy 0 <= inner < outer = 1.0, got -1.0",
+    ),
+    (
+        "sample_annulus-lo=2-hi=1",
+        lambda: sample_annulus(C, 2.0, 1.0, _rng(), 3),
+        ValidationError,
+        "inner radius must satisfy 0 <= inner < outer = 1.0, got 2.0",
+    ),
+    (
+        "sample_annulus-hi=800",
+        lambda: sample_annulus(C, 0.0, 800.0, _rng(), 3),
+        ValidationError,
+        "outer radius 800.0 is too large: sinh^2(outer / 2) overflows",
+    ),
+    (
         "sample_field-radius=None-exclusion=0",
         lambda: sample_field(1.0, C, 2.0, 0.0, _rng()),
         ValidationError,
@@ -776,6 +801,54 @@ CHECKS = [
         lambda: _config(experiment="bg-convergence", r_levels=(0.2, 0.4)),
         ValidationError,
         "bg-convergence needs strictly decreasing r levels",
+    ),
+    (
+        "lambda_for-sigma=-1",
+        lambda: lambda_for(-1.0, 0.5),
+        ValidationError,
+        "sigma must be positive and finite, got -1.0",
+    ),
+    (
+        "lambda_for-r=0",
+        lambda: lambda_for(1.0, 0.0),
+        ValidationError,
+        "r must be positive and finite, got 0.0",
+    ),
+    (
+        "lambda_for-r=inf",
+        lambda: lambda_for(1.0, math.inf),
+        ValidationError,
+        "r must be positive and finite, got inf",
+    ),
+    (
+        "lambda_for-r=800",
+        lambda: lambda_for(1.0, 800.0),
+        ValidationError,
+        "r = 800.0 gives intensity 0.0; it must be positive and finite",
+    ),
+    (
+        "exp_cdf-rate=-1",
+        lambda: exp_cdf(-1.0),
+        ValidationError,
+        "rate must be positive and finite, got -1.0",
+    ),
+    (
+        "sample_trajectory-seed=1.5",
+        lambda: sample_trajectory(1.0, 0.5, 1.0, 1.5),
+        ValidationError,
+        "seed must be an integer, got 1.5",
+    ),
+    (
+        "sample_trajectory-seed=str",
+        lambda: sample_trajectory(1.0, 0.5, 1.0, "a"),
+        ValidationError,
+        "seed must be an integer, got 'a'",
+    ),
+    (
+        "sample_trajectory-seed=True",
+        lambda: sample_trajectory(1.0, 0.5, 1.0, True),
+        ValidationError,
+        "seed must be an integer, got True",
     ),
 ]
 
