@@ -13,7 +13,7 @@ Euclidean realization, which is specular in the hyperbolic sense because
 half-plane angles agree with Euclidean angles.
 
 Trajectories are piecewise geodesics, right-continuous in direction at
-collision times.
+collision times.  Every hit solver takes its first obstacle by :func:`_race`.
 
 First contacts in a fresh field (Exp(2 lam sinh r) free paths, sin psi
 uniform) are drawn by :func:`_first_contacts` and placed by :func:`_tube_hit`
@@ -143,6 +143,23 @@ def _hit_times(a, b, c, d, cx, cy, coshm1_r) -> np.ndarray:
     return out
 
 
+def _race(coeffs, cx, cy, coshm1_r, last):
+    """First hits of the m states that the maps ``coeffs`` normalize against
+    a (K, m) or (K, 1) table of centers, column j serving state j: their
+    :func:`_hit_times`, but inf in row ``last[j]`` (``last`` an (m,) array,
+    -1 for none), the obstacle just left, as a geodesic meets a convex disk
+    in one segment, raced by argmin, so the first row wins a tie.  Returns
+    each state's (time, row): inf where no row hits, (inf, -1) if K = 0."""
+    th = _hit_times(*coeffs, cx, cy, coshm1_r)
+    k, m = th.shape
+    if not k:
+        return np.full(m, math.inf), np.full(m, -1)
+    col, left = np.arange(m), last >= 0
+    th[last[left], col[left]] = math.inf
+    idx = th.argmin(axis=0)
+    return th[idx, col], idx
+
+
 def _check_reflection(caller: str, r: float) -> None:
     """Reflecting off radius-r obstacles needs cosh r above 1, that is
     r > 2^-26.  The contact tests resolve any r > 0, but the reflection's
@@ -176,12 +193,9 @@ def first_hit(s: State, ob: Obstacle) -> float | None:
     """
     if hyp_distance(s.point, ob.center) <= ob.radius * (1.0 + 1e-9) + 1e-12:
         raise ValueError("first_hit requires a state strictly outside the obstacle")
-    t = _hit_times(
-        *normalizing_coeffs(s.point.x, s.point.y, s.dir.alpha),
-        np.array([ob.center.x]),
-        np.array([ob.center.y]),
-        _coshm1(ob.radius),
-    )[0]
+    coeffs = normalizing_coeffs(s.point.x, s.point.y, s.dir.alpha)
+    center = np.array([[ob.center.x]]), np.array([[ob.center.y]])
+    t = _race(coeffs, *center, _coshm1(ob.radius), np.array([-1]))[0][0]
     return float(t) if math.isfinite(t) else None
 
 
@@ -196,11 +210,15 @@ def reflect(impact: Point, incoming: Direction, ob: Obstacle) -> Direction:
 
 def tube_area(t: float, r: float) -> float:
     """Hyperbolic area swept by a disk of radius r moved along a geodesic
-    segment of length t: 4*pi*sinh^2(r/2) + 2*t*sinh(r)."""
+    segment of length t: 4*pi*sinh^2(r/2) + 2*t*sinh(r), refused where it
+    overflows."""
     if not t >= 0.0:
         raise ValueError(f"segment length must be nonnegative, got {t}")
     _positive("tube radius", r)
-    return ball_area(r) + 2.0 * t * math.sinh(r)
+    area = ball_area(r) + 2.0 * t * math.sinh(r)
+    if area == math.inf:
+        raise ValidationError(f"tube of length {t} and radius {r} is too large: its area overflows")
+    return area
 
 
 # ---------------------------------------------------------------------------
@@ -314,25 +332,16 @@ def simulate(
 ) -> Trajectory:
     """Run the billiard among a fixed obstacle configuration up to t_max.
 
-    Event-driven: each step races the exact hit times of every obstacle in
-    the field, as :func:`_explore` races the centers it has met, takes the
-    smallest (the first on ties), advances, reflects and records; a hit at
-    or beyond the horizon ends the path.  Recollisions with any obstacle are
-    allowed, but the obstacle just left is excluded with no tolerance
-    window: a geodesic meets a convex disk in one segment, so any root
-    found for it is rounding.
+    Event-driven: each step takes the first hit among the whole field by
+    :func:`_race`, advances, reflects and records; a hit at or beyond the
+    horizon ends the path, and recollisions are allowed.
     """
     _check_field(s0, field, t_max)
     cx, cy, radius = field.centers[:, 0], field.centers[:, 1], field.radius
     coshm1_r = _coshm1(radius)
 
     def step(live, x, y, alpha, t_left, last):
-        if not cx.size:
-            return np.full(1, math.inf), last
-        th = _hit_times(*normalizing_coeffs(x, y, alpha), cx[:, None], cy[:, None], coshm1_r)  # (K, 1)
-        th[last[last >= 0]] = math.inf  # none is left at the start
-        idx = th.argmin(axis=0)
-        return th[idx, 0], idx
+        return _race(normalizing_coeffs(x, y, alpha), cx[:, None], cy[:, None], coshm1_r, last)
 
     def turn(live, ix, iy, pre, idx, went):
         return _reflect_angle(ix, iy, pre, cx[idx], cy[idx], radius)
@@ -343,12 +352,12 @@ def simulate(
 
 
 def free_path(s0: State, field: ObstacleField, t_max: float) -> tuple[float, bool]:
-    """Time of the first collision, or (t_max, True) if none before t_max: a
-    contact exactly at t_max is none, as in :func:`simulate`."""
+    """Time of the first collision, by :func:`_race`, or (t_max, True) if
+    none before t_max: a contact exactly at t_max is none, as in
+    :func:`simulate`."""
     _check_field(s0, field, t_max)
     coeffs = normalizing_coeffs(s0.point.x, s0.point.y, s0.dir.alpha)
-    th = _hit_times(*coeffs, *field.centers.T, _coshm1(field.radius))
-    t = float(th.min(initial=math.inf))
+    t = float(_race(coeffs, *field.centers.T[:, :, None], _coshm1(field.radius), np.array([-1]))[0][0])
     return (t, False) if t < t_max else (t_max, True)
 
 
@@ -410,11 +419,11 @@ def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=
     contacts along the current segment as :func:`sample_first_collisions`
     draws and places them in an empty plane (:func:`_first_contacts`, then
     :func:`_tube_hit`), and rejects those whose center is explored: that
-    thins them to the fresh field.  The first accepted one races the exact
-    hit times of the obstacles met so far, but the one just left, so
-    recollisions stay exact.  An obstacle is known by the round it was first
-    met in.  The history of segments and centers holds the live replicas
-    only, so its size follows them.
+    thins them to the fresh field.  The first accepted one races, by
+    :func:`_race`, the obstacles met so far, so recollisions stay exact.  An
+    obstacle is known by the round it was first met in.  The history of
+    segments and centers holds the live replicas only, so its size follows
+    them.
 
     Proposals follow the rule of :func:`_block_draws`: every replica follows
     the path it follows when its block runs alone, bit for bit, and leaves
@@ -442,12 +451,7 @@ def _explore(blocks, t_max: float, max_events: int = DEFAULT_MAX_EVENTS, record=
         m, rounds = live.size, hist.shape[1]
         coshm1_r = coshm1_radii[live]
         coeffs = normalizing_coeffs(x, y, alpha)
-        gap, idx = np.full(m, math.inf), np.full(m, -1)
-        if rounds:
-            th = _hit_times(*coeffs, *hist[5:], coshm1_r)  # (rounds, m), inf where none was met
-            th[last, np.arange(m)] = math.inf  # every live replica has turned, last >= 0
-            idx = th.argmin(axis=0)
-            gap = th[idx, np.arange(m)]
+        gap, idx = _race(coeffs, *hist[5:], coshm1_r, last)  # hist[5:]: (rounds, m), nan where none was met
         bound = np.minimum(gap, t_left)
         new = np.full((7, m), math.nan)
         s, todo = np.zeros(m), np.arange(m)

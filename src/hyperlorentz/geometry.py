@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import _positive
+from .errors import ValidationError, _positive
 
 TWO_PI = 2.0 * math.pi
 
@@ -274,11 +274,18 @@ def hyp_distance(p1: Point, p2: Point) -> float:
 
 
 def ball_area(eta: float) -> float:
-    """Area of a hyperbolic disk of radius eta: 4*pi*sinh^2(eta/2)."""
+    """Area of a hyperbolic disk of radius eta: 4*pi*sinh^2(eta/2), which
+    is finite up to eta ~ 708.6."""
     if not eta >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {eta}")
-    s = math.sinh(0.5 * eta)
-    return 4.0 * math.pi * s * s
+    try:
+        s = math.sinh(0.5 * eta)
+    except OverflowError:
+        s = math.inf
+    area = 4.0 * math.pi * s * s
+    if area == math.inf:
+        raise ValidationError(f"radius {eta} is too large: the area 4 pi sinh^2(radius / 2) overflows")
+    return area
 
 
 def circle_to_euclidean(c: HypCircle) -> tuple[tuple[float, float], float]:

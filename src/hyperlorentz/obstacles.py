@@ -140,8 +140,10 @@ def sample_annulus(
     Returns an (size, 2) coordinate array.  Each point is realized by
     flowing from the center along a uniformly random direction for the
     inverted radial distance, which is exact in polar geodesic coordinates.
-    The radii need 0 <= lo < hi, and sinh^2(hi/2) finite, as it is up to
-    hi ~ 711.
+    The radii need 0 <= lo < hi, sinh^2(hi/2) and e^hi finite, as they are
+    up to hi ~ 709.78, and the points within float range: a point at
+    distance eta has height within y e^-eta .. y e^eta and x within
+    y e^eta of the center's.  A refused call draws nothing.
     """
     if _integer("size", size) < 0:
         raise ValidationError(f"size must be >= 0, got {size!r}")
@@ -152,6 +154,12 @@ def sample_annulus(
         s_lo, s_hi = math.sinh(0.5 * lo) ** 2, math.sinh(0.5 * hi) ** 2
     except OverflowError:
         raise ValidationError(f"outer radius {hi} is too large: sinh^2(outer / 2) overflows") from None
+    grow = 4.0 * s_hi + 2.0  # e^hi + e^-hi, at least e^hi
+    if not (center.y / grow > 0.0 and abs(center.x) + center.y * grow < math.inf):
+        raise ValidationError(
+            f"outer radius {hi} is too large for the center ({center.x}, {center.y}): "
+            "points that far from it leave float range"
+        )
     u = rng.random(size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size)
     pts = np.empty((size, 2))

@@ -44,6 +44,7 @@ from hyperlorentz.billiard import (
     _explore,
     _first_contacts,
     _hit_times,
+    _race,
     _reflect_angle,
     _tube_hit,
     sample_first_collisions,
@@ -590,6 +591,52 @@ def test_simulate_paths_are_pinned_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
+# _race, the first hit of every hit solver
+# ---------------------------------------------------------------------------
+
+def test_race_takes_the_first_row_but_the_obstacle_just_left():
+    r = 0.5
+    coshm1_r = _coshm1(r)
+    up = normalizing_coeffs(0.0, 1.0, 0.5 * math.pi)  # UP's map is the identity
+    e = math.e
+    # Centers on the path at heights e, e^2, e^3, hit at 1 - r, 2 - r, 3 - r;
+    # mirror images across the path at height e, hit at the same time.
+    cx = np.array([[0.0], [0.0], [0.0], [-0.2 * e], [0.2 * e]])
+    cy = np.array([[e], [e**2], [e**3], [e], [e]])
+    th = _hit_times(*up, cx, cy, coshm1_r)[:, 0]
+    assert th[:3] == pytest.approx([1.0 - r, 2.0 - r, 3.0 - r], abs=1e-12)
+    assert th[3] == th[4] and th[0] < th[3] < th[1]
+
+    def race(rows, last):  # a (K, 1) table serves one state
+        gap, idx = _race(up, cx[rows], cy[rows], coshm1_r, np.array([last]))
+        assert gap.shape == idx.shape == (1,)
+        return rows[idx[0]], gap[0]
+
+    assert race([0, 1, 2], -1) == (0, th[0])
+    # The row just left holds the smallest root and does not win.
+    assert race([0, 1, 2], 0) == (1, th[1])
+    assert race([2, 0, 1], 1) == (1, th[1])
+    # Two rows tie: the first one wins, whichever it is.
+    assert race([2, 3, 4], -1) == (3, th[3])
+    assert race([2, 4, 3], -1) == (4, th[4])
+    # Nothing ahead: time inf.
+    assert race([2], 0)[1] == math.inf
+
+    # A (K, m) table: column j serves state j, whose row last[j] is out.
+    states = np.repeat(np.array(up)[:, None], 3, axis=1)
+    cols = np.array([[0, 3, 2], [1, 4, 0]])
+    gap, idx = _race(states, cx[cols, 0], cy[cols, 0], coshm1_r, np.array([0, -1, 1]))
+    assert idx.tolist() == [1, 0, 0]
+    assert gap.tolist() == [th[1], th[3], th[2]]
+
+    # K = 0: (inf, -1) in every column.
+    for table in (np.empty((0, 1)), np.empty((0, 4))):
+        gap, idx = _race(up, table, table, coshm1_r, np.full(table.shape[1], -1))
+        assert gap.tolist() == [math.inf] * table.shape[1]
+        assert idx.tolist() == [-1] * table.shape[1]
+
+
+# ---------------------------------------------------------------------------
 # free_path
 # ---------------------------------------------------------------------------
 
@@ -599,14 +646,11 @@ def test_free_path_empty_field_censors():
 
 
 def test_free_path_matches_first_event():
-    for seed in range(20):
-        field, traj = random_simulation(seed)
-        t, censored = free_path(UP, field, 3.0)
-        if traj.events:
-            assert not censored
-            assert t == pytest.approx(traj.events[0].time, abs=1e-12)
-        else:
-            assert censored and t == 3.0
+    # Both race through _race, so the time agrees bit for bit.
+    fields = [(random_simulation(seed)[0], 3.0) for seed in range(20)]
+    for field, t_max in fields + list(pinned_fields()):
+        events = simulate(UP, field, t_max).events
+        assert free_path(UP, field, t_max) == ((events[0].time, False) if events else (t_max, True))
 
 
 def test_free_path_exponential_law_small_n():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from hyperlorentz import (
     ObstacleField,
     Point,
     PotentialProfile,
+    ValidationError,
     ball_area,
     expected_T1,
     hyp_distance,
@@ -247,6 +249,23 @@ def test_annulus_and_field_points_keep_their_bits_at_slice_edges():
         field = sample_field(mean / (ball_area(3.0) - ball_area(0.25)), center, 3.0, 0.25, rng)
         assert len(field) == count
         assert fingerprint([field.centers[:, 0], field.centers[:, 1]], [rng]) == tuple(expected)
+
+
+def test_annulus_refuses_points_out_of_float_range_before_drawing():
+    # From (0, 1) the flow's e^eta overflows past ln(DBL_MAX) ~ 709.78 while
+    # sinh^2(hi / 2) is finite up to ~711; a center low or high enough sends
+    # the heights y e^-/+eta to 0 or inf well before.  Unchecked, these
+    # calls return NaN coordinates or y = 0.
+    bad = [(ORIGIN, 709.9), (ORIGIN, 711.0), (Point(0.0, 1e-300), 700.0), (Point(0.0, 1e300), 700.0)]
+    for center, hi in bad:
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match=f"^outer radius {hi} is too large for the center"):
+            obstacles.sample_annulus(center, 0.0, hi, rng, 3)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing was drawn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = obstacles.sample_annulus(ORIGIN, 709.0, 709.78, np.random.default_rng(0), 10**4)
+    assert np.isfinite(pts).all() and (pts[:, 1] > 0.0).all()
 
 
 def test_field_region_invariant_enforced():

@@ -346,6 +346,18 @@ CHECKS = [
     ),
     ("ball_area-eta=nan", lambda: ball_area(math.nan), ValueError, "radius must be nonnegative, got nan"),
     (
+        "ball_area-eta=709",
+        lambda: ball_area(709.0),
+        ValidationError,
+        "radius 709.0 is too large: the area 4 pi sinh^2(radius / 2) overflows",
+    ),
+    (
+        "ball_area-eta=1500",
+        lambda: ball_area(1500.0),
+        ValidationError,
+        "radius 1500.0 is too large: the area 4 pi sinh^2(radius / 2) overflows",
+    ),
+    (
         "BallRegion-outer=0",
         lambda: BallRegion(C, 0.0),
         ValidationError,
@@ -508,6 +520,30 @@ CHECKS = [
         "outer radius 800.0 is too large: sinh^2(outer / 2) overflows",
     ),
     (
+        "sample_annulus-hi=709.9",
+        lambda: sample_annulus(C, 0.0, 709.9, _rng(), 3),
+        ValidationError,
+        "outer radius 709.9 is too large for the center (0.0, 1.0): points that far from it leave float range",
+    ),
+    (
+        "sample_annulus-hi=711",
+        lambda: sample_annulus(C, 0.0, 711.0, _rng(), 3),
+        ValidationError,
+        "outer radius 711.0 is too large for the center (0.0, 1.0): points that far from it leave float range",
+    ),
+    (
+        "sample_annulus-y=1e-300-hi=700",
+        lambda: sample_annulus(Point(0.0, 1e-300), 0.0, 700.0, _rng(), 3),
+        ValidationError,
+        "outer radius 700.0 is too large for the center (0.0, 1e-300): points that far from it leave float range",
+    ),
+    (
+        "sample_annulus-y=1e300-hi=700",
+        lambda: sample_annulus(Point(0.0, 1e300), 0.0, 700.0, _rng(), 3),
+        ValidationError,
+        "outer radius 700.0 is too large for the center (0.0, 1e+300): points that far from it leave float range",
+    ),
+    (
         "sample_field-radius=None-exclusion=0",
         lambda: sample_field(1.0, C, 2.0, 0.0, _rng()),
         ValidationError,
@@ -524,6 +560,12 @@ CHECKS = [
         lambda: sample_field(0.0, C, 2.0, 0.1, _rng()),
         ValidationError,
         "intensity must be positive and finite, got 0.0",
+    ),
+    (
+        "sample_field-R=800",
+        lambda: sample_field(1.0, C, 800.0, 0.1, _rng()),
+        ValidationError,
+        "radius 800.0 is too large: the area 4 pi sinh^2(radius / 2) overflows",
     ),
     (
         "nearest_neighbor_tail-lam=nan",
@@ -614,6 +656,18 @@ CHECKS = [
         lambda: tube_area(1.0, math.nan),
         ValidationError,
         "tube radius must be positive and finite, got nan",
+    ),
+    (
+        "tube_area-r=711",
+        lambda: tube_area(1.0, 711.0),
+        ValidationError,
+        "radius 711.0 is too large: the area 4 pi sinh^2(radius / 2) overflows",
+    ),
+    (
+        "tube_area-t=10-r=708",
+        lambda: tube_area(10.0, 708.0),
+        ValidationError,
+        "tube of length 10.0 and radius 708.0 is too large: its area overflows",
     ),
     (
         "free_path-t_max=nan",
