@@ -107,9 +107,9 @@ class Trajectory(_Record):
         object.__setattr__(self, "events", tuple(self.events))
         times = [e.time for e in self.events]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("collision times must be strictly increasing")
+            raise ValidationError("collision times must be strictly increasing")
         if times and times[-1] >= self.horizon:
-            raise ValueError("collision times must lie strictly before the horizon")
+            raise ValidationError("collision times must lie strictly before the horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def first_hit(s: State, ob: Obstacle) -> float | None:
     The state must start outside the obstacle, beyond r (1 + 1e-9) + 1e-12.
     """
     if hyp_distance(s.point, ob.center) <= ob.radius * (1.0 + 1e-9) + 1e-12:
-        raise ValueError("first_hit requires a state strictly outside the obstacle")
+        raise ValidationError("first_hit requires a state strictly outside the obstacle")
     coeffs = normalizing_coeffs(s.point.x, s.point.y, s.dir.alpha)
     center = np.array([[ob.center.x]]), np.array([[ob.center.y]])
     t = _race(coeffs, *center, _coshm1(ob.radius), np.array([-1]))[0][0]
@@ -202,7 +202,7 @@ def first_hit(s: State, ob: Obstacle) -> float | None:
 def reflect(impact: Point, incoming: Direction, ob: Obstacle) -> Direction:
     """Specular reflection of the incoming direction at an impact within 1e-8 r + 1e-12 of the boundary."""
     if abs(hyp_distance(impact, ob.center) - ob.radius) > 1e-8 * ob.radius + 1e-12:
-        raise ValueError("impact point does not lie on the obstacle boundary")
+        raise ValidationError("impact point does not lie on the obstacle boundary")
     return Direction(
         float(_reflect_angle(impact.x, impact.y, incoming.alpha, ob.center.x, ob.center.y, ob.radius))
     )
@@ -213,7 +213,7 @@ def tube_area(t: float, r: float) -> float:
     segment of length t: 4*pi*sinh^2(r/2) + 2*t*sinh(r), refused where it
     overflows."""
     if not t >= 0.0:
-        raise ValueError(f"segment length must be nonnegative, got {t}")
+        raise ValidationError(f"segment length must be nonnegative, got {t}")
     _positive("tube radius", r)
     area = ball_area(r) + 2.0 * t * math.sinh(r)
     if area == math.inf:
@@ -236,7 +236,7 @@ def _check_field(s0: State, field: ObstacleField, t_max: float):
     if len(field):
         d = distance_xy(field.centers[:, 0], field.centers[:, 1], s0.point.x, s0.point.y)
         if np.any(d <= field.radius):
-            raise ValueError("initial point lies inside (or on) an obstacle")
+            raise ValidationError("initial point lies inside (or on) an obstacle")
 
 
 def _block_draws(block, live, count: int, draw):
@@ -364,7 +364,7 @@ def free_path(s0: State, field: ObstacleField, t_max: float) -> tuple[float, boo
 def position_at(traj: Trajectory, t: float) -> State:
     """State at time t along the trajectory (right-continuous at events)."""
     if not 0.0 <= t <= traj.horizon:
-        raise ValueError(f"time {t} outside [0, {traj.horizon}]")
+        raise ValidationError(f"time {t} outside [0, {traj.horizon}]")
     k = bisect_right(traj.events, t, key=attrgetter("time"))
     if k == 0:
         base, t0 = traj.initial, 0.0
@@ -531,14 +531,13 @@ def sample_first_collisions(
     Neither law depends on where the hit happens, so the contact is placed
     at ``_START`` itself: flowing the free path first would only add the
     flow's rounding, which grows as e^t.  A radius where cosh r rounds to 1
-    raises ValueError (see :func:`_check_reflection`).
+    raises ValidationError (see :func:`_check_reflection`).
     """
     _positive("intensity", lam)
     _positive("obstacle radius", radius)
     if horizon != math.inf:  # +inf censors nothing
         _positive("horizon", horizon)
-    if _integer("size", size) < 0:
-        raise ValidationError(f"size must be >= 0, got {size!r}")
+    _integer("size", size, 0)
     _check_reflection("sample_first_collisions", radius)
     free, psi = _first_contacts(rng, lam, radius, size)
     time, censored = np.minimum(free, horizon), free >= horizon

@@ -5,9 +5,9 @@
     hyperlorentz export --model halfplane|disk --seed N --out FILE
                  [--sigma F --r F --t F]
 
-Exit codes: 0 success, 2 validation error, 3 runtime error.  The default
-worker count may be overridden with the HYPERLORENTZ_WORKERS environment
-variable; everything else is flags only.
+Exit codes: 0 success, 2 a usage error or a ValidationError, 3 any other
+exception, a plain ValueError too.  The default worker count may be
+overridden by HYPERLORENTZ_WORKERS; everything else is flags only.
 """
 
 from __future__ import annotations
@@ -125,10 +125,10 @@ def main(argv: list[str] | None = None) -> int:
                 hw = f" +/-{s.half_width:.3g}" if s.half_width is not None else ""
                 print(f"  {tag}{s.stat_name} = {s.value:.6g}{hw} (n={s.n})")
             print(f"report written to {cfg.output_dir}/report.json")
-    except ValueError as exc:  # ValidationError is one
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failures: runaway loops, I/O, ...
+    except Exception as exc:  # runtime failures: runaway loops, I/O, a plain ValueError, ...
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -109,25 +109,26 @@ def lambda_for(sigma: float, r: float) -> float:
     return lam
 
 
-def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]) -> None:
-    """Refuse a sigma, t or r level that ``command`` cannot run, before it
-    samples; the rules that differ between commands are its entry of ``_COMMANDS``."""
+def _check_run(command: str, sigma: float, t: float, r_levels) -> tuple[float, float, tuple[float, ...]]:
+    """Refuse a sigma, t or r level that ``command`` cannot run, before it samples, or
+    return them as floats; the rules that differ between commands are ``_COMMANDS[command]``."""
     _, bound, why, counts, reflects = _COMMANDS[command]
-    _positive("sigma", sigma)
-    _positive("t", t)
+    sigma, t = _positive("sigma", sigma), _positive("t", t)
     # A path turns about Poisson(sigma t) times, and a run stops at the event cap.
     if counts and sigma * t >= DEFAULT_MAX_EVENTS:
         raise ValidationError(
             f"sigma * t = {sigma * t:g} {counts}; "
             f"{command} needs it below the cap of {DEFAULT_MAX_EVENTS} events a path"
         )
-    for r in r_levels:
-        _positive("r", r)
+    try:
+        r_levels = tuple(_positive("r", r) for r in r_levels)
+    except TypeError:
+        raise ValidationError(f"r levels must be a sequence of real numbers, got {r_levels!r}") from None
     past = f"{command} needs at most {bound:g}, or {why}"
     if command == "flight-baseline":
         if not t <= bound:
             raise ValidationError(f"t = {t}; {past}")
-        return
+        return sigma, t, r_levels
     if not r_levels:
         raise ValidationError(f"{command} needs at least one r level")
     for r in r_levels:
@@ -136,11 +137,13 @@ def _check_run(command: str, sigma: float, t: float, r_levels: tuple[float, ...]
             raise ValidationError(f"t = {t} and r = {r} give t + r = {t + r}; {past}")
         if reflects:
             _check_reflection(command, r)
+    return sigma, t, r_levels
 
 
 def exp_cdf(rate: float):
+    """CDF of Exp(rate): 1 - e^(-rate x), 0 below x = 0."""
     _positive("rate", rate)
-    return lambda x: -np.expm1(-rate * np.asarray(x, dtype=float))
+    return lambda x: -np.expm1(-rate * np.maximum(np.asarray(x, dtype=float), 0.0))
 
 
 def deflection_cdf(beta):
@@ -174,16 +177,12 @@ class ExperimentConfig(_Record):
             raise ValidationError(
                 f"unknown experiment {self.experiment!r}; choose one of {', '.join(EXPERIMENTS)}"
             )
-        object.__setattr__(self, "r_levels", tuple(float(r) for r in self.r_levels))
-        for name in ("samples", "seed", "workers"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.samples < 1:
-            raise ValidationError(f"samples must be >= 1, got {self.samples}")
-        if self.experiment == "flight-baseline" and self.samples < 2:
+        samples = _integer("samples", self.samples, 1)
+        if self.experiment == "flight-baseline" and samples < 2:
             raise ValidationError("flight-baseline needs samples >= 2 for its event-count variance")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        _check_run(self.experiment, self.sigma, self.t, self.r_levels)
+        seed, workers = _integer("seed", self.seed), _integer("workers", self.workers, 1)
+        sigma, t, levels = _check_run(self.experiment, self.sigma, self.t, self.r_levels)
+        self.__dict__.update(sigma=sigma, r_levels=levels, t=t, samples=samples, seed=seed, workers=workers)
         if self.experiment == "bg-convergence" and any(
             r2 >= r1 for r1, r2 in zip(self.r_levels, self.r_levels[1:])
         ):
@@ -632,7 +631,7 @@ def sample_trajectory(sigma: float, r: float, t: float, seed: int) -> Trajectory
     the event cap; the seed is an integer.  An event's ``obstacle_index`` is
     the round in which its obstacle was first met.
     """
-    _check_run("export", sigma, t, (r,))
+    sigma, t, (r,) = _check_run("export", sigma, t, (r,))
     _integer("seed", seed)
     record: list = []
     _explore([(_derive_rng(seed, _TAG_EXPORT, 0, 0), 1, lambda_for(sigma, r), r)], t, record=record)

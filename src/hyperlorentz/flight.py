@@ -24,7 +24,7 @@ from .billiard import (
     _trajectory,
     position_at,
 )
-from .errors import ValidationError, _integer, _positive
+from .errors import _integer, _positive
 # flow_xy is unused here but stays importable: perfbench/tracing.py patches it.
 from .geometry import State, _Record, _wrap, flow_xy, hyp_distance  # noqa: F401
 
@@ -47,8 +47,8 @@ def sample_deflection(rng: np.random.Generator, size: int | None = None):
 
     Exact inversion of the CDF sin^2(beta/4): beta = 4*arcsin(sqrt(U)).
     """
-    if size is not None and _integer("size", size) < 0:
-        raise ValidationError(f"size must be >= 0, got {size!r}")
+    if size is not None:
+        _integer("size", size, 0)
     return _deflection(rng.random(size))
 
 

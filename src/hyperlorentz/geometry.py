@@ -147,7 +147,7 @@ class _Record:
     words every TypeError, and shows the fields in ``help()`` and
     ``inspect.signature``.  It stores the fields, then ``__post_init__``
     runs where the class has one; it may still set fields through
-    ``object.__setattr__``, and nothing else can.  Records of one class
+    ``object.__setattr__`` or ``__dict__``, and nothing else can.  Records of one class
     compare and hash as the tuples of their fields, print as
     ``Name(field=value, ...)``, and pickle and copy through their
     ``__dict__``.  Those methods are written once, here.
@@ -200,9 +200,9 @@ class Point(_Record):
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+            raise ValidationError(f"point coordinates must be finite, got ({self.x}, {self.y})")
         if self.y <= 0.0:
-            raise ValueError(f"point must lie strictly above the x-axis, got y={self.y}")
+            raise ValidationError(f"point must lie strictly above the x-axis, got y={self.y}")
 
     @property
     def z(self) -> complex:
@@ -216,7 +216,7 @@ class Direction(_Record):
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
-            raise ValueError(f"direction angle must be finite, got {self.alpha}")
+            raise ValidationError(f"direction angle must be finite, got {self.alpha}")
         object.__setattr__(self, "alpha", _wrap(self.alpha))
 
     @property
@@ -247,7 +247,7 @@ class MobiusMap(_Record):
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
         if not math.isfinite(det) or det <= 0.0:
-            raise ValueError(f"Mobius coefficients must have positive determinant, got {det}")
+            raise ValidationError(f"Mobius coefficients must have positive determinant, got {det}")
         if abs(det - 1.0) > 1e-12:
             s = 1.0 / math.sqrt(det)
             for name in ("a", "b", "c", "d"):
@@ -277,7 +277,7 @@ def ball_area(eta: float) -> float:
     """Area of a hyperbolic disk of radius eta: 4*pi*sinh^2(eta/2), which
     is finite up to eta ~ 708.6."""
     if not eta >= 0.0:
-        raise ValueError(f"radius must be nonnegative, got {eta}")
+        raise ValidationError(f"radius must be nonnegative, got {eta}")
     try:
         s = math.sinh(0.5 * eta)
     except OverflowError:
@@ -288,29 +288,54 @@ def ball_area(eta: float) -> float:
     return area
 
 
+def _check_reach(what: str, eta: float, center: Point) -> None:
+    """Refuse a distance eta (of either sign) from center that is not finite or
+    past which points leave float range: a point at distance |eta| from (x, y)
+    has height within y e^-|eta| .. y e^|eta| and x within y e^|eta| of x,
+    and e^|eta| + e^-|eta| = 4 sinh^2(eta / 2) + 2, finite to |eta| ~ 709.78."""
+    if not math.isfinite(eta):
+        raise ValidationError(f"{what} must be finite, got {eta}")
+    try:
+        grow = 4.0 * math.sinh(0.5 * eta) ** 2 + 2.0
+    except OverflowError:
+        grow = math.inf
+    if not (center.y / grow > 0.0 and abs(center.x) + center.y * grow < math.inf):
+        raise ValidationError(
+            f"{what} {eta} is too large for the center ({center.x}, {center.y}): "
+            "points that far from it leave float range"
+        )
+
+
 def circle_to_euclidean(c: HypCircle) -> tuple[tuple[float, float], float]:
     """Euclidean center and radius of the circle as drawn in the half-plane.
 
     A hyperbolic circle of center (x, y) and radius eta is the Euclidean
     circle of center (x, y*cosh eta) and radius y*sinh eta, which always
-    stays strictly above the x-axis.
+    stays strictly above the x-axis; a radius whose circle leaves float
+    range is refused (:func:`_check_reach`).
     """
+    _check_reach("radius", c.radius, c.center)
     x, y = c.center.x, c.center.y
     return (x, y * math.cosh(c.radius)), y * math.sinh(c.radius)
 
 
 def geodesic_flow(s: State, t: float) -> Point:
-    """Position after flowing along the geodesic for (signed) time t."""
+    """Position after flowing along the geodesic for (signed) time t, which
+    is refused where it is not finite or the position leaves float range
+    (:func:`_check_reach`)."""
+    _check_reach("time", t, s.point)
     x, y = flow_xy(s.point.x, s.point.y, s.dir.alpha, t)
     return Point(float(x), float(y))
 
 
 def flow_state(s: State, t: float) -> State:
-    """Position and transported direction after flowing for signed time t.
+    """Position and transported direction after flowing for signed time t,
+    refused as in :func:`geodesic_flow`.
 
     Satisfies the semigroup law flow_state(flow_state(s, u), t)
     == flow_state(s, u + t) up to rounding.
     """
+    _check_reach("time", t, s.point)
     x, y, alpha = flow_ahead(s.point.x, s.point.y, s.dir.alpha, t)
     return State(Point(float(x), float(y)), Direction(float(alpha)))
 

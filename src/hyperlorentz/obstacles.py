@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InfeasibleFieldError, ValidationError, _integer, _positive
-from .geometry import Point, _Record, ball_area, distance_xy, flow_xy
+from .geometry import Point, _Record, _check_reach, ball_area, distance_xy, flow_xy
 
 __all__ = [
     "BallRegion",
@@ -54,7 +54,7 @@ class BallRegion(_Record):
     def __post_init__(self):
         _positive("outer radius", self.outer)
         if not (0.0 <= self.exclusion < self.outer):
-            raise ValueError(
+            raise ValidationError(
                 f"exclusion radius must satisfy 0 <= exclusion < outer, got {self.exclusion}"
             )
 
@@ -82,14 +82,14 @@ class ObstacleField(_Record):
             centers = centers.reshape(0, 2)
         centers.flags.writeable = False
         if centers.ndim != 2 or centers.shape[1] != 2:
-            raise ValueError(f"centers must be an (n, 2) array, got shape {centers.shape}")
+            raise ValidationError(f"centers must be an (n, 2) array, got shape {centers.shape}")
         object.__setattr__(self, "centers", centers)
         _positive("obstacle radius", self.radius)
         _positive("intensity", self.intensity)
         region = self.region
         d = distance_xy(centers[:, 0], centers[:, 1], region.center.x, region.center.y)
         if np.any(d <= region.exclusion - _REGION_TOL) or np.any(d > region.outer + _REGION_TOL):
-            raise ValueError("field has centers outside its sampling region")
+            raise ValidationError("field has centers outside its sampling region")
 
     # Fields compare by value, centers elementwise; an array cannot be hashed.
     __hash__ = None
@@ -122,10 +122,10 @@ class PotentialProfile(_Record):
         _positive("support radius", self.support_radius)
         for frac in (0.1, 0.5, 0.9):
             if self.values(frac * self.support_radius) < 0.0:
-                raise ValueError("profile takes a negative value inside its support")
+                raise ValidationError("profile takes a negative value inside its support")
         for mult in (1.001, 1.5, 4.0, 32.0):
             if self.values(mult * self.support_radius) != 0.0:
-                raise ValueError("profile does not vanish beyond its support radius")
+                raise ValidationError("profile does not vanish beyond its support radius")
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +140,11 @@ def sample_annulus(
     Returns an (size, 2) coordinate array.  Each point is realized by
     flowing from the center along a uniformly random direction for the
     inverted radial distance, which is exact in polar geodesic coordinates.
-    The radii need 0 <= lo < hi, sinh^2(hi/2) and e^hi finite, as they are
-    up to hi ~ 709.78, and the points within float range: a point at
-    distance eta has height within y e^-eta .. y e^eta and x within
-    y e^eta of the center's.  A refused call draws nothing.
+    The radii need 0 <= lo < hi, sinh^2(hi/2) finite and the points within
+    float range (:func:`geometry._check_reach`), as from a center at height
+    1 they are up to hi ~ 709.78.  A refused call draws nothing.
     """
-    if _integer("size", size) < 0:
-        raise ValidationError(f"size must be >= 0, got {size!r}")
+    _integer("size", size, 0)
     _positive("outer radius", hi)
     if not 0.0 <= lo < hi:
         raise ValidationError(f"inner radius must satisfy 0 <= inner < outer = {hi}, got {lo}")
@@ -154,12 +152,7 @@ def sample_annulus(
         s_lo, s_hi = math.sinh(0.5 * lo) ** 2, math.sinh(0.5 * hi) ** 2
     except OverflowError:
         raise ValidationError(f"outer radius {hi} is too large: sinh^2(outer / 2) overflows") from None
-    grow = 4.0 * s_hi + 2.0  # e^hi + e^-hi, at least e^hi
-    if not (center.y / grow > 0.0 and abs(center.x) + center.y * grow < math.inf):
-        raise ValidationError(
-            f"outer radius {hi} is too large for the center ({center.x}, {center.y}): "
-            "points that far from it leave float range"
-        )
+    _check_reach("outer radius", hi, center)
     u = rng.random(size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size)
     pts = np.empty((size, 2))
@@ -224,11 +217,11 @@ def nearest_neighbor_tail(eta, lam: float, k: int = 1):
 
     Equals the Poisson CDF at k-1 with mean mu = 4*pi*lam*sinh^2(eta/2),
     sum_{j<k} e^{-mu} mu^j / j!, summed term by term; k is an integer >= 1.
+    A distance is never negative, so the tail is 1 below eta = 0.
     """
     _positive("intensity", lam)
-    if _integer("neighbor order", k) < 1:
-        raise ValidationError(f"neighbor order must be >= 1, got {k!r}")
-    mu = 4.0 * math.pi * lam * np.sinh(np.asarray(eta, dtype=float) / 2.0) ** 2
+    _integer("neighbor order", k, 1)
+    mu = 4.0 * math.pi * lam * np.sinh(np.maximum(np.asarray(eta, dtype=float), 0.0) / 2.0) ** 2
     term = out = np.exp(-mu)
     for j in range(1, k):
         term = term * mu / j

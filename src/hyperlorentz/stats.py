@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import _integer
+from .errors import ValidationError, _integer
 
 __all__ = ["ks_statistic", "wasserstein1", "bootstrap_half_width_w1"]
 
@@ -30,7 +30,7 @@ def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
-        raise ValueError("KS statistic needs at least one sample")
+        raise ValidationError("KS statistic needs at least one sample")
     return _ks_censored(x, x.size, cdf, None)
 
 
@@ -59,7 +59,7 @@ def wasserstein1(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or a.shape != b.shape or a.ndim != 1:
-        raise ValueError("wasserstein1 expects two nonempty equal-length 1-d samples")
+        raise ValidationError("wasserstein1 expects two nonempty equal-length 1-d samples")
     return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
 
 
@@ -98,11 +98,10 @@ def bootstrap_half_width_w1(
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or a.shape != b.shape or a.ndim != 1:
-        raise ValueError("bootstrap_half_width_w1 expects two nonempty equal-length 1-d samples")
-    if _integer("n_boot", n_boot) < 1:
-        raise ValueError(f"bootstrap needs at least one resample, got n_boot={n_boot}")
+        raise ValidationError("bootstrap_half_width_w1 expects two nonempty equal-length 1-d samples")
+    _integer("n_boot", n_boot, 1)
     if not 0.0 < level < 1.0:
-        raise ValueError(f"bootstrap level must lie strictly between 0 and 1, got {level}")
+        raise ValidationError(f"bootstrap level must lie strictly between 0 and 1, got {level}")
     n = a.size
     dtype = np.uint16 if n <= 1 << 16 else np.uint32
     rows = min(n_boot, max(1, _BOOT_CELLS // (2 * n)))

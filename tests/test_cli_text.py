@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from hyperlorentz import cli, experiments
+from hyperlorentz import ValidationError, cli, experiments
 from hyperlorentz.cli import main
 
 USAGE = """\
@@ -245,3 +245,24 @@ def test_inputs_are_checked_before_out(capsys, argv):
     assert main([*argv, "--sigma", "nan"]) == 2
     assert capsys.readouterr() == ("", "error: sigma must be positive and finite, got nan\n")
     assert not os.path.exists("/proc/nope")
+
+
+@pytest.mark.parametrize(
+    "error, code, err",
+    [
+        (ValidationError("sigma is unusable"), 2, "error: sigma is unusable\n"),
+        (ValueError("a fault inside the run"), 3, "runtime error: a fault inside the run\n"),
+    ],
+    ids=["ValidationError", "ValueError"],
+)
+@pytest.mark.parametrize("command", ["free-path", "export"])
+def test_only_a_validation_error_exits_2(monkeypatch, capsys, tmp_path, command, error, code, err):
+    # A refusal is a ValidationError; a plain ValueError is a failure of the run.
+    def driver(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "run_experiment", driver)
+    monkeypatch.setattr(cli, "sample_trajectory", driver)
+    out = tmp_path / ("traj.csv" if command == "export" else "out")
+    assert main([command, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", err)

@@ -32,7 +32,17 @@ from hyperlorentz import (
 from hyperlorentz import FlightConfig, ObstacleField, BallRegion, expected_T1
 from hyperlorentz import billiard, cli, experiments, obstacles
 from hyperlorentz.cli import main
-from hyperlorentz.experiments import _FC_BLOCK, _LAZY_BLOCK, _TAG_EXPORT, _derive_rng, sample_trajectory
+from hyperlorentz.experiments import (
+    _FC_BLOCK,
+    _LAZY_BLOCK,
+    _TAG_EXPORT,
+    _derive_rng,
+    deflection_cdf,
+    exp_cdf,
+    sample_trajectory,
+    t1_cdf,
+)
+from hyperlorentz.obstacles import nearest_neighbor_tail
 
 START = State(Point(0.0, 1.0), Direction(math.pi / 2))
 SIGMA_HALF = 2.0 * math.sinh(0.5)  # sigma matching (lam, r) = (1, 0.5)
@@ -89,6 +99,32 @@ def test_config_rejects_bad_values(tmp_path):
             cfg_for(tmp_path, experiment="tube-mc", r_levels=(0.5, r), t=t)
         cfg_for(tmp_path, experiment="free-path", r_levels=(0.5, r), t=t)
     cfg_for(tmp_path, experiment="tube-mc", r_levels=(0.5,), t=353.5)
+
+
+def test_config_stores_its_checked_numbers_as_floats(tmp_path):
+    # An int sigma or t is the same config as its float, and writes the same bytes.
+    run_experiment(cfg_for(tmp_path / "int", experiment="deflection", sigma=1, t=2, samples=200))
+    run_experiment(cfg_for(tmp_path / "float", experiment="deflection", sigma=1.0, t=2.0, samples=200))
+    assert read_outputs(tmp_path / "int") == read_outputs(tmp_path / "float")
+    assert b'"sigma": 1.0' in read_outputs(tmp_path / "int")[0]
+    cfg = cfg_for(tmp_path, sigma=np.float32(2.0), t=3, r_levels=[np.int64(1)])
+    assert [type(v) for v in (cfg.sigma, cfg.t, *cfg.r_levels)] == [float, float, float]
+
+
+def test_closed_form_laws_are_distribution_functions_on_the_whole_line():
+    # Below 0 a CDF is 0 and a tail is 1; NaN stays NaN; no value at x >= 0 moves.
+    x = np.array([-math.inf, -5.0, -1.0, -1e-300, -0.0, 0.0, 0.5, 3.0, math.nan])
+    neg, pos = slice(0, 5), slice(5, 8)
+    for cdf in (exp_cdf(1.5), t1_cdf(0.7), deflection_cdf):
+        f = cdf(x)
+        assert np.all(f[neg] == 0.0) and math.isnan(f[-1])
+        assert cdf(-1.0) == 0.0
+    tail = nearest_neighbor_tail(x, 0.7, 3)
+    assert np.all(tail[neg] == 1.0) and math.isnan(tail[-1])
+    assert nearest_neighbor_tail(-1.0, 1.0) == 1.0
+    assert np.array_equal(exp_cdf(1.5)(x[pos]), -np.expm1(-1.5 * x[pos]))
+    mu = 4.0 * math.pi * 0.7 * np.sinh(x[pos] / 2.0) ** 2
+    assert np.array_equal(tail[pos], np.exp(-mu) + np.exp(-mu) * mu + np.exp(-mu) * mu * mu / 2)
 
 
 def test_lambda_scaling_recorded_in_report(tmp_path):

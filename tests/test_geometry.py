@@ -11,6 +11,7 @@ from hyperlorentz import (
     MobiusMap,
     Point,
     State,
+    ValidationError,
     ball_area,
     cayley,
     circle_to_euclidean,
@@ -26,6 +27,7 @@ from hyperlorentz import (
 )
 from hyperlorentz.billiard import _START
 from hyperlorentz.geometry import distance_xy, flow_ahead, flow_xy
+from hyperlorentz.obstacles import sample_annulus
 from util import angle_diff, random_mobius, random_point, random_state
 
 TWO_PI = 2.0 * math.pi
@@ -301,6 +303,29 @@ def test_flow_semigroup_and_time_reversal_near_vertical():
 def test_flow_state_keeps_the_downward_direction_at_negative_times():
     s = flow_state(State(Point(0.0, 1.0), Direction(1.5 * math.pi)), -20.0)
     assert abs(s.dir.alpha - 1.5 * math.pi) <= 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+def test_flows_and_circles_reach_as_far_as_sample_annulus():
+    # One reach rule: the flows and circle_to_euclidean refuse a time or radius
+    # where sample_annulus refuses that outer radius from the same center, and
+    # give finite points above the axis where it does not.
+    cases = [(1.0, 709.78), (1.0, 709.8), (1e-300, 10.0), (1e-300, 700.0), (1e300, 10.0), (1e300, 700.0)]
+    for y, eta in cases:
+        s = State(Point(0.0, y), Direction(0.3))
+        try:
+            sample_annulus(s.point, 0.0, eta, np.random.default_rng(0), 3)
+        except ValidationError:
+            for call in (lambda: geodesic_flow(s, eta), lambda: flow_state(s, -eta),
+                         lambda: circle_to_euclidean(HypCircle(s.point, eta))):
+                with pytest.raises(ValidationError, match="too large for the center"):
+                    call()
+        else:
+            for t in (eta, -eta):
+                p = geodesic_flow(s, t)
+                assert p == flow_state(s, t).point and math.isfinite(p.x) and p.y > 0.0
+            (cx, cy), rad = circle_to_euclidean(HypCircle(s.point, eta))
+            assert math.isfinite(cy) and math.isfinite(rad)
 
 
 def test_rotate_direction():

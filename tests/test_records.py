@@ -38,8 +38,11 @@ from hyperlorentz import (
     ValidationError,
     ball_area,
     bootstrap_half_width_w1,
+    circle_to_euclidean,
     expected_T1,
+    flow_state,
     free_path,
+    geodesic_flow,
     nearest_neighbor_tail,
     sample_deflection,
     sample_field,
@@ -298,32 +301,37 @@ CHECKS = [
     (
         "Point-x=inf",
         lambda: Point(math.inf, 1.0),
-        ValueError,
+        ValidationError,
         "point coordinates must be finite, got (inf, 1.0)",
     ),
     (
         "Point-y=nan",
         lambda: Point(0.0, math.nan),
-        ValueError,
+        ValidationError,
         "point coordinates must be finite, got (0.0, nan)",
     ),
-    ("Point-y=0", lambda: Point(0.0, 0.0), ValueError, "point must lie strictly above the x-axis, got y=0.0"),
+    (
+        "Point-y=0",
+        lambda: Point(0.0, 0.0),
+        ValidationError,
+        "point must lie strictly above the x-axis, got y=0.0",
+    ),
     (
         "Direction-alpha=nan",
         lambda: Direction(math.nan),
-        ValueError,
+        ValidationError,
         "direction angle must be finite, got nan",
     ),
     (
         "MobiusMap-det=-1",
         lambda: MobiusMap(1.0, 0.0, 0.0, -1.0),
-        ValueError,
+        ValidationError,
         "Mobius coefficients must have positive determinant, got -1.0",
     ),
     (
         "MobiusMap-a=inf",
         lambda: MobiusMap(math.inf, 0.0, 0.0, 1.0),
-        ValueError,
+        ValidationError,
         "Mobius coefficients must have positive determinant, got inf",
     ),
     (
@@ -344,7 +352,7 @@ CHECKS = [
         ValidationError,
         "circle radius must be positive and finite, got nan",
     ),
-    ("ball_area-eta=nan", lambda: ball_area(math.nan), ValueError, "radius must be nonnegative, got nan"),
+    ("ball_area-eta=nan", lambda: ball_area(math.nan), ValidationError, "radius must be nonnegative, got nan"),
     (
         "ball_area-eta=709",
         lambda: ball_area(709.0),
@@ -356,6 +364,42 @@ CHECKS = [
         lambda: ball_area(1500.0),
         ValidationError,
         "radius 1500.0 is too large: the area 4 pi sinh^2(radius / 2) overflows",
+    ),
+    (
+        "circle_to_euclidean-radius=800",
+        lambda: circle_to_euclidean(HypCircle(C, 800.0)),
+        ValidationError,
+        "radius 800.0 is too large for the center (0.0, 1.0): points that far from it leave float range",
+    ),
+    (
+        "geodesic_flow-t=-710",
+        lambda: geodesic_flow(State(C, D), -710.0),
+        ValidationError,
+        "time -710.0 is too large for the center (0.0, 1.0): points that far from it leave float range",
+    ),
+    (
+        "geodesic_flow-t=inf",
+        lambda: geodesic_flow(State(C, D), math.inf),
+        ValidationError,
+        "time must be finite, got inf",
+    ),
+    (
+        "flow_state-t=710",
+        lambda: flow_state(State(C, D), 710.0),
+        ValidationError,
+        "time 710.0 is too large for the center (0.0, 1.0): points that far from it leave float range",
+    ),
+    (
+        "flow_state-t=nan",
+        lambda: flow_state(State(C, D), math.nan),
+        ValidationError,
+        "time must be finite, got nan",
+    ),
+    (
+        "flow_state-y=1e-300-t=700",
+        lambda: flow_state(State(Point(0.0, 1e-300), D), 700.0),
+        ValidationError,
+        "time 700.0 is too large for the center (0.0, 1e-300): points that far from it leave float range",
     ),
     (
         "BallRegion-outer=0",
@@ -378,19 +422,19 @@ CHECKS = [
     (
         "BallRegion-exclusion=outer",
         lambda: BallRegion(C, 1.0, 1.0),
-        ValueError,
+        ValidationError,
         "exclusion radius must satisfy 0 <= exclusion < outer, got 1.0",
     ),
     (
         "BallRegion-exclusion=-0.5",
         lambda: BallRegion(C, 1.0, -0.5),
-        ValueError,
+        ValidationError,
         "exclusion radius must satisfy 0 <= exclusion < outer, got -0.5",
     ),
     (
         "ObstacleField-centers=flat",
         lambda: ObstacleField([1.0, 2.0], 0.1, 1.0, REGION),
-        ValueError,
+        ValidationError,
         "centers must be an (n, 2) array, got shape (2,)",
     ),
     (
@@ -420,13 +464,13 @@ CHECKS = [
     (
         "ObstacleField-center=outside",
         lambda: ObstacleField([[0.0, 50.0]], 0.1, 1.0, REGION),
-        ValueError,
+        ValidationError,
         "field has centers outside its sampling region",
     ),
     (
         "ObstacleField-center=excluded",
         lambda: ObstacleField([[0.0, 1.0]], 0.1, 1.0, BallRegion(C, 2.0, 0.5)),
-        ValueError,
+        ValidationError,
         "field has centers outside its sampling region",
     ),
     (
@@ -444,13 +488,13 @@ CHECKS = [
     (
         "PotentialProfile-profile=negative",
         lambda: PotentialProfile(1.0, lambda eta: -1.0 if eta < 1.0 else 0.0),
-        ValueError,
+        ValidationError,
         "profile takes a negative value inside its support",
     ),
     (
         "PotentialProfile-profile=nonvanishing",
         lambda: PotentialProfile(1.0, lambda eta: 1.0),
-        ValueError,
+        ValidationError,
         "profile does not vanish beyond its support radius",
     ),
     (
@@ -604,6 +648,12 @@ CHECKS = [
         "obstacle radius must be positive and finite, got 0.0",
     ),
     (
+        "Obstacle-radius=0-d array",
+        lambda: Obstacle(P, np.array(0.5)),
+        ValidationError,
+        "obstacle radius must be a real number, got array(0.5)",
+    ),
+    (
         "Obstacle-radius=inf",
         lambda: Obstacle(P, math.inf),
         ValidationError,
@@ -636,19 +686,19 @@ CHECKS = [
     (
         "Trajectory-events=repeated",
         lambda: Trajectory(State(P, D), 5.0, (EVENT, EVENT)),
-        ValueError,
+        ValidationError,
         "collision times must be strictly increasing",
     ),
     (
         "Trajectory-event=horizon",
         lambda: Trajectory(State(P, D), 1.5, (EVENT,)),
-        ValueError,
+        ValidationError,
         "collision times must lie strictly before the horizon",
     ),
     (
         "tube_area-t=nan",
         lambda: tube_area(math.nan, 0.5),
-        ValueError,
+        ValidationError,
         "segment length must be nonnegative, got nan",
     ),
     (
@@ -722,6 +772,12 @@ CHECKS = [
         lambda: FlightConfig(0.0, 1.0),
         ValidationError,
         "collision rate must be positive and finite, got 0.0",
+    ),
+    (
+        "FlightConfig-sigma=True",
+        lambda: FlightConfig(True, 1.0),
+        ValidationError,
+        "collision rate must be a real number, got True",
     ),
     (
         "FlightConfig-horizon=nan",
@@ -815,6 +871,18 @@ CHECKS = [
         "sigma must be positive and finite, got 0.0",
     ),
     (
+        "ExperimentConfig-sigma=True",
+        lambda: _config(sigma=True),
+        ValidationError,
+        "sigma must be a real number, got True",
+    ),
+    (
+        "ExperimentConfig-sigma='1'",
+        lambda: _config(sigma="1"),
+        ValidationError,
+        "sigma must be a real number, got '1'",
+    ),
+    (
         "ExperimentConfig-t=inf",
         lambda: _config(t=math.inf),
         ValidationError,
@@ -825,6 +893,12 @@ CHECKS = [
         lambda: _config(r_levels=(0.5, math.nan)),
         ValidationError,
         "r must be positive and finite, got nan",
+    ),
+    (
+        "ExperimentConfig-r_levels=0.5",
+        lambda: _config(r_levels=0.5),
+        ValidationError,
+        "r levels must be a sequence of real numbers, got 0.5",
     ),
     (
         "ExperimentConfig-r_levels=empty",
@@ -861,6 +935,12 @@ CHECKS = [
         lambda: lambda_for(-1.0, 0.5),
         ValidationError,
         "sigma must be positive and finite, got -1.0",
+    ),
+    (
+        "lambda_for-sigma=True",
+        lambda: lambda_for(True, 0.5),
+        ValidationError,
+        "sigma must be a real number, got True",
     ),
     (
         "lambda_for-r=0",
