@@ -76,7 +76,7 @@ class Obstacle(_Record):
     radius: float
 
     def __post_init__(self):
-        _positive("obstacle radius", self.radius)
+        self.__dict__["radius"] = _positive("obstacle radius", self.radius)
 
 
 class CollisionEvent(_Record):
@@ -91,8 +91,7 @@ class CollisionEvent(_Record):
     obstacle_index: int
 
     def __post_init__(self):
-        _positive("collision time", self.time)
-        object.__setattr__(self, "deflection", _wrap(self.deflection))
+        self.__dict__.update(time=_positive("collision time", self.time), deflection=_wrap(self.deflection))
 
 
 class Trajectory(_Record):
@@ -103,8 +102,7 @@ class Trajectory(_Record):
     events: tuple[CollisionEvent, ...]
 
     def __post_init__(self):
-        _positive("horizon", self.horizon)
-        object.__setattr__(self, "events", tuple(self.events))
+        self.__dict__.update(horizon=_positive("horizon", self.horizon), events=tuple(self.events))
         times = [e.time for e in self.events]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValidationError("collision times must be strictly increasing")
@@ -186,12 +184,19 @@ def _reflect_angle(ix, iy, alpha_in, cx, cy, radius):
     return _wrap(np.arctan2(vy - 2.0 * dot * ny, vx - 2.0 * dot * nx))
 
 
+def _inside_margin(d, r) -> bool:
+    """Whether a start at distances d from centers of radius-r obstacles lies
+    within r (1 + 1e-9) + 1e-12 of any: so near the disk that :func:`_race`'s
+    rounded root may take its far side.  Every billiard start is refused there."""
+    return bool(np.any(d <= r * (1.0 + 1e-9) + 1e-12))
+
+
 def first_hit(s: State, ob: Obstacle) -> float | None:
     """Time of the first contact with a single obstacle, or None if missed.
 
-    The state must start outside the obstacle, beyond r (1 + 1e-9) + 1e-12.
+    The state must start outside the obstacle's margin (:func:`_inside_margin`).
     """
-    if hyp_distance(s.point, ob.center) <= ob.radius * (1.0 + 1e-9) + 1e-12:
+    if _inside_margin(hyp_distance(s.point, ob.center), ob.radius):
         raise ValidationError("first_hit requires a state strictly outside the obstacle")
     coeffs = normalizing_coeffs(s.point.x, s.point.y, s.dir.alpha)
     center = np.array([[ob.center.x]]), np.array([[ob.center.y]])
@@ -214,7 +219,7 @@ def tube_area(t: float, r: float) -> float:
     overflows."""
     if not t >= 0.0:
         raise ValidationError(f"segment length must be nonnegative, got {t}")
-    _positive("tube radius", r)
+    r = _positive("tube radius", r)
     area = ball_area(r) + 2.0 * t * math.sinh(r)
     if area == math.inf:
         raise ValidationError(f"tube of length {t} and radius {r} is too large: its area overflows")
@@ -225,18 +230,19 @@ def tube_area(t: float, r: float) -> float:
 # Event-driven simulation
 # ---------------------------------------------------------------------------
 
-def _check_field(s0: State, field: ObstacleField, t_max: float):
-    _positive("horizon", t_max)
+def _check_field(s0: State, field: ObstacleField, t_max: float) -> float:
+    """t_max as a float, once the field covers it and s0 lies in no obstacle's :func:`_inside_margin`."""
+    t_max = _positive("horizon", t_max)
     needed = hyp_distance(s0.point, field.region.center) + t_max + field.radius
     if field.region.outer < needed - 1e-9:
         raise RegionTooSmallError(
             f"field region (outer {field.region.outer:g}) cannot cover horizon "
             f"{t_max:g} plus obstacle radius {field.radius:g}"
         )
-    if len(field):
-        d = distance_xy(field.centers[:, 0], field.centers[:, 1], s0.point.x, s0.point.y)
-        if np.any(d <= field.radius):
-            raise ValidationError("initial point lies inside (or on) an obstacle")
+    d = distance_xy(field.centers[:, 0], field.centers[:, 1], s0.point.x, s0.point.y)
+    if _inside_margin(d, field.radius):
+        raise ValidationError("initial point lies inside (or on) an obstacle")
+    return t_max
 
 
 def _block_draws(block, live, count: int, draw):
@@ -334,9 +340,12 @@ def simulate(
 
     Event-driven: each step takes the first hit among the whole field by
     :func:`_race`, advances, reflects and records; a hit at or beyond the
-    horizon ends the path, and recollisions are allowed.
+    horizon ends the path, and recollisions are allowed.  s0 must start
+    outside every obstacle's margin (:func:`_inside_margin`), and a path of
+    more than ``max_events`` collisions, an integer >= 0, raises RunawayError.
     """
-    _check_field(s0, field, t_max)
+    t_max = _check_field(s0, field, t_max)
+    max_events = _integer("max_events", max_events, 0)
     cx, cy, radius = field.centers[:, 0], field.centers[:, 1], field.radius
     coshm1_r = _coshm1(radius)
 
@@ -354,8 +363,8 @@ def simulate(
 def free_path(s0: State, field: ObstacleField, t_max: float) -> tuple[float, bool]:
     """Time of the first collision, by :func:`_race`, or (t_max, True) if
     none before t_max: a contact exactly at t_max is none, as in
-    :func:`simulate`."""
-    _check_field(s0, field, t_max)
+    :func:`simulate`, whose start rule it keeps."""
+    t_max = _check_field(s0, field, t_max)
     coeffs = normalizing_coeffs(s0.point.x, s0.point.y, s0.dir.alpha)
     t = float(_race(coeffs, *field.centers.T[:, :, None], _coshm1(field.radius), np.array([-1]))[0][0])
     return (t, False) if t < t_max else (t_max, True)
@@ -533,11 +542,10 @@ def sample_first_collisions(
     flow's rounding, which grows as e^t.  A radius where cosh r rounds to 1
     raises ValidationError (see :func:`_check_reflection`).
     """
-    _positive("intensity", lam)
-    _positive("obstacle radius", radius)
+    lam, radius = _positive("intensity", lam), _positive("obstacle radius", radius)
     if horizon != math.inf:  # +inf censors nothing
-        _positive("horizon", horizon)
-    _integer("size", size, 0)
+        horizon = _positive("horizon", horizon)
+    size = _integer("size", size, 0)
     _check_reflection("sample_first_collisions", radius)
     free, psi = _first_contacts(rng, lam, radius, size)
     time, censored = np.minimum(free, horizon), free >= horizon

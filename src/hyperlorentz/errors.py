@@ -5,6 +5,8 @@ code 2 on the command line; any other exception, a plain ValueError too, is
 a failure of the run, exit code 3.  The package's only checks of numbers are
 two: :func:`_positive` (a real, not a bool, in (0, inf), returned as a float)
 and :func:`_integer` (an integer, not a bool, at least ``least``, as an int).
+Every caller keeps what the check returns, a record through its
+``__dict__``, so a numpy scalar that passes is a Python float or int after.
 """
 
 import math

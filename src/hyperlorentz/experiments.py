@@ -98,8 +98,7 @@ _BATCH = 8192  # replicas per kernel call, unless one stream holds more
 def lambda_for(sigma: float, r: float) -> float:
     """Obstacle intensity sigma / (2 sinh r) for collision rate sigma at radius
     r, refused unless positive and finite: from r ~ 710 on, sinh r overflows."""
-    _positive("sigma", sigma)
-    _positive("r", r)
+    sigma, r = _positive("sigma", sigma), _positive("r", r)
     try:
         lam = sigma / (2.0 * math.sinh(r))
     except OverflowError:
@@ -142,7 +141,7 @@ def _check_run(command: str, sigma: float, t: float, r_levels) -> tuple[float, f
 
 def exp_cdf(rate: float):
     """CDF of Exp(rate): 1 - e^(-rate x), 0 below x = 0."""
-    _positive("rate", rate)
+    rate = _positive("rate", rate)
     return lambda x: -np.expm1(-rate * np.maximum(np.asarray(x, dtype=float), 0.0))
 
 
@@ -632,7 +631,7 @@ def sample_trajectory(sigma: float, r: float, t: float, seed: int) -> Trajectory
     the round in which its obstacle was first met.
     """
     sigma, t, (r,) = _check_run("export", sigma, t, (r,))
-    _integer("seed", seed)
+    seed = _integer("seed", seed)
     record: list = []
     _explore([(_derive_rng(seed, _TAG_EXPORT, 0, 0), 1, lambda_for(sigma, r), r)], t, record=record)
     return _trajectory(_START, t, record)

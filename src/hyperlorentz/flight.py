@@ -38,8 +38,8 @@ class FlightConfig(_Record):
     horizon: float
 
     def __post_init__(self):
-        _positive("collision rate", self.sigma)
-        _positive("horizon", self.horizon)
+        sigma, horizon = _positive("collision rate", self.sigma), _positive("horizon", self.horizon)
+        self.__dict__.update(sigma=sigma, horizon=horizon)
 
 
 def sample_deflection(rng: np.random.Generator, size: int | None = None):
@@ -48,7 +48,7 @@ def sample_deflection(rng: np.random.Generator, size: int | None = None):
     Exact inversion of the CDF sin^2(beta/4): beta = 4*arcsin(sqrt(U)).
     """
     if size is not None:
-        _integer("size", size, 0)
+        size = _integer("size", size, 0)
     return _deflection(rng.random(size))
 
 
@@ -66,10 +66,11 @@ def simulate_flight(
 
     Exp(sigma) gaps and :func:`sample_deflection` turns, drawn alternately
     from rng, a gap first; turn events carry obstacle index -1.  A recorded
-    run of :func:`_flight_ends` on one block of one path.
+    run of :func:`_flight_ends` on one block of one path; a path of more
+    than ``max_events`` turns, an integer >= 0, raises RunawayError.
     """
     record: list = []
-    _flight_ends([(rng, 1)], cfg, max_events, record, s0)
+    _flight_ends([(rng, 1)], cfg, _integer("max_events", max_events, 0), record, s0)
     return _trajectory(s0, cfg.horizon, record)
 
 

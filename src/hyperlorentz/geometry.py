@@ -59,10 +59,17 @@ def distance_xy(x1, y1, x2, y2):
     sinh(d/2)^2 = |z1 - z2|^2 / (4 y1 y2), z = x + iy.  Unlike arccosh of
     cosh d = 1 + |z1 - z2|^2 / (2 y1 y2), which loses half the digits near
     0 (an absolute error of about 2e-8), this form keeps full relative
-    precision at every distance.
+    precision at every distance.  Where the quotient is not finite, a
+    square having overflowed or 4 y1 y2 underflowed to 0, sinh(d/2) is
+    taken as |z1 - z2| / (2 sqrt(y1) sqrt(y2)) instead, finite wherever d is.
     """
     dx, dy = x1 - x2, y1 - y2
-    return 2.0 * np.arcsinh(np.sqrt((dx * dx + dy * dy) / (4.0 * y1 * y2)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.sqrt(np.divide(dx * dx + dy * dy, 4.0 * y1 * y2))
+        far = ~np.isfinite(s)
+        if far.any():
+            s = np.where(far, np.hypot(dx, dy) / (2.0 * np.sqrt(y1) * np.sqrt(y2)), s)
+    return 2.0 * np.arcsinh(s)
 
 
 def _flow(x0, y0, alpha, t):
@@ -261,7 +268,7 @@ class HypCircle(_Record):
     radius: float
 
     def __post_init__(self):
-        _positive("circle radius", self.radius)
+        self.__dict__["radius"] = _positive("circle radius", self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +364,11 @@ def normalizing_map(s: State) -> MobiusMap:
 
 
 def mobius_apply(m: MobiusMap, p: Point) -> Point:
-    """Apply the isometry to a point."""
-    x, y = mobius_xy(m.a, m.b, m.c, m.d, p.x, p.y)
+    """Apply the isometry to a point, refused where |cz + d|^2 underflows to 0."""
+    try:
+        x, y = mobius_xy(m.a, m.b, m.c, m.d, p.x, p.y)
+    except ZeroDivisionError:
+        raise ValidationError(f"{m} cannot be applied to {p}: |cz + d|^2 underflows to 0") from None
     return Point(float(x), float(y))
 
 

@@ -52,7 +52,7 @@ class BallRegion(_Record):
     exclusion: float = 0.0
 
     def __post_init__(self):
-        _positive("outer radius", self.outer)
+        self.__dict__["outer"] = _positive("outer radius", self.outer)
         if not (0.0 <= self.exclusion < self.outer):
             raise ValidationError(
                 f"exclusion radius must satisfy 0 <= exclusion < outer, got {self.exclusion}"
@@ -83,9 +83,8 @@ class ObstacleField(_Record):
         centers.flags.writeable = False
         if centers.ndim != 2 or centers.shape[1] != 2:
             raise ValidationError(f"centers must be an (n, 2) array, got shape {centers.shape}")
-        object.__setattr__(self, "centers", centers)
-        _positive("obstacle radius", self.radius)
-        _positive("intensity", self.intensity)
+        radius, intensity = _positive("obstacle radius", self.radius), _positive("intensity", self.intensity)
+        self.__dict__.update(centers=centers, radius=radius, intensity=intensity)
         region = self.region
         d = distance_xy(centers[:, 0], centers[:, 1], region.center.x, region.center.y)
         if np.any(d <= region.exclusion - _REGION_TOL) or np.any(d > region.outer + _REGION_TOL):
@@ -119,7 +118,7 @@ class PotentialProfile(_Record):
     values: Callable[[float], float]
 
     def __post_init__(self):
-        _positive("support radius", self.support_radius)
+        self.__dict__["support_radius"] = _positive("support radius", self.support_radius)
         for frac in (0.1, 0.5, 0.9):
             if self.values(frac * self.support_radius) < 0.0:
                 raise ValidationError("profile takes a negative value inside its support")
@@ -144,8 +143,7 @@ def sample_annulus(
     float range (:func:`geometry._check_reach`), as from a center at height
     1 they are up to hi ~ 709.78.  A refused call draws nothing.
     """
-    _integer("size", size, 0)
-    _positive("outer radius", hi)
+    size, hi = _integer("size", size, 0), _positive("outer radius", hi)
     if not 0.0 <= lo < hi:
         raise ValidationError(f"inner radius must satisfy 0 <= inner < outer = {hi}, got {lo}")
     try:
@@ -171,7 +169,7 @@ def sample_uniform_in_ball(
 
     Returns a Point when size is None, else an (size, 2) array.
     """
-    _positive("ball radius", R)
+    R = _positive("ball radius", R)
     pts = sample_annulus(center, 0.0, R, rng, 1 if size is None else size)
     if size is None:
         return Point(float(pts[0, 0]), float(pts[0, 1]))
@@ -196,9 +194,9 @@ def sample_field(
     """
     if radius is None:
         radius = exclusion
-    _positive("obstacle radius", radius)
+    radius = _positive("obstacle radius", radius)
     region = BallRegion(center, R, exclusion)
-    _positive("intensity", lam)
+    lam = _positive("intensity", lam)
     expected = lam * region.area
     if expected > COUNT_CAP:
         raise InfeasibleFieldError(
@@ -219,8 +217,7 @@ def nearest_neighbor_tail(eta, lam: float, k: int = 1):
     sum_{j<k} e^{-mu} mu^j / j!, summed term by term; k is an integer >= 1.
     A distance is never negative, so the tail is 1 below eta = 0.
     """
-    _positive("intensity", lam)
-    _integer("neighbor order", k, 1)
+    lam, k = _positive("intensity", lam), _integer("neighbor order", k, 1)
     mu = 4.0 * math.pi * lam * np.sinh(np.maximum(np.asarray(eta, dtype=float), 0.0) / 2.0) ** 2
     term = out = np.exp(-mu)
     for j in range(1, k):
@@ -236,7 +233,7 @@ def expected_T1(lam: float) -> float:
     trapezoid rule up to where the tail falls below e^-40.  The tail is even
     and analytic in eta, so the rule converges geometrically in its step.
     """
-    _positive("intensity", lam)
+    lam = _positive("intensity", lam)
     top = 2.0 * math.asinh(math.sqrt(40.0 / (4.0 * math.pi * lam)))
     h = min(0.25, top / 32.0)
     eta = h * np.arange(math.ceil(top / h) + 1)

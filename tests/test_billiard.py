@@ -20,6 +20,7 @@ from hyperlorentz import (
     RegionTooSmallError,
     RunawayError,
     State,
+    ValidationError,
     ball_area,
     circle_to_euclidean,
     first_hit,
@@ -180,6 +181,37 @@ def test_first_hit_margin_follows_the_radius():
     assert first_hit(State(Point(0.0, math.exp(-2.05e-8)), Direction(-math.pi / 2)), ob) is None
     with pytest.raises(ValueError):
         first_hit(State(Point(0.0, math.exp(-2e-8)), Direction(-math.pi / 2)), ob)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.1, 1e-3, 1e-6])
+def test_first_hit_free_path_and_simulate_share_one_start_margin(r):
+    # Starts r (1 + eps) from the center lie outside the disk but within the
+    # margin r (1 + 1e-9) + 1e-12, where _race's rounded root may take the
+    # disk's far side.  first_hit refused them, but free_path and simulate
+    # raced them.  Over r in {0.5, 0.1, 1e-3, 1e-6}, eps from 1e-15 to 1e-10
+    # and random headings, 227 of 2 616 such starts got a first hit whose
+    # path midpoint lies inside the disk (at r = 0.1 and eps = 1e-15, t =
+    # 0.159 with the midpoint 0.61 r from the center).  All three refuse a
+    # start within the margin and take one past it alike.
+    center = Point(0.3, 1.7)
+    field = ObstacleField([[center.x, center.y]], r, 1.0, BallRegion(center, 5.0))
+    rng = np.random.default_rng(7)
+    margin = 1e-9 + 1e-12 / r  # relative to r
+    for eps, inside in ((0.01 * margin, True), (0.5 * margin, True), (2.0 * margin, False)):
+        for _ in range(8):
+            s = flow_state(State(center, Direction(rng.uniform(0.0, TWO_PI))), r * (1.0 + eps))
+            s0 = State(s.point, Direction(rng.uniform(0.0, TWO_PI)))
+            assert hyp_distance(s0.point, center) > r
+            if inside:
+                with pytest.raises(ValidationError, match="strictly outside the obstacle"):
+                    first_hit(s0, Obstacle(center, r))
+                for run in (free_path, simulate):
+                    with pytest.raises(ValidationError, match=r"initial point lies inside \(or on\) an obstacle"):
+                        run(s0, field, 3.0)
+            else:
+                t = first_hit(s0, Obstacle(center, r))
+                assert free_path(s0, field, 3.0) == ((t, False) if t is not None else (3.0, True))
+                assert [ev.time for ev in simulate(s0, field, 3.0).events] == ([t] if t is not None else [])
 
 
 @pytest.mark.parametrize("r", [2e-8, 3.3e-8, 1e-7, 1e-6])

@@ -80,6 +80,41 @@ def test_distance_keeps_relative_precision_at_every_range():
                 assert abs(mp.mpf(float(got[i])) - exact) <= 4 * eps * exact, (reach, i)
 
 
+# A square of the difference overflows, or 4 y1 y2 underflows to 0: the first
+# two read inf, and the third raised ZeroDivisionError, for points whose
+# distance is finite.
+FAR_PAIRS = [
+    (0.0, 1e-300, 0.0, 1e300),
+    (0.0, 1.0, 1e200, 1.0),
+    (0.0, 1e-170, 0.0, 1e-170),
+    (-1e-170, 1e-170, 2e-170, 3e-170),
+    (-1e160, 1e-160, 1e160, 1e160),
+]
+
+
+@pytest.mark.parametrize("x1, y1, x2, y2", FAR_PAIRS)
+def test_distance_stays_finite_where_the_plain_quotient_is_not(x1, y1, x2, y2):
+    with mp.workdps(60):
+        a, b, c, d = map(mp.mpf, (x1, y1, x2, y2))
+        exact = 2 * mp.asinh(mp.sqrt(((a - c) ** 2 + (b - d) ** 2) / (4 * b * d)))
+        got = hyp_distance(Point(x1, y1), Point(x2, y2))
+        assert abs(mp.mpf(got) - exact) <= 4 * np.finfo(float).eps * exact
+        assert got == hyp_distance(Point(x2, y2), Point(x1, y1))
+
+
+def test_distance_keeps_the_bits_of_every_finite_quotient():
+    # The rescaled form runs only where the plain quotient is not finite, so
+    # every other distance keeps its bits, in an array beside far pairs too.
+    rng = np.random.default_rng(12)
+    x1, x2 = rng.uniform(-3.0, 3.0, (2, 200))
+    y1, y2 = np.exp(rng.uniform(-30.0, 30.0, (2, 200)))
+    plain = 2.0 * np.arcsinh(np.sqrt(((x1 - x2) ** 2 + (y1 - y2) ** 2) / (4.0 * y1 * y2)))
+    far = np.array(FAR_PAIRS).T
+    got = distance_xy(*(np.concatenate(v) for v in zip((x1, y1, x2, y2), far)))
+    assert got[:200].tobytes() == plain.tobytes() and np.isfinite(got).all()
+    assert [hyp_distance(Point(*p), Point(*q)) for p, q in zip(zip(x1, y1), zip(x2, y2))] == plain.tolist()
+
+
 # ---------------------------------------------------------------------------
 # areas and circles
 # ---------------------------------------------------------------------------

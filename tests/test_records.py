@@ -40,9 +40,12 @@ from hyperlorentz import (
     bootstrap_half_width_w1,
     circle_to_euclidean,
     expected_T1,
+    first_hit,
     flow_state,
     free_path,
     geodesic_flow,
+    mobius_apply,
+    mobius_transport,
     nearest_neighbor_tail,
     sample_deflection,
     sample_field,
@@ -984,6 +987,37 @@ CHECKS = [
         ValidationError,
         "seed must be an integer, got True",
     ),
+    *(
+        (
+            f"{name}-max_events={bad!r}",
+            lambda run=run, bad=bad: run(bad),
+            ValidationError,
+            message,
+        )
+        for name, run in (
+            ("simulate", lambda m: simulate(State(C, D), FIELD, 1.0, max_events=m)),
+            ("simulate_flight", lambda m: simulate_flight(State(C, D), FlightConfig(1.0, 1.0), _rng(), m)),
+        )
+        for bad, message in (
+            (-1, "max_events must be >= 0, got -1"),
+            (2.5, "max_events must be an integer, got 2.5"),
+            (True, "max_events must be an integer, got True"),
+            ("3", "max_events must be an integer, got '3'"),
+        )
+    ),
+    (
+        "mobius_apply-|cz+d|^2=0",
+        lambda: mobius_apply(MobiusMap(1e200, 0.0, 0.0, 1e-200), Point(1e200, 1.0)),
+        ValidationError,
+        "MobiusMap(a=1e+200, b=0.0, c=0.0, d=1e-200) cannot be applied to Point(x=1e+200, y=1.0): "
+        "|cz + d|^2 underflows to 0",
+    ),
+    (
+        "mobius_transport-|cz+d|^2=0",
+        lambda: mobius_transport(MobiusMap(1e200, 0.0, 0.0, 1e-200), State(Point(1e200, 1.0), D)),
+        ValidationError,
+        "cannot be applied to Point(x=1e+200, y=1.0): |cz + d|^2 underflows to 0",
+    ),
 ]
 
 
@@ -1007,6 +1041,61 @@ def test_samplers_refuse_a_bad_size_before_drawing_and_take_size_zero():
         assert rng.random() == _rng().random()  # nothing was drawn
         out = sample(_rng(), np.int64(0))
         assert all(a.size == 0 for a in (out if isinstance(out, tuple) else (out,)))
+
+
+# Each record with a checked field, built from numpy scalars f (a float) and
+# i (an int), with the names of its checked fields.
+KEPT = [
+    (Obstacle, lambda f, i: Obstacle(P, f), "radius"),
+    (HypCircle, lambda f, i: HypCircle(P, f), "radius"),
+    (BallRegion, lambda f, i: BallRegion(C, f), "outer"),
+    (ObstacleField, lambda f, i: ObstacleField([], f, f, REGION), "radius intensity"),
+    (PotentialProfile, lambda f, i: PotentialProfile(f, Ramp()), "support_radius"),
+    (CollisionEvent, lambda f, i: CollisionEvent(f, P, D, D, 0.0, 0), "time"),
+    (Trajectory, lambda f, i: Trajectory(State(P, D), f, ()), "horizon"),
+    (FlightConfig, lambda f, i: FlightConfig(f, f), "sigma horizon"),
+    (
+        ExperimentConfig,
+        lambda f, i: ExperimentConfig("deflection", f, (f,), f, i, i, i),
+        "sigma t samples seed workers",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "f, i", [(np.float32(1.1), np.int64(3)), (np.float64(1.1), np.uint8(3))], ids=["float32", "float64"]
+)
+@pytest.mark.parametrize("make, names", [row[1:] for row in KEPT], ids=[cls.__name__ for cls, *_ in KEPT])
+def test_a_record_keeps_its_checked_numbers_as_python_numbers(make, names, f, i):
+    # Each check returns a float or an int, and the record keeps that: a
+    # float32 1.1 is kept as the float it is, 1.100000023841858.
+    record = make(f, i)
+    for name in names.split():
+        value = getattr(record, name)
+        assert type(value) is (int if name in ("samples", "seed", "workers") else float), name
+        assert value == (int(i) if type(value) is int else float(f))
+    if isinstance(record, ExperimentConfig):
+        assert [type(r) for r in record.r_levels] == [float]
+
+
+def test_a_function_computes_with_the_numbers_its_checks_return():
+    # A numpy scalar that passes a check is the Python number the check
+    # returns: each call below matches the call with that number, bit for bit.
+    f32 = np.float32(0.5)
+    assert repr(lambda_for(np.float32(1.0), 0.5)) == "0.9595173756674719"  # was np.float32(0.9595174)
+    # A float32 radius ran the contact rule at single precision: 1.8999999998314603.
+    ob = Obstacle(Point(0.0, math.e**2), np.float32(0.1))
+    assert first_hit(State(C, Direction(0.5 * math.pi)), ob) == 1.8999999985098839
+    # A float32 radius turned deflections up to 3.8e-7 rad from the float's.
+    draws = [sample_first_collisions(1.0, r, math.inf, _rng(), 5) for r in (f32, float(f32))]
+    assert [a.tobytes() for a in draws[0]] == [a.tobytes() for a in draws[1]]
+    # An int64 or uint8 seed overflowed _derive_rng's seed % 2^64.
+    path = sample_trajectory(1.0, 0.5, 2.0, 3)
+    assert sample_trajectory(1.0, 0.5, 2.0, np.int64(3)) == path
+    assert sample_trajectory(1.0, 0.5, 2.0, np.uint8(3)) == path
+    assert repr(FlightConfig(1, 2)) == "FlightConfig(sigma=1.0, horizon=2.0)"
+    points = sample_annulus(C, 0.0, np.float32(1.0), _rng(), np.int64(3))
+    assert points.tobytes() == sample_annulus(C, 0.0, 1.0, _rng(), 3).tobytes()
 
 
 BAD_CALLS = [

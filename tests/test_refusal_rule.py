@@ -1,11 +1,13 @@
 """The package refuses bad input one way.
 
 Every refusal is a ``ValidationError`` (the command line's exit code 2), so
-no module raises a plain ``ValueError``, and every integer floor is
+no module raises a plain ``ValueError``; every integer floor is
 ``errors._integer``'s ``least``, so no module compares a value with an
-integer literal before it raises.  Both rules are read off the source with
-``ast``, as ``grep`` reads off the angle rule that no ``% TWO_PI`` is
-written outside ``geometry._wrap``.
+integer literal before it raises; and every call of ``errors._positive`` or
+``errors._integer`` keeps the number it returns, so none is a bare
+statement.  The rules are read off the source with ``ast``, as ``grep``
+reads off the angle rule that no ``% TWO_PI`` is written outside
+``geometry._wrap``.
 """
 
 import ast
@@ -19,6 +21,8 @@ SOURCES = sorted(Path(hyperlorentz.__file__).parent.glob("*.py"))
 OWN_FLOORS = {("experiments.py", "flight-baseline needs samples >= 2 for its event-count variance")}
 
 ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+CHECKS = ("_positive", "_integer")
 
 
 def _raises(node):
@@ -40,6 +44,15 @@ def _integer_floor(test) -> bool:
                 if isinstance(side, ast.Constant) and type(side.value) is int:
                     return True
     return False
+
+
+def _dropped_checks(tree):
+    """The line of each check whose result is dropped: a call of _positive or _integer as a statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in CHECKS:
+                yield node.lineno
 
 
 def test_the_rule_reads_the_whole_package():
@@ -72,6 +85,13 @@ def test_no_integer_floor_outside_errors_integer():
     assert found == []
 
 
+def test_every_check_keeps_the_number_it_returns():
+    # A check that drops its result lets a numpy scalar through unconverted:
+    # a float32 radius ran the contact rule at single precision.
+    found = [f"{path.name}:{line}" for path in SOURCES for line in _dropped_checks(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def test_the_rule_finds_what_it_forbids():
     # The hand-written floors and the plain ValueErrors that the rule replaced.
     floor = ast.parse('if _integer("size", size) < 0:\n    raise ValidationError("size must be >= 0")')
@@ -80,3 +100,6 @@ def test_the_rule_finds_what_it_forbids():
     assert not _integer_floor(ast.parse("centers.ndim != 2 or not 0.0 < level < 1.0", mode="eval").body)
     assert list(_raises(ast.parse('raise ValueError(f"time {t} outside")'))) == [("ValueError", None)]
     assert list(_raises(ast.parse('raise errors.ValidationError("x")'))) == [("ValidationError", "x")]
+    # The dropped checks that the rule replaced, beside kept ones.
+    source = '_positive("r", r)\nr = _positive("r", r)\nerrors._integer("k", k, 1)\nf(_integer("k", k))'
+    assert list(_dropped_checks(ast.parse(source))) == [1, 3]
