@@ -28,7 +28,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import RegionTooSmallError, RunawayError, ValidationError, _integer, _positive
+from .errors import RegionTooSmallError, RunawayError, ValidationError, _integer, _positive, _real
 from .geometry import (
     Direction,
     Point,
@@ -217,6 +217,7 @@ def tube_area(t: float, r: float) -> float:
     """Hyperbolic area swept by a disk of radius r moved along a geodesic
     segment of length t: 4*pi*sinh^2(r/2) + 2*t*sinh(r), refused where it
     overflows."""
+    t = _real("segment length", t)
     if not t >= 0.0:
         raise ValidationError(f"segment length must be nonnegative, got {t}")
     r = _positive("tube radius", r)
@@ -372,6 +373,7 @@ def free_path(s0: State, field: ObstacleField, t_max: float) -> tuple[float, boo
 
 def position_at(traj: Trajectory, t: float) -> State:
     """State at time t along the trajectory (right-continuous at events)."""
+    t = _real("time", t)
     if not 0.0 <= t <= traj.horizon:
         raise ValidationError(f"time {t} outside [0, {traj.horizon}]")
     k = bisect_right(traj.events, t, key=attrgetter("time"))
@@ -535,7 +537,7 @@ def sample_first_collisions(
     (s, v), so sinh v is uniform on [-sinh r, sinh r]; with sinh v =
     sinh r sin psi, psi being the angle at the impact point between the
     incoming direction and the center, sin psi is uniform on [-1, 1].  Free
-    paths at or beyond ``horizon`` are censored at the horizon, deflection
+    paths at or beyond ``horizon``, in (0, inf], are censored at it, deflection
     nan: a contact exactly at the horizon is none, as in :func:`simulate`.
     Neither law depends on where the hit happens, so the contact is placed
     at ``_START`` itself: flowing the free path first would only add the
@@ -543,8 +545,7 @@ def sample_first_collisions(
     raises ValidationError (see :func:`_check_reflection`).
     """
     lam, radius = _positive("intensity", lam), _positive("obstacle radius", radius)
-    if horizon != math.inf:  # +inf censors nothing
-        horizon = _positive("horizon", horizon)
+    horizon = math.inf if _real("horizon", horizon) == math.inf else _positive("horizon", horizon)
     size = _integer("size", size, 0)
     _check_reflection("sample_first_collisions", radius)
     free, psi = _first_contacts(rng, lam, radius, size)

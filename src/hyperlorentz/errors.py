@@ -2,11 +2,10 @@
 
 Every refusal of a bad argument or configuration is a ValidationError, exit
 code 2 on the command line; any other exception, a plain ValueError too, is
-a failure of the run, exit code 3.  The package's only checks of numbers are
-two: :func:`_positive` (a real, not a bool, in (0, inf), returned as a float)
-and :func:`_integer` (an integer, not a bool, at least ``least``, as an int).
-Every caller keeps what the check returns, a record through its
-``__dict__``, so a numpy scalar that passes is a Python float or int after.
+a failure of the run, exit code 3.  Every number the package takes passes
+:func:`_real` (a real, not a bool, as a float), :func:`_positive` (a real in
+(0, inf)) or :func:`_integer` (an integer, not a bool, >= ``least``, an int),
+and is kept as returned; any other range test follows at the call site.
 """
 
 import math
@@ -29,11 +28,16 @@ class RunawayError(RuntimeError):
     """An event loop exceeded its safety cap."""
 
 
-def _positive(what: str, value) -> float:
-    """value as a float; a bool, a non-real (a string, a 0-d array) or NaN, inf, 0 or less is refused."""
-    if isinstance(value, bool) or not isinstance(value, Real):
+def _real(what: str, value) -> float:
+    """value as a float, any range; a bool or a non-real is refused; a float skips Real's slow isinstance."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise ValidationError(f"{what} must be a real number, got {value!r}")
-    if not 0.0 < value < math.inf:
+    return float(value)
+
+
+def _positive(what: str, value) -> float:
+    """:func:`_real`'s float; NaN, inf, 0 or less is refused."""
+    if not 0.0 < _real(what, value) < math.inf:
         raise ValidationError(f"{what} must be positive and finite, got {value}")
     return float(value)
 

@@ -54,6 +54,7 @@ from .geometry import (
     TWO_PI,
     Point,
     _Record,
+    _sinh,
     _wrap,
     ball_area,
     cayley,
@@ -99,10 +100,7 @@ def lambda_for(sigma: float, r: float) -> float:
     """Obstacle intensity sigma / (2 sinh r) for collision rate sigma at radius
     r, refused unless positive and finite: from r ~ 710 on, sinh r overflows."""
     sigma, r = _positive("sigma", sigma), _positive("r", r)
-    try:
-        lam = sigma / (2.0 * math.sinh(r))
-    except OverflowError:
-        lam = 0.0
+    lam = sigma / (2.0 * _sinh(r))
     if not 0.0 < lam < math.inf:
         raise ValidationError(f"r = {r} gives intensity {lam}; it must be positive and finite")
     return lam

@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleFieldError, ValidationError, _integer, _positive
-from .geometry import Point, _Record, _check_reach, ball_area, distance_xy, flow_xy
+from .errors import InfeasibleFieldError, ValidationError, _integer, _positive, _real
+from .geometry import Point, _Record, _check_reach, _sinh, ball_area, distance_xy, flow_xy
 
 __all__ = [
     "BallRegion",
@@ -53,6 +53,7 @@ class BallRegion(_Record):
 
     def __post_init__(self):
         self.__dict__["outer"] = _positive("outer radius", self.outer)
+        self.__dict__["exclusion"] = _real("exclusion radius", self.exclusion)
         if not (0.0 <= self.exclusion < self.outer):
             raise ValidationError(
                 f"exclusion radius must satisfy 0 <= exclusion < outer, got {self.exclusion}"
@@ -143,14 +144,13 @@ def sample_annulus(
     float range (:func:`geometry._check_reach`), as from a center at height
     1 they are up to hi ~ 709.78.  A refused call draws nothing.
     """
-    size, hi = _integer("size", size, 0), _positive("outer radius", hi)
+    size, hi, lo = _integer("size", size, 0), _positive("outer radius", hi), _real("inner radius", lo)
     if not 0.0 <= lo < hi:
         raise ValidationError(f"inner radius must satisfy 0 <= inner < outer = {hi}, got {lo}")
-    try:
-        s_lo, s_hi = math.sinh(0.5 * lo) ** 2, math.sinh(0.5 * hi) ** 2
-    except OverflowError:
-        raise ValidationError(f"outer radius {hi} is too large: sinh^2(outer / 2) overflows") from None
-    _check_reach("outer radius", hi, center)
+    s_lo, s_hi = (s * s for s in (_sinh(0.5 * lo), _sinh(0.5 * hi)))
+    if s_hi == math.inf:
+        raise ValidationError(f"outer radius {hi} is too large: sinh^2(outer / 2) overflows")
+    hi = _check_reach("outer radius", hi, center)
     u = rng.random(size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size)
     pts = np.empty((size, 2))

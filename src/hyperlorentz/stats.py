@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, _integer
+from .errors import ValidationError, _integer, _real
 
 __all__ = ["ks_statistic", "wasserstein1", "bootstrap_half_width_w1"]
 
@@ -99,7 +99,7 @@ def bootstrap_half_width_w1(
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or a.shape != b.shape or a.ndim != 1:
         raise ValidationError("bootstrap_half_width_w1 expects two nonempty equal-length 1-d samples")
-    n_boot = _integer("n_boot", n_boot, 1)
+    n_boot, level = _integer("n_boot", n_boot, 1), _real("bootstrap level", level)
     if not 0.0 < level < 1.0:
         raise ValidationError(f"bootstrap level must lie strictly between 0 and 1, got {level}")
     n = a.size

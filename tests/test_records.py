@@ -44,9 +44,11 @@ from hyperlorentz import (
     flow_state,
     free_path,
     geodesic_flow,
+    hyp_distance,
     mobius_apply,
     mobius_transport,
     nearest_neighbor_tail,
+    position_at,
     sample_deflection,
     sample_field,
     sample_uniform_in_ball,
@@ -1018,6 +1020,41 @@ CHECKS = [
         ValidationError,
         "cannot be applied to Point(x=1e+200, y=1.0): |cz + d|^2 underflows to 0",
     ),
+    # Each number checked by errors._real, its range tested at the call site
+    # after: a bool or a string is refused there in _real's words.
+    *(
+        (
+            f"{name}={bad!r}",
+            lambda run=run, bad=bad: run(bad),
+            ValidationError,
+            f"{what} must be a real number, got {bad!r}",
+        )
+        for name, what, run in (
+            ("Point-x", "point x", lambda v: Point(v, 1.0)),
+            ("Point-y", "point y", lambda v: Point(0.0, v)),
+            ("Direction-alpha", "direction angle", lambda v: Direction(v)),
+            ("MobiusMap-a", "Mobius coefficient a", lambda v: MobiusMap(v, 0.0, 0.0, 1.0)),
+            ("MobiusMap-d", "Mobius coefficient d", lambda v: MobiusMap(1.0, 0.0, 0.0, v)),
+            ("BallRegion-exclusion", "exclusion radius", lambda v: BallRegion(C, 2.0, v)),
+            ("ball_area-eta", "radius", lambda v: ball_area(v)),
+            ("tube_area-t", "segment length", lambda v: tube_area(v, 0.5)),
+            ("geodesic_flow-t", "time", lambda v: geodesic_flow(State(C, D), v)),
+            ("flow_state-t", "time", lambda v: flow_state(State(C, D), v)),
+            ("position_at-t", "time", lambda v: position_at(Trajectory(State(C, D), 2.0, ()), v)),
+            ("sample_annulus-lo", "inner radius", lambda v: sample_annulus(C, v, 2.0, _rng(), 3)),
+            (
+                "sample_first_collisions-horizon",
+                "horizon",
+                lambda v: sample_first_collisions(1.0, 0.5, v, _rng(), 3),
+            ),
+            (
+                "bootstrap_half_width_w1-level",
+                "bootstrap level",
+                lambda v: bootstrap_half_width_w1([1.0, 2.0], [2.0, 3.0], _rng(), level=v),
+            ),
+        )
+        for bad in (True, "1")
+    ),
 ]
 
 
@@ -1046,16 +1083,20 @@ def test_samplers_refuse_a_bad_size_before_drawing_and_take_size_zero():
 # Each record with a checked field, built from numpy scalars f (a float) and
 # i (an int), with the names of its checked fields.
 KEPT = [
-    (Obstacle, lambda f, i: Obstacle(P, f), "radius"),
-    (HypCircle, lambda f, i: HypCircle(P, f), "radius"),
-    (BallRegion, lambda f, i: BallRegion(C, f), "outer"),
-    (ObstacleField, lambda f, i: ObstacleField([], f, f, REGION), "radius intensity"),
-    (PotentialProfile, lambda f, i: PotentialProfile(f, Ramp()), "support_radius"),
-    (CollisionEvent, lambda f, i: CollisionEvent(f, P, D, D, 0.0, 0), "time"),
-    (Trajectory, lambda f, i: Trajectory(State(P, D), f, ()), "horizon"),
-    (FlightConfig, lambda f, i: FlightConfig(f, f), "sigma horizon"),
+    ("Point", lambda f, i: Point(f, f), "x y"),
+    ("Direction", lambda f, i: Direction(f), "alpha"),
+    ("MobiusMap", lambda f, i: MobiusMap(1.0, f, 0.0, 1.0), "b"),
+    ("Obstacle", lambda f, i: Obstacle(P, f), "radius"),
+    ("HypCircle", lambda f, i: HypCircle(P, f), "radius"),
+    ("BallRegion", lambda f, i: BallRegion(C, f), "outer"),
+    ("BallRegion.exclusion", lambda f, i: BallRegion(C, 2.0, f), "exclusion"),
+    ("ObstacleField", lambda f, i: ObstacleField([], f, f, REGION), "radius intensity"),
+    ("PotentialProfile", lambda f, i: PotentialProfile(f, Ramp()), "support_radius"),
+    ("CollisionEvent", lambda f, i: CollisionEvent(f, P, D, D, 0.0, 0), "time"),
+    ("Trajectory", lambda f, i: Trajectory(State(P, D), f, ()), "horizon"),
+    ("FlightConfig", lambda f, i: FlightConfig(f, f), "sigma horizon"),
     (
-        ExperimentConfig,
+        "ExperimentConfig",
         lambda f, i: ExperimentConfig("deflection", f, (f,), f, i, i, i),
         "sigma t samples seed workers",
     ),
@@ -1065,7 +1106,7 @@ KEPT = [
 @pytest.mark.parametrize(
     "f, i", [(np.float32(1.1), np.int64(3)), (np.float64(1.1), np.uint8(3))], ids=["float32", "float64"]
 )
-@pytest.mark.parametrize("make, names", [row[1:] for row in KEPT], ids=[cls.__name__ for cls, *_ in KEPT])
+@pytest.mark.parametrize("make, names", [row[1:] for row in KEPT], ids=[name for name, *_ in KEPT])
 def test_a_record_keeps_its_checked_numbers_as_python_numbers(make, names, f, i):
     # Each check returns a float or an int, and the record keeps that: a
     # float32 1.1 is kept as the float it is, 1.100000023841858.
@@ -1096,6 +1137,33 @@ def test_a_function_computes_with_the_numbers_its_checks_return():
     assert repr(FlightConfig(1, 2)) == "FlightConfig(sigma=1.0, horizon=2.0)"
     points = sample_annulus(C, 0.0, np.float32(1.0), _rng(), np.int64(3))
     assert points.tobytes() == sample_annulus(C, 0.0, 1.0, _rng(), 3).tobytes()
+    # The numbers checked by errors._real: each float32 below ran at single
+    # precision, or compared at it, where its float does not.
+    p = Point(np.float32(0.1), np.float32(1.0))
+    q = Point(float(np.float32(0.1)), 1.0)
+    assert hyp_distance(p, Point(0.0, 2.0)) == hyp_distance(q, Point(0.0, 2.0))  # was 3.7e-8 off
+    assert repr(tube_area(np.float32(2.0), 0.5)) == "2.8862788113743343"  # was np.float32(2.8862786)
+    # 0.5 eta rounded to 0 in float32, so the area read 0.0.
+    assert ball_area(np.float32(1e-45)) == ball_area(float(np.float32(1e-45))) == 6.168948786545999e-90
+    t32, s = np.float32(0.3), State(C, D)
+    assert geodesic_flow(s, t32) == geodesic_flow(s, float(t32))
+    assert flow_state(s, t32) == flow_state(s, float(t32))
+    path, t32 = sample_trajectory(1.0, 0.5, 2.0, 3), np.float32(1.7)
+    assert position_at(path, t32) == position_at(path, float(t32))
+    # 0 <= inner < outer compared a float32 inner radius in float32, and
+    # refused 1.0 < 1.00000005.
+    points = sample_annulus(C, np.float32(1.0), 1.00000005, _rng(), 3)
+    assert points.tobytes() == sample_annulus(C, 1.0, 1.00000005, _rng(), 3).tobytes()
+    # An infinite horizon of any type censors nothing and gives float64 times:
+    # a longdouble inf made them float128.
+    draws = sample_first_collisions(1.0, 0.5, math.inf, _rng(), 5)
+    for inf in (np.float32(math.inf), np.longdouble(math.inf)):
+        got = sample_first_collisions(1.0, 0.5, inf, _rng(), 5)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in draws]
+    a, b = np.random.default_rng(1).gamma(2.0, size=300), np.random.default_rng(2).gamma(2.0, size=300)
+    level = np.float32(0.95)
+    half = [bootstrap_half_width_w1(a, b, _rng(), level=v) for v in (level, float(level))]
+    assert half[0] == half[1]  # was 0.10825894650108832, for 0.10825893512371408
 
 
 BAD_CALLS = [

@@ -3,11 +3,11 @@
 Every refusal is a ``ValidationError`` (the command line's exit code 2), so
 no module raises a plain ``ValueError``; every integer floor is
 ``errors._integer``'s ``least``, so no module compares a value with an
-integer literal before it raises; and every call of ``errors._positive`` or
-``errors._integer`` keeps the number it returns, so none is a bare
-statement.  The rules are read off the source with ``ast``, as ``grep``
-reads off the angle rule that no ``% TWO_PI`` is written outside
-``geometry._wrap``.
+integer literal before it raises; and every call of ``errors._real``,
+``errors._positive``, ``errors._integer`` or ``geometry._check_reach``
+keeps the number it returns, so none is a bare statement.  The rules are
+read off the source with ``ast``, as ``grep`` reads off the angle rule that
+no ``% TWO_PI`` is written outside ``geometry._wrap``.
 """
 
 import ast
@@ -22,7 +22,7 @@ OWN_FLOORS = {("experiments.py", "flight-baseline needs samples >= 2 for its eve
 
 ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
-CHECKS = ("_positive", "_integer")
+CHECKS = ("_real", "_positive", "_integer", "_check_reach")
 
 
 def _raises(node):
@@ -47,7 +47,7 @@ def _integer_floor(test) -> bool:
 
 
 def _dropped_checks(tree):
-    """The line of each check whose result is dropped: a call of _positive or _integer as a statement."""
+    """The line of each check whose result is dropped: a call of one of CHECKS as a statement."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
             func = node.value.func
@@ -103,3 +103,6 @@ def test_the_rule_finds_what_it_forbids():
     # The dropped checks that the rule replaced, beside kept ones.
     source = '_positive("r", r)\nr = _positive("r", r)\nerrors._integer("k", k, 1)\nf(_integer("k", k))'
     assert list(_dropped_checks(ast.parse(source))) == [1, 3]
+    # The unchecked numbers that errors._real replaced, and _check_reach's float.
+    source = 't = _real("time", t)\nerrors._real("x", x)\n_check_reach("time", t, s.point)\nf(_real("y", y))'
+    assert list(_dropped_checks(ast.parse(source))) == [2, 3]

@@ -17,7 +17,11 @@ change, positive where the new tree is worse), the bound and whether the
 change stays within it.  A metric whose old-tree IQR / median is wider than
 its bound is marked ``unresolved``, unless every run of the new tree reads
 better than every run of the old: such a spread cannot tell a change within
-the bound from one past it.
+the bound from one past it.  Each metric's ``verdict`` is ``gain`` where the
+new tree wins at least 9 in 10 pairs and its median is better by more than
+the old tree's IQR, else ``within_bound`` or ``past_bound`` where the metric
+is resolved, else ``unresolved``.  Run both trees as copies of one commit (an
+A/A run) to see what verdict the host's noise alone gives.
 
 The block ``{W: {...}}`` is printed; with ``--out`` it is also merged into
 that file's ``benchmark`` object, which a run per workload fills in turn.
@@ -59,18 +63,24 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
     spread = (q3 - q1) / abs(p_med) if p_med else (0.0 if q3 == q1 else None)
     worse_by = sign * (p_med - c_med) / abs(p_med) if p_med else sign * (p_med - c_med)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    separated = all(sign * (c - p) > 0 for p in parent for c in change)
+    unresolved = (spread is None or spread > bound) and not separated
+    if wins >= 0.9 * len(parent) and sign * (c_med - p_med) > q3 - q1:
+        verdict = "gain"
+    else:
+        verdict = "unresolved" if unresolved else "within_bound" if worse_by <= bound else "past_bound"
     return {
         "parent_median": round(p_med, 4),
         "change_median": round(c_med, 4),
         "parent_iqr": [round(q1, 4), round(q3, 4)],
         "parent_iqr_over_median": None if spread is None else round(spread, 4),
-        "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "change_better_pairs": wins,
         "change_worse_by": round(worse_by, 4),
         "bound": bound,
         "within_bound": worse_by <= bound,
-        "unresolved": (spread is None or spread > bound) and not all(
-            sign * (c - p) > 0 for p in parent for c in change
-        ),
+        "unresolved": unresolved,
+        "verdict": verdict,
         "parent_runs": [round(v, 4) for v in parent],
         "change_runs": [round(v, 4) for v in change],
     }
