@@ -104,9 +104,9 @@ class Trajectory(_Record):
     def __post_init__(self):
         self.__dict__.update(horizon=_positive("horizon", self.horizon), events=tuple(self.events))
         times = [e.time for e in self.events]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        if not all(t1 < t2 for t1, t2 in zip(times, times[1:])):
             raise ValidationError("collision times must be strictly increasing")
-        if times and times[-1] >= self.horizon:
+        if times and not times[-1] < self.horizon:
             raise ValidationError("collision times must lie strictly before the horizon")
 
 
@@ -206,7 +206,7 @@ def first_hit(s: State, ob: Obstacle) -> float | None:
 
 def reflect(impact: Point, incoming: Direction, ob: Obstacle) -> Direction:
     """Specular reflection of the incoming direction at an impact within 1e-8 r + 1e-12 of the boundary."""
-    if abs(hyp_distance(impact, ob.center) - ob.radius) > 1e-8 * ob.radius + 1e-12:
+    if not abs(hyp_distance(impact, ob.center) - ob.radius) <= 1e-8 * ob.radius + 1e-12:
         raise ValidationError("impact point does not lie on the obstacle boundary")
     return Direction(
         float(_reflect_angle(impact.x, impact.y, incoming.alpha, ob.center.x, ob.center.y, ob.radius))
@@ -235,7 +235,7 @@ def _check_field(s0: State, field: ObstacleField, t_max: float) -> float:
     """t_max as a float, once the field covers it and s0 lies in no obstacle's :func:`_inside_margin`."""
     t_max = _positive("horizon", t_max)
     needed = hyp_distance(s0.point, field.region.center) + t_max + field.radius
-    if field.region.outer < needed - 1e-9:
+    if not field.region.outer >= needed - 1e-9:
         raise RegionTooSmallError(
             f"field region (outer {field.region.outer:g}) cannot cover horizon "
             f"{t_max:g} plus obstacle radius {field.radius:g}"
@@ -299,7 +299,7 @@ def _run_events(s0: State, n: int, horizon: float, step, turn, max_events: int, 
             state = (live, x, y, alpha, t_now, gap, idx)
             live, x, y, alpha, t_now, gap, idx = (v[go] for v in state)
             went = go
-        if rounds >= max_events:
+        if not rounds < max_events:
             raise RunawayError(f"exceeded {max_events} events before the horizon")
         ix, iy, pre = flow_ahead(x, y, alpha, gap)
         post = turn(live, ix, iy, pre, idx, went)

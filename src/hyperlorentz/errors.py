@@ -5,7 +5,8 @@ code 2 on the command line; any other exception, a plain ValueError too, is
 a failure of the run, exit code 3.  Every number the package takes passes
 :func:`_real` (a real, not a bool, as a float), :func:`_positive` (a real in
 (0, inf)) or :func:`_integer` (an integer, not a bool, >= ``least``, an int),
-and is kept as returned; any other range test follows at the call site.
+and is kept as returned; any other range test follows at the call site,
+written ``if not (<what is accepted>): raise``, so that NaN fails it.
 """
 
 import math
@@ -46,6 +47,6 @@ def _integer(what: str, value, least: int | None = None) -> int:
     """value as an int; a bool, a non-integer or one below ``least`` is refused."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
-    if least is not None and value < least:
+    if not (least is None or value >= least):
         raise ValidationError(f"{what} must be >= {least}, got {int(value)}")
     return int(value)

@@ -112,7 +112,7 @@ def _check_run(command: str, sigma: float, t: float, r_levels) -> tuple[float, f
     _, bound, why, counts, reflects = _COMMANDS[command]
     sigma, t = _positive("sigma", sigma), _positive("t", t)
     # A path turns about Poisson(sigma t) times, and a run stops at the event cap.
-    if counts and sigma * t >= DEFAULT_MAX_EVENTS:
+    if counts and not sigma * t < DEFAULT_MAX_EVENTS:
         raise ValidationError(
             f"sigma * t = {sigma * t:g} {counts}; "
             f"{command} needs it below the cap of {DEFAULT_MAX_EVENTS} events a path"
@@ -175,13 +175,13 @@ class ExperimentConfig(_Record):
                 f"unknown experiment {self.experiment!r}; choose one of {', '.join(EXPERIMENTS)}"
             )
         samples = _integer("samples", self.samples, 1)
-        if self.experiment == "flight-baseline" and samples < 2:
+        if self.experiment == "flight-baseline" and not samples >= 2:
             raise ValidationError("flight-baseline needs samples >= 2 for its event-count variance")
         seed, workers = _integer("seed", self.seed), _integer("workers", self.workers, 1)
         sigma, t, levels = _check_run(self.experiment, self.sigma, self.t, self.r_levels)
         self.__dict__.update(sigma=sigma, r_levels=levels, t=t, samples=samples, seed=seed, workers=workers)
-        if self.experiment == "bg-convergence" and any(
-            r2 >= r1 for r1, r2 in zip(self.r_levels, self.r_levels[1:])
+        if self.experiment == "bg-convergence" and not all(
+            r1 > r2 for r1, r2 in zip(self.r_levels, self.r_levels[1:])
         ):
             raise ValidationError("bg-convergence needs strictly decreasing r levels")
 

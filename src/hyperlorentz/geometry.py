@@ -60,9 +60,10 @@ def distance_xy(x1, y1, x2, y2):
     sinh(d/2)^2 = |z1 - z2|^2 / (4 y1 y2), z = x + iy, unlike arccosh of cosh d
     = 1 + |z1 - z2|^2 / (2 y1 y2), keeps full relative precision near d = 0.
     Where |z1 - z2|^2, 4 y1 y2 or their quotient is not a normal float, sinh(d/2)
-    is |z1 - z2| / (2 sqrt(y1) sqrt(y2)).  For heights in 1e-300..1e300 and
-    d < 1420, d is within 2 eps relative (1.63 eps at most against a 60-digit
-    oracle over 30 000 searched pairs), or ulp(0.0) where d is subnormal.
+    is |z1 - z2| / (2 sqrt(y1) sqrt(y2)), and past its overflow, d ~ 1420.9 to 2 910,
+    d = ln(4 h^2 / (y1 y2)), h = |z1 - z2| / 2.  d is within 2 eps relative for heights
+    in 1e-300..1e300 (1.63 eps at most against a 60-digit oracle over 30 000 pairs) and
+    past the overflow (1.58), or ulp(0.0) where it is subnormal; not where sqrt(y1 y2) is.
     """
     dx, dy = x1 - x2, y1 - y2
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -74,6 +75,10 @@ def distance_xy(x1, y1, x2, y2):
             # hypot keeps the digits of a subnormal |z1 - z2| scaled by 2^54, which is exact
             k = np.where(np.maximum(abs(dx), abs(dy)) < _TINY, 2.0**54, 1.0)
             s = np.where(far, np.hypot(k * dx, k * dy) / (2.0 * k * (np.sqrt(y1) * np.sqrt(y2))), s)
+            if (s == math.inf).any():
+                # 2 asinh(s) = 2 ln(2 s) there; x1 / 2 - x2 / 2 stays finite where x1 - x2 overflows
+                d = 2.0 * np.log(np.hypot(0.5 * x1 - 0.5 * x2, 0.5 * y1 - 0.5 * y2)) - np.log(y1) - np.log(y2)
+                return np.where(s == math.inf, d + math.log(4.0), 2.0 * np.arcsinh(s))
     return 2.0 * np.arcsinh(s)
 
 
@@ -101,7 +106,11 @@ def flow_xy(x0, y0, alpha, t):
 def flow_ahead(x0, y0, alpha, t):
     """:func:`flow_xy`'s position at signed time t, bit for bit, and the
     direction angle there: the map run backwards turns the upward direction
-    at (0, e^t) by -2 atan2(sin h e^t, cos h)."""
+    at (0, e^t) by -2 atan2(sin h e^t, cos h).
+
+    Against the flow of the direction pi/2 - 2h it reads, within 354 of (0, 1),
+    y is within 2 eps relative, the angle within 5 eps and x within 2 eps (|x0|
+    + y |cos h sin h| (e^t + e^-t)) (1.78, 4.37, 1.76 at most, 11 000 searched)."""
     x, y, up, ch = _flow(x0, y0, alpha, t)
     return x, y, _wrap(0.5 * math.pi - 2.0 * np.arctan2(up, ch))
 
@@ -113,6 +122,10 @@ def normalizing_coeffs(x0, y0, alpha):
     Built as rotation-about-(0,1) . dilation(1/y0) . translation(-x0); the
     rotation half-angle is (pi/2 - alpha)/2 because the matrix
     [[cos h, sin h], [-sin h, cos h]] turns tangent vectors at (0,1) by 2h.
+
+    By :func:`mobius_xy`, within 354 of (0, 1), z's image is within 2 eps kappa relative,
+    kappa the terms' magnitudes of az + b and cz + d over their moduli (0.99 at most, 11 000
+    searched, eps kappa < 1e-3); near the end point -d/c, as eps kappa nears 1, no digit is left.
     """
     half = (0.5 * math.pi - alpha) / 2.0
     ch, sh = np.cos(half), np.sin(half)
@@ -214,12 +227,26 @@ class Point(_Record):
         self.__dict__.update(x=_real("point x", self.x), y=_real("point y", self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValidationError(f"point coordinates must be finite, got ({self.x}, {self.y})")
-        if self.y <= 0.0:
+        if not self.y > 0.0:
             raise ValidationError(f"point must lie strictly above the x-axis, got y={self.y}")
 
     @property
     def z(self) -> complex:
         return complex(self.x, self.y)
+
+
+def _points(what: str, xy) -> np.ndarray:
+    """xy as a new (n, 2) float array whose every row :class:`Point` accepts."""
+    xy = np.array(xy, dtype=float)
+    if xy.size == 0:
+        xy = xy.reshape(0, 2)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValidationError(f"{what} must be an (n, 2) array, got shape {xy.shape}")
+    ok = np.isfinite(xy).all(axis=1) & (xy[:, 1] > 0.0)
+    if not ok.all():
+        k = int(ok.argmin())
+        raise ValidationError(f"{what} must be finite points above the x-axis, got row {k}: {xy[k].tolist()}")
+    return xy
 
 
 class Direction(_Record):
@@ -261,7 +288,7 @@ class MobiusMap(_Record):
     def __post_init__(self):
         a, b, c, d = coeffs = [_real(f"Mobius coefficient {name}", self.__dict__[name]) for name in "abcd"]
         det = a * d - b * c
-        if not math.isfinite(det) or det <= 0.0:
+        if not 0.0 < det < math.inf:
             raise ValidationError(f"Mobius coefficients must have positive determinant, got {det}")
         s = 1.0 / math.sqrt(det) if abs(det - 1.0) > 1e-12 else 1.0
         self.__dict__.update(zip("abcd", (v * s for v in coeffs)))

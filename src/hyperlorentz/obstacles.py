@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InfeasibleFieldError, ValidationError, _integer, _positive, _real
-from .geometry import Point, _Record, _check_reach, _sinh, ball_area, distance_xy, flow_xy
+from .geometry import Point, _points, _Record, _check_reach, _sinh, ball_area, distance_xy, flow_xy
 
 __all__ = [
     "BallRegion",
@@ -78,17 +78,13 @@ class ObstacleField(_Record):
     region: BallRegion
 
     def __post_init__(self):
-        centers = np.array(self.centers, dtype=float)
-        if centers.size == 0:
-            centers = centers.reshape(0, 2)
+        centers = _points("centers", self.centers)
         centers.flags.writeable = False
-        if centers.ndim != 2 or centers.shape[1] != 2:
-            raise ValidationError(f"centers must be an (n, 2) array, got shape {centers.shape}")
         radius, intensity = _positive("obstacle radius", self.radius), _positive("intensity", self.intensity)
         self.__dict__.update(centers=centers, radius=radius, intensity=intensity)
         region = self.region
         d = distance_xy(centers[:, 0], centers[:, 1], region.center.x, region.center.y)
-        if np.any(d <= region.exclusion - _REGION_TOL) or np.any(d > region.outer + _REGION_TOL):
+        if not np.all((d > region.exclusion - _REGION_TOL) & (d <= region.outer + _REGION_TOL)):
             raise ValidationError("field has centers outside its sampling region")
 
     # Fields compare by value, centers elementwise; an array cannot be hashed.
@@ -121,7 +117,7 @@ class PotentialProfile(_Record):
     def __post_init__(self):
         self.__dict__["support_radius"] = _positive("support radius", self.support_radius)
         for frac in (0.1, 0.5, 0.9):
-            if self.values(frac * self.support_radius) < 0.0:
+            if not self.values(frac * self.support_radius) >= 0.0:
                 raise ValidationError("profile takes a negative value inside its support")
         for mult in (1.001, 1.5, 4.0, 32.0):
             if self.values(mult * self.support_radius) != 0.0:
@@ -198,7 +194,7 @@ def sample_field(
     region = BallRegion(center, R, exclusion)
     lam = _positive("intensity", lam)
     expected = lam * region.area
-    if expected > COUNT_CAP:
+    if not expected <= COUNT_CAP:
         raise InfeasibleFieldError(
             f"expected obstacle count {expected:.3g} exceeds cap {COUNT_CAP:.3g}"
         )
@@ -215,10 +211,12 @@ def nearest_neighbor_tail(eta, lam: float, k: int = 1):
 
     Equals the Poisson CDF at k-1 with mean mu = 4*pi*lam*sinh^2(eta/2),
     sum_{j<k} e^{-mu} mu^j / j!, summed term by term; k is an integer >= 1.
-    A distance is never negative, so the tail is 1 below eta = 0.
+    A distance is never negative, so the tail is 1 below eta = 0; it is 0 where mu overflows.
     """
     lam, k = _positive("intensity", lam), _integer("neighbor order", k, 1)
-    mu = 4.0 * math.pi * lam * np.sinh(np.maximum(np.asarray(eta, dtype=float), 0.0) / 2.0) ** 2
+    with np.errstate(over="ignore"):
+        mu = 4.0 * math.pi * lam * np.sinh(np.maximum(np.asarray(eta, dtype=float), 0.0) / 2.0) ** 2
+    mu = np.minimum(mu, np.finfo(float).max)
     term = out = np.exp(-mu)
     for j in range(1, k):
         term = term * mu / j
@@ -250,10 +248,9 @@ def shot_noise(
 
     Only points within the support radius of q contribute.
     """
-    if isinstance(points, np.ndarray):
-        coords = points.reshape(-1, 2)
-    else:
-        coords = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    if not isinstance(points, np.ndarray):
+        points = [(p.x, p.y) for p in points]
+    coords = _points("points", np.reshape(points, (-1, 2)))
     if len(coords) == 0:
         return 0.0
     d = distance_xy(coords[:, 0], coords[:, 1], q.x, q.y)

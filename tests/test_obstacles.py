@@ -365,6 +365,17 @@ def test_nn_tail_against_mpmath_poisson_cdf():
                 assert abs(float(value) / ref - 1) < 1e-13, (k, mu)
 
 
+@pytest.mark.parametrize("eta, lam, k", [(1000.0, 1.0, 3), (1500.0, 1e-3, 2), (math.inf, 1.0, 2), (2000.0, 1.0, 1)])
+def test_nn_tail_is_zero_where_its_mean_overflows(eta, lam, k):
+    # mu = 4 pi lam sinh^2(eta / 2) overflows to inf, and 0 * inf read nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nearest_neighbor_tail(eta, lam, k) == 0.0
+        got = nearest_neighbor_tail(np.array([0.5, eta]), lam, k)
+        assert got[0] == nearest_neighbor_tail(0.5, lam, k) and got[1] == 0.0
+        assert experiments.t1_cdf(lam)(eta) == 1.0
+
+
 @pytest.mark.parametrize("k", [True, 1.0, 2.0, 0])
 def test_nn_tail_rejects_non_integer_or_nonpositive_order(k):
     with pytest.raises(ValueError):

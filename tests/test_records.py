@@ -58,7 +58,7 @@ from hyperlorentz import (
 )
 from hyperlorentz.billiard import sample_first_collisions
 from hyperlorentz.experiments import exp_cdf, lambda_for, sample_trajectory
-from hyperlorentz.obstacles import sample_annulus
+from hyperlorentz.obstacles import sample_annulus, shot_noise
 
 TWO_PI = 2.0 * math.pi
 
@@ -479,6 +479,36 @@ CHECKS = [
         "field has centers outside its sampling region",
     ),
     (
+        "ObstacleField-center=(nan,1)",
+        lambda: ObstacleField([[0.0, 1.5], [math.nan, 1.0]], 0.1, 1.0, REGION),
+        ValidationError,
+        "centers must be finite points above the x-axis, got row 1: [nan, 1.0]",
+    ),
+    (
+        "ObstacleField-center=(0,nan)",
+        lambda: ObstacleField([[0.0, 1.5], [0.0, math.nan]], 0.1, 1.0, REGION),
+        ValidationError,
+        "centers must be finite points above the x-axis, got row 1: [0.0, nan]",
+    ),
+    (
+        "ObstacleField-center=(0,-1)",
+        lambda: ObstacleField([[0.0, 1.5], [0.0, -1.0]], 0.1, 1.0, REGION),
+        ValidationError,
+        "centers must be finite points above the x-axis, got row 1: [0.0, -1.0]",
+    ),
+    (
+        "shot_noise-row=(nan,1)",
+        lambda: shot_noise(np.array([[0.0, 1.5], [math.nan, 1.0]]), PotentialProfile(1.0, Ramp()), C),
+        ValidationError,
+        "points must be finite points above the x-axis, got row 1: [nan, 1.0]",
+    ),
+    (
+        "shot_noise-row=(0,-1)",
+        lambda: shot_noise(np.array([[0.0, 1.5], [0.0, -1.0]]), PotentialProfile(1.0, Ramp()), C),
+        ValidationError,
+        "points must be finite points above the x-axis, got row 1: [0.0, -1.0]",
+    ),
+    (
         "PotentialProfile-support=0",
         lambda: PotentialProfile(0.0, Ramp()),
         ValidationError,
@@ -493,6 +523,12 @@ CHECKS = [
     (
         "PotentialProfile-profile=negative",
         lambda: PotentialProfile(1.0, lambda eta: -1.0 if eta < 1.0 else 0.0),
+        ValidationError,
+        "profile takes a negative value inside its support",
+    ),
+    (
+        "PotentialProfile-profile=nan",
+        lambda: PotentialProfile(1.0, lambda eta: math.nan if eta < 1.0 else 0.0),
         ValidationError,
         "profile takes a negative value inside its support",
     ),

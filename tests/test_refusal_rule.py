@@ -5,7 +5,9 @@ no module raises a plain ``ValueError``; every integer floor is
 ``errors._integer``'s ``least``, so no module compares a value with an
 integer literal before it raises; and every call of ``errors._real``,
 ``errors._positive``, ``errors._integer`` or ``geometry._check_reach``
-keeps the number it returns, so none is a bare statement.  The rules are
+keeps the number it returns, so none is a bare statement; and every guard
+that raises orders its values under a ``not``, ``if not 0.0 < x: raise``, so
+that NaN, which fails every ordering, fails the guard.  The rules are
 read off the source with ``ast``, as ``grep`` reads off the angle rule that
 no ``% TWO_PI`` is written outside ``geometry._wrap``.
 """
@@ -44,6 +46,19 @@ def _integer_floor(test) -> bool:
                 if isinstance(side, ast.Constant) and type(side.value) is int:
                     return True
     return False
+
+
+def _bare_orders(test):
+    """The ordering comparisons in a test that no ``not`` encloses: x <= 0.0, any(b < a ...)."""
+
+    def walk(node, negated):
+        negated = negated or (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not))
+        if not negated and isinstance(node, ast.Compare) and any(isinstance(op, ORDER) for op in node.ops):
+            yield node
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, negated)
+
+    return list(walk(test, False))
 
 
 def _dropped_checks(tree):
@@ -92,6 +107,17 @@ def test_every_check_keeps_the_number_it_returns():
     assert found == []
 
 
+def test_every_guard_orders_under_a_not():
+    # ``if d <= lo or d > hi: raise`` let a NaN center into a field.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.If) and any(_raises(ast.Module(node.body, []))) and _bare_orders(node.test)
+    ]
+    assert found == []
+
+
 def test_the_rule_finds_what_it_forbids():
     # The hand-written floors and the plain ValueErrors that the rule replaced.
     floor = ast.parse('if _integer("size", size) < 0:\n    raise ValidationError("size must be >= 0")')
@@ -106,3 +132,6 @@ def test_the_rule_finds_what_it_forbids():
     # The unchecked numbers that errors._real replaced, and _check_reach's float.
     source = 't = _real("time", t)\nerrors._real("x", x)\n_check_reach("time", t, s.point)\nf(_real("y", y))'
     assert list(_dropped_checks(ast.parse(source))) == [2, 3]
+    # A guard that NaN passed, beside its rewrite.
+    assert _bare_orders(ast.parse("np.any(d <= lo) or np.any(d > hi)", mode="eval").body)
+    assert not _bare_orders(ast.parse("not np.all((d > lo) & (d <= hi))", mode="eval").body)

@@ -2,7 +2,7 @@
 """Compare two source trees on one benchmark workload, in interleaved pairs.
 
     python3 tools/bench_pairs.py OLD_TREE NEW_TREE --workload W [--pairs 10]
-        [--seconds 50] [--out BENCH_N.json]
+        [--seconds 50] [--aa] [--out BENCH_N.json]
 
 Each pair runs ``perfbench/run.py --workload W --seed 0 --seconds S
 --trace 0`` once on each tree, in a fresh interpreter that writes no
@@ -20,8 +20,9 @@ better than every run of the old: such a spread cannot tell a change within
 the bound from one past it.  Each metric's ``verdict`` is ``gain`` where the
 new tree wins at least 9 in 10 pairs and its median is better by more than
 the old tree's IQR, else ``within_bound`` or ``past_bound`` where the metric
-is resolved, else ``unresolved``.  Run both trees as copies of one commit (an
-A/A run) to see what verdict the host's noise alone gives.
+is resolved, else ``unresolved``.  With ``--aa``, the old tree then runs
+against itself in as many interleaved pairs (an A/A run), and the block keeps
+those verdicts under ``aa``: what the host's noise alone gives.
 
 The block ``{W: {...}}`` is printed; with ``--out`` it is also merged into
 that file's ``benchmark`` object, which a run per workload fills in turn.
@@ -86,6 +87,28 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def run_pairs(old: Path, new: Path, workload: str, pairs: int, seconds: float, declared: dict) -> dict:
+    """Interleaved pairs of runs on both trees: their failed CLI runs and each metric's block."""
+    trees = dict(zip(SIDES, (old, new)))
+    results = {side: [] for side in SIDES}
+    for k in range(pairs):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            results[side].append(run_once(trees[side], workload, seconds))
+        print(f"pair {k + 1}/{pairs} done", file=sys.stderr)
+    metrics = {
+        m["name"]: compare(
+            *([r["metrics"][m["name"]]["value"] for r in results[side]] for side in SIDES),
+            m["better"],
+            m["bound"],
+        )
+        for m in declared["end_to_end"]
+    }
+    return {
+        "failed_cli_runs": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
+        "metrics": metrics,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="tree of the parent commit")
@@ -93,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--aa", action="store_true", help="then run the old tree against itself")
     parser.add_argument("--out", type=Path, help="BENCH file whose benchmark block to merge into")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -103,25 +127,14 @@ def main(argv: list[str] | None = None) -> int:
     declared = json.loads((args.new / "BENCHMARK.json").read_text())
     if args.workload not in {w["name"] for w in declared["workloads"]}:
         parser.error(f"BENCHMARK.json declares no workload {args.workload!r}")
-    trees = dict(zip(SIDES, (args.old, args.new)))
-    results = {side: [] for side in SIDES}
-    for k in range(args.pairs):
-        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            results[side].append(run_once(trees[side], args.workload, args.seconds))
-        print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr)
-    metrics = {
-        m["name"]: compare(
-            *([r["metrics"][m["name"]]["value"] for r in results[side]] for side in SIDES),
-            m["better"],
-            m["bound"],
-        )
-        for m in declared["end_to_end"]
-    }
     block = {args.workload: {
         "pairs": args.pairs,
-        "failed_cli_runs": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
-        "metrics": metrics,
+        **run_pairs(args.old, args.new, args.workload, args.pairs, args.seconds, declared),
     }}
+    if args.aa:
+        block[args.workload]["aa"] = run_pairs(
+            args.old, args.old, args.workload, args.pairs, args.seconds, declared
+        )
     print(json.dumps(block, indent=1))
     if args.out:
         bench = json.loads(args.out.read_text()) if args.out.exists() else {}
