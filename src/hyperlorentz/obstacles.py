@@ -250,7 +250,7 @@ def shot_noise(
     """
     if not isinstance(points, np.ndarray):
         points = [(p.x, p.y) for p in points]
-    coords = _points("points", np.reshape(points, (-1, 2)))
+    coords = _points("points", points)
     if len(coords) == 0:
         return 0.0
     d = distance_xy(coords[:, 0], coords[:, 1], q.x, q.y)

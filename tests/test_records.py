@@ -509,6 +509,18 @@ CHECKS = [
         "points must be finite points above the x-axis, got row 1: [0.0, -1.0]",
     ),
     (
+        "shot_noise-shape=(3,)",
+        lambda: shot_noise(np.array([1.0, 2.0, 3.0]), PotentialProfile(1.0, Ramp()), C),
+        ValidationError,
+        "points must be an (n, 2) array, got shape (3,)",
+    ),
+    (
+        "shot_noise-shape=(1,4)",
+        lambda: shot_noise(np.array([[0.0, 1.5, 0.0, 2.0]]), PotentialProfile(1.0, Ramp()), C),
+        ValidationError,
+        "points must be an (n, 2) array, got shape (1, 4)",
+    ),
+    (
         "PotentialProfile-support=0",
         lambda: PotentialProfile(0.0, Ramp()),
         ValidationError,

@@ -2,13 +2,14 @@
 """Compare two source trees on one benchmark workload, in interleaved pairs.
 
     python3 tools/bench_pairs.py OLD_TREE NEW_TREE --workload W [--pairs 10]
-        [--seconds 50] [--aa] [--out BENCH_N.json]
+        [--seconds 50] [--out BENCH_N.json]
 
 Each pair runs ``perfbench/run.py --workload W --seed 0 --seconds S
---trace 0`` once on each tree, in a fresh interpreter that writes no
-``.pyc`` files; the old tree runs first on even pairs, the new tree first on
-odd pairs, so a drift of the host's speed weighs on both sides alike.  Each
-run's last stdout line is its JSON result.
+--trace 0`` three times, each in a fresh interpreter that writes no ``.pyc``
+files: once on the old tree, once on the new tree and once more on the old
+tree (the A/A side).  The order of the three rotates from pair to pair, so a
+drift of the host's speed weighs on every side alike.  Each run's last stdout
+line is its JSON result.
 
 For every end-to-end metric that the new tree's ``BENCHMARK.json`` declares,
 the block gives both medians and all runs, the old tree's quartiles and
@@ -20,9 +21,10 @@ better than every run of the old: such a spread cannot tell a change within
 the bound from one past it.  Each metric's ``verdict`` is ``gain`` where the
 new tree wins at least 9 in 10 pairs and its median is better by more than
 the old tree's IQR, else ``within_bound`` or ``past_bound`` where the metric
-is resolved, else ``unresolved``.  With ``--aa``, the old tree then runs
-against itself in as many interleaved pairs (an A/A run), and the block keeps
-those verdicts under ``aa``: what the host's noise alone gives.
+is resolved, else ``unresolved``.  The block keeps, under ``aa``, the same
+verdicts for the old tree against its A/A runs, whose ``change`` fields hold
+the A/A side: what the host's noise alone gives, measured in the same window
+as the comparison.
 
 The block ``{W: {...}}`` is printed; with ``--out`` it is also merged into
 that file's ``benchmark`` object, which a run per workload fills in turn.
@@ -41,6 +43,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+#: The A/A side: the old tree again, run in every pair beside the other two.
+AA = "aa"
 
 
 def run_once(tree: Path, workload: str, seconds: float) -> dict:
@@ -87,26 +91,32 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def verdicts(results: dict, sides: tuple[str, str], declared: dict) -> dict:
+    """The failed CLI runs of two sides and each metric's block, the first side as parent."""
+    return {
+        "failed_cli_runs": dict(zip(SIDES, (sum(r["failed"] for r in results[side]) for side in sides))),
+        "metrics": {
+            m["name"]: compare(
+                *([r["metrics"][m["name"]]["value"] for r in results[side]] for side in sides),
+                m["better"],
+                m["bound"],
+            )
+            for m in declared["end_to_end"]
+        },
+    }
+
+
 def run_pairs(old: Path, new: Path, workload: str, pairs: int, seconds: float, declared: dict) -> dict:
-    """Interleaved pairs of runs on both trees: their failed CLI runs and each metric's block."""
-    trees = dict(zip(SIDES, (old, new)))
-    results = {side: [] for side in SIDES}
+    """Interleaved runs of the old tree, the new tree and the old tree again: the comparison's
+    block, with the A/A comparison of the old tree against its second runs under ``aa``."""
+    trees = {SIDES[0]: old, SIDES[1]: new, AA: old}
+    order = (*SIDES, AA)
+    results = {side: [] for side in order}
     for k in range(pairs):
-        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+        for side in order[k % 3:] + order[:k % 3]:
             results[side].append(run_once(trees[side], workload, seconds))
         print(f"pair {k + 1}/{pairs} done", file=sys.stderr)
-    metrics = {
-        m["name"]: compare(
-            *([r["metrics"][m["name"]]["value"] for r in results[side]] for side in SIDES),
-            m["better"],
-            m["bound"],
-        )
-        for m in declared["end_to_end"]
-    }
-    return {
-        "failed_cli_runs": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
-        "metrics": metrics,
-    }
+    return {**verdicts(results, SIDES, declared), AA: verdicts(results, (SIDES[0], AA), declared)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,7 +126,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50.0)
-    parser.add_argument("--aa", action="store_true", help="then run the old tree against itself")
     parser.add_argument("--out", type=Path, help="BENCH file whose benchmark block to merge into")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -131,10 +140,6 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         **run_pairs(args.old, args.new, args.workload, args.pairs, args.seconds, declared),
     }}
-    if args.aa:
-        block[args.workload]["aa"] = run_pairs(
-            args.old, args.old, args.workload, args.pairs, args.seconds, declared
-        )
     print(json.dumps(block, indent=1))
     if args.out:
         bench = json.loads(args.out.read_text()) if args.out.exists() else {}
